@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .correlation import Interval, gap_cdf, pair_correlation
+from .correlation import Interval, pair_correlation
 from .partition import (
     greedy_partition,
     maximal_blocks,
@@ -92,14 +92,19 @@ def _manifest(command: str, parameters: dict, seed=None, input_path=None) -> dic
     }
 
 
-def _worker_count() -> int:
+def _worker_count(l_max: int) -> int:
+    """Lemma sweep workers: os.cpu_count(), or PPC_LAB_THREADS capped at the CPUs and at l_max."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("PPC_LAB_THREADS")
-    if raw:
+    if not raw:
+        return cpus
+    try:
         count = int(raw)
         if count < 1:
-            raise ValueError("PPC_LAB_THREADS must be a positive integer")
-        return count
-    return os.cpu_count() or 1
+            raise ValueError
+    except ValueError:
+        raise ValueError("PPC_LAB_THREADS must be a positive integer") from None
+    return min(count, cpus, l_max)
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -187,11 +192,13 @@ def cmd_analyze(args) -> int:
         lo, hi, step = (float(p) for p in pieces)
         if not step > 0:
             raise ValueError("--cdf-grid step must be positive")
+        sorted_gaps = np.sort(g.gaps[:m])  # searchsorted "right" counts the gaps <= x
         lines = ["x,F"]
         k = 0
         x = lo
-        while x <= hi * (1 + 1e-15) + 1e-300:
-            lines.append(f"{_fmt(x)},{_fmt(gap_cdf(g, x, m))}")
+        while x <= hi * (1 + math.copysign(1e-15, hi)) + 1e-300:
+            below = int(np.searchsorted(sorted_gaps, x, side="right"))
+            lines.append(f"{_fmt(x)},{_fmt(below / m)}")
             k += 1
             x = lo + k * step
         text = "\n".join(lines) + "\n"
@@ -245,7 +252,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_verify_lemma512(args) -> int:
-    workers = _worker_count()
+    workers = _worker_count(args.lmax)
     result = lemma512_exhaustive(args.lmax, workers=workers)
     expected = math.comb(args.lmax + 3, 4)
     doc = {

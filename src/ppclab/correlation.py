@@ -9,11 +9,14 @@ evaluates the same window with the same float.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sequences import GapSequence, RealSequence
+
+_CHUNK = 1 << 16  # starts per first_crossing pass: bounded, cache-sized temporaries
 
 
 @dataclass(frozen=True)
@@ -100,47 +103,58 @@ class CorrelationReport:
     r_value: float
 
 
+def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
+    """For each start k, the first index e >= lower[k] where P[e] - base[k] passes t.
+
+    "Passes" means ``> t`` when ``strict`` and ``>= t`` otherwise; starts
+    that never pass get ``P.size``.  ``P`` must be non-decreasing, so the
+    true difference ``fl(P[e] - base)`` is non-decreasing in e (IEEE
+    subtraction is monotone) and the answer equals a two-pointer scan's bit
+    for bit.  ``searchsorted`` on the rounded ``base + t`` only seeds each
+    answer; every decision tests the true difference.  Each start keeps a
+    bracket [lo, hi] holding its answer: a few probes walk from the seed,
+    and starts still open after them (e.g. on long runs of equal prefix
+    values) are bisected, so no start costs more than O(log P.size) probes.
+    """
+    passes = np.greater if strict else np.greater_equal
+    out = np.full(len(base), P.size, dtype=np.intp)
+    for c in range(0, out.size, _CHUNK):
+        b, hi = base[c : c + _CHUNK], out[c : c + _CHUNK]  # hi is a view: answers land in out
+        lo = np.broadcast_to(lower, out.shape)[c : c + _CHUNK].astype(np.intp)
+        guess = np.searchsorted(P, b + t, side="right" if strict else "left")
+        open_ = slice(None)  # the first probe goes to every start
+        for step in itertools.count():
+            l, h = lo[open_], hi[open_]
+            probe = np.clip(guess[open_], l, h - 1) if step < 4 else (l + h) // 2
+            ok = passes(P[probe] - b[open_], t) & (l < h)
+            hi[open_] = np.where(ok, probe, h)
+            lo[open_] = np.where(ok, l, probe + 1)
+            guess[open_] = probe + np.where(ok, -1, 1)
+            open_ = np.flatnonzero(lo < hi)
+            if open_.size == 0:
+                break
+    return out
+
+
 def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> CorrelationReport:
     """Count ordered pairs (i, j), i != j, i,j <= n with values[j] - values[i] in I.
 
-    Two-pointer sliding window over the sorted values: for each i the
-    admissible j form a contiguous run whose ends move only forward, so the
-    count is aggregated per window in O(n) without enumerating pairs.  The
-    comparisons are applied to the difference values[j] - values[i] itself,
-    the same expression a brute-force enumerator would use.
+    For each i the admissible j form a contiguous run of the sorted values;
+    its ends are found by :func:`first_crossing` on the difference
+    values[j] - values[i] itself, the same expression a brute-force
+    enumerator would use, so the count is aggregated without enumerating
+    pairs.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     if n > seq.n:
         raise ValueError(f"n={n} exceeds sequence length {seq.n}")
-    if interval.is_empty:
-        return CorrelationReport(interval, n, 0, 0.0)
 
-    values = seq.values[:n].tolist()
-    lo, hi = interval.lo, interval.hi
-    lo_closed, hi_closed = interval.lo_closed, interval.hi_closed
-    count = 0
-    lo_ptr = 0  # first j whose difference passes the lower bound
-    hi_ptr = 0  # first j whose difference fails the upper bound
-    for i in range(n):
-        vi = values[i]
-        while lo_ptr < n:
-            d = values[lo_ptr] - vi
-            if d > lo or (lo_closed and d == lo):
-                break
-            lo_ptr += 1
-        if hi_ptr < lo_ptr:
-            hi_ptr = lo_ptr
-        while hi_ptr < n:
-            d = values[hi_ptr] - vi
-            if d < hi or (hi_closed and d == hi):
-                hi_ptr += 1
-            else:
-                break
-        c = hi_ptr - lo_ptr
-        if lo_ptr <= i < hi_ptr:  # drop the i == j self pair
-            c -= 1
-        count += c
+    values = seq.values[:n]
+    first = first_crossing(values, values, 0, interval.lo, not interval.lo_closed)
+    stop = first_crossing(values, values, first, interval.hi, interval.hi_closed)
+    self_pairs = n if interval.contains(0.0) else 0  # j = i has the difference 0.0
+    count = int(np.sum(stop - first)) - self_pairs
     return CorrelationReport(interval, n, count, count / n)
 
 
@@ -156,45 +170,22 @@ def gap_cdf(g: GapSequence, x: float, n: int) -> float:
 def multi_gap_count(g: GapSequence, interval: Interval, n: int, m_min: int = 1) -> int:
     """Count windows (start, m) with m >= m_min, start+m-1 <= n, and gap-sum in I.
 
-    Prefix sums make each window's sum an O(1) lookup; because gaps are
-    non-negative the admissible window ends form a contiguous run per start
-    and both run boundaries move only forward, giving O(n) total.
+    Because gaps are non-negative, the admissible window ends of each start
+    form one contiguous run; :func:`first_crossing` finds both of its ends
+    on the canonical sums ``prefix[e] - prefix[s-1]``.
     """
     if m_min < 1:
         raise ValueError("m_min must be >= 1")
     if n < 0 or n > g.length:
         raise ValueError(f"n={n} out of range 0..{g.length}")
-    if interval.is_empty or n == 0 or m_min > n:
+    if n == 0 or m_min > n:
         return 0
 
-    prefix = g.prefix_list()
-    lo, hi = interval.lo, interval.hi
-    lo_closed, hi_closed = interval.lo_closed, interval.hi_closed
-    total = 0
-    lo_ptr = 1  # first end index whose sum passes the lower bound
-    hi_ptr = 1  # first end index whose sum fails the upper bound
-    for s in range(1, n - m_min + 2):
-        base = prefix[s - 1]
-        if lo_ptr < s:
-            lo_ptr = s
-        while lo_ptr <= n:
-            d = prefix[lo_ptr] - base
-            if d > lo or (lo_closed and d == lo):
-                break
-            lo_ptr += 1
-        if hi_ptr < lo_ptr:
-            hi_ptr = lo_ptr
-        while hi_ptr <= n:
-            d = prefix[hi_ptr] - base
-            if d < hi or (hi_closed and d == hi):
-                hi_ptr += 1
-            else:
-                break
-        e_min = s + m_min - 1
-        lo_eff = lo_ptr if lo_ptr > e_min else e_min
-        if hi_ptr > lo_eff:
-            total += hi_ptr - lo_eff
-    return total
+    prefix = g.prefix[: n + 1]
+    base = prefix[: n - m_min + 1]  # prefix[s-1] for the starts s = 1..n-m_min+1
+    first = first_crossing(prefix, base, np.arange(m_min, n + 1), interval.lo, not interval.lo_closed)
+    stop = first_crossing(prefix, base, first, interval.hi, interval.hi_closed)
+    return int(np.sum(stop - first))
 
 
 def ppc_block(g: GapSequence, block: IndexInterval, a: float) -> int:

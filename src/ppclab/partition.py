@@ -10,29 +10,39 @@ hold exactly in binary64 arithmetic, not merely up to rounding.
 from __future__ import annotations
 
 import enum
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .correlation import IndexInterval
+import numpy as np
+
+from .correlation import IndexInterval, first_crossing
 from .sequences import GapSequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSet:
     """The maximal runs of indices whose gaps are all <= threshold.
 
     A run is maximal: the gap immediately before and after each block (when
-    inside 1..n) exceeds the threshold.
+    inside 1..n) exceeds the threshold.  Block k spans ``left[k]..right[k]``
+    (1-based, inclusive); ``blocks`` lists them as :class:`IndexInterval`.
     """
 
-    blocks: tuple[IndexInterval, ...]
+    left: np.ndarray
+    right: np.ndarray
     threshold: float
     n: int
 
+    @cached_property
+    def blocks(self) -> tuple[IndexInterval, ...]:
+        return tuple(map(IndexInterval, self.left.tolist(), self.right.tolist()))
+
     @property
     def total_length(self) -> int:
-        return sum(b.length for b in self.blocks)
+        return int(np.sum(self.right - self.left + 1))
 
 
 class PairClass(enum.Enum):
@@ -96,46 +106,70 @@ class GreedyPartition:
 
 
 def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
-    """Single left-to-right pass extracting the maximal runs with gaps <= threshold."""
+    """The maximal runs with gaps <= threshold, read off the edges of the run mask."""
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     if n < 0 or n > g.length:
         raise ValueError(f"n={n} out of range 0..{g.length}")
-    gaps = g.gaps[:n].tolist()
-    blocks = []
-    start = None
-    for i, gap in enumerate(gaps, start=1):
-        if gap <= threshold:
-            if start is None:
-                start = i
-        else:
-            if start is not None:
-                blocks.append(IndexInterval(start, i - 1))
-                start = None
-    if start is not None:
-        blocks.append(IndexInterval(start, n))
-    return BlockSet(tuple(blocks), threshold, n)
+    inside = (g.gaps[:n] <= threshold).astype(np.int8)
+    edges = np.diff(inside, prepend=0, append=0)
+    return BlockSet(np.flatnonzero(edges == 1) + 1, np.flatnonzero(edges == -1), threshold, n)
 
 
-def _longest_fit(prefix, a: int, b: int, budget: float):
-    """Longest window [s, e] within [a, b] with canonical sum <= budget.
+def _reach(g: GapSequence, budget: float) -> np.ndarray:
+    """``reach[s]``: the last end e with canonical sum of gaps s..e <= budget, for s = 1..n.
 
-    Ties go to the smallest left endpoint.  Returns (length, s, e) with
-    length 0 when not even a singleton fits.
+    ``reach[s] = s - 1`` when gap s alone exceeds the budget.  Computed for
+    all starts at once by :func:`first_crossing`; the array for the latest
+    budget is cached on ``g``, so one pass serves every block.
     """
-    best_len = 0
-    best_s = best_e = 0
-    e = a - 1
-    for s in range(a, b + 1):
-        base = prefix[s - 1]
-        if e < s - 1:
-            e = s - 1
-        while e < b and prefix[e + 1] - base <= budget:
-            e += 1
-        if e - s + 1 > best_len:
-            best_len = e - s + 1
-            best_s, best_e = s, e
-    return best_len, best_s, best_e
+    if not budget > 0:
+        raise ValueError("budget must be positive")
+    cached = g.__dict__.get("_reach")
+    if cached is None or cached[0] != budget:
+        # lower bound 0 suffices: fl(prefix[e] - prefix[s-1]) <= 0 < budget for every e < s
+        ends = first_crossing(g.prefix, g.prefix[:-1], 0, budget, True)
+        ends -= 1
+        cached = (budget, np.concatenate(([0], ends)))  # reach[0] is unused
+        object.__setattr__(g, "_reach", cached)
+    return cached[1]
+
+
+def _unpartitionable(index: int, budget: float) -> ValueError:
+    return ValueError(f"unpartitionable singleton: gap at index {index} exceeds budget {budget}")
+
+
+def _greedy_picks(reach: list) -> list[tuple[int, int]]:
+    """The greedy picks over one block, as block-local (start, end) pairs in pick order.
+
+    ``reach[i]`` is the block-local :func:`_reach` of position i, at least i.
+    A fragment's longest fit depends only on the fragment, so it is found
+    once, when a pick creates the fragment; a heap keyed by (-length, start)
+    then gives the longest fit over all fragments, ties to the smallest left
+    endpoint.
+    """
+
+    def longest_fit(a: int, b: int):
+        best, best_s = 0, a
+        for s in range(a, b + 1):
+            if b - s + 1 <= best:
+                break
+            length = (reach[s] if reach[s] < b else b) - s + 1
+            if length > best:
+                best, best_s = length, s
+        return -best, best_s, a, b
+
+    heap = [longest_fit(0, len(reach) - 1)]
+    picks = []
+    while heap:
+        neg_length, s, a, b = heapq.heappop(heap)
+        e = s - neg_length - 1
+        picks.append((s, e))
+        if s > a:
+            heapq.heappush(heap, longest_fit(a, s - 1))
+        if e < b:
+            heapq.heappush(heap, longest_fit(e + 1, b))
+    return picks
 
 
 def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> GreedyPartition:
@@ -147,40 +181,59 @@ def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> Gr
     procedure deterministic.  Every single gap in the parent must fit the
     budget on its own, otherwise no decomposition exists.
     """
-    if not budget > 0:
-        raise ValueError("budget must be positive")
+    reach = _reach(g, budget)
     if parent.right > g.length:
         raise ValueError(f"parent {parent} exceeds gap count {g.length}")
-    prefix = g.prefix_list()
-    for s in range(parent.left, parent.right + 1):
-        if prefix[s] - prefix[s - 1] > budget:
-            raise ValueError(
-                f"unpartitionable singleton: gap at index {s} exceeds budget {budget}"
-            )
+    left = parent.left
+    local = (reach[left : parent.right + 1] - left).tolist()
+    for i, end in enumerate(local):
+        if end < i:
+            raise _unpartitionable(left + i, budget)
 
-    fragments = [(parent.left, parent.right)]
-    picks: list[tuple[int, int]] = []
-    while fragments:
-        best = (0, 0, 0)  # (length, s, e)
-        best_frag = -1
-        for idx, (a, b) in enumerate(fragments):
-            length, s, e = _longest_fit(prefix, a, b, budget)
-            if length > best[0]:
-                best = (length, s, e)
-                best_frag = idx
-        length, s, e = best
-        a, b = fragments.pop(best_frag)
-        if e < b:
-            fragments.insert(best_frag, (e + 1, b))
-        if s > a:
-            fragments.insert(best_frag, (a, s - 1))
-        picks.append((s, e))
-
+    picks = _greedy_picks(local)
     by_position = sorted(range(len(picks)), key=lambda i: picks[i][0])
-    parts = tuple(IndexInterval(*picks[i]) for i in by_position)
+    parts = tuple(IndexInterval(left + picks[i][0], left + picks[i][1]) for i in by_position)
     selection_rank = tuple(i + 1 for i in by_position)  # pick order is append order
+    prefix = g.prefix_list()
     sums = tuple(float(prefix[p.right] - prefix[p.left - 1]) for p in parts)
     return GreedyPartition(parent, parts, selection_rank, sums, budget)
+
+
+def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
+    """Part lengths of ``greedy_partition(g, IndexInterval(left[k], right[k]), budget)`` for all k.
+
+    Lengths are concatenated block by block, left to right within a block.
+    A block whose whole canonical sum fits the budget is one part; one
+    comparison decides that for every block, and only the other blocks run
+    the greedy picks.  No :class:`GreedyPartition` is built, and the same
+    "unpartitionable singleton" error is raised.
+    """
+    reach = _reach(g, budget)
+    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+    sizes = right - left + 1
+    if np.any(left < 1) or np.any(sizes < 1) or np.any(right > g.length):
+        raise ValueError(f"blocks must satisfy 1 <= left <= right <= {g.length}")
+    multi = reach[left] < right
+    multi_sizes = sizes[multi]
+    firsts = np.repeat(left[multi], multi_sizes)  # each gap's block start, over the multi-part blocks
+    offsets = np.cumsum(multi_sizes) - multi_sizes
+    position = np.arange(firsts.size) - np.repeat(offsets, multi_sizes)
+    local = reach[firsts + position] - firsts
+    bad = np.flatnonzero(local < position)
+    if bad.size:
+        raise _unpartitionable(int(firsts[bad[0]] + position[bad[0]]), budget)
+
+    local = local.tolist()
+    multi_lengths, multi_counts = [], []
+    for offset, size in zip(offsets.tolist(), multi_sizes.tolist()):
+        picks = sorted(_greedy_picks(local[offset : offset + size]))
+        multi_lengths.extend(e - s + 1 for s, e in picks)
+        multi_counts.append(len(picks))
+    counts = np.ones(sizes.size, dtype=np.intp)
+    counts[multi] = multi_counts
+    lengths = np.repeat(sizes, counts)  # right for one-part blocks; the rest are overwritten
+    lengths[np.repeat(multi, counts)] = multi_lengths
+    return lengths
 
 
 def sandwiched_indices(p: GreedyPartition) -> set[int]:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import Interval, gap_cdf, multi_gap_count
-from .partition import greedy_partition, maximal_blocks
+from .partition import maximal_blocks, partition_lengths
 from .sequences import GapSequence, RealSequence, gaps_of
 
 REAL_FUZZ_TOLERANCE = 1e-9  # binary64 rounding headroom only
@@ -41,7 +41,11 @@ class LemmaPoint:
 
 def lemma512_lhs(p: LemmaPoint):
     """The seven-term sum; exact (int) when all coordinates are ints."""
-    a, b, c, l = p.a, p.b, p.c, p.l
+    return _seven_terms(p.a, p.b, p.c, p.l)
+
+
+def _seven_terms(a, b, c, l):
+    """The seven-term sum on scalars or numpy arrays; exact on ints."""
     return (
         (a - 1) * a
         + (b - a) * (b - a + 1)
@@ -76,15 +80,7 @@ def _scan_l_values(l_values) -> ExhaustiveResult:
             b = np.arange(a, l + 1, dtype=np.int64)[:, None]
             c = np.arange(a, l + 1, dtype=np.int64)[None, :]
             valid = b <= c
-            lhs12 = 12 * (
-                (a - 1) * a
-                + (b - a) * (b - a + 1)
-                + (c - b) * (c - b + 1)
-                + (l - c) * (l - c + 1)
-                + (a - 1) * (b - a)
-                + (b - a) * (c - b)
-                + (c - b) * (l - c)
-            )
+            lhs12 = 12 * _seven_terms(a, b, c, l)
             bad = valid & (lhs12 < rhs12)
             checked += int(np.count_nonzero(valid))
             if np.any(bad):
@@ -150,15 +146,7 @@ def lemma512_random_real(samples: int, l_max: float, seed: int) -> list[RealViol
         l = rng.uniform(1.0, l_max, batch)
         abc = np.sort(rng.uniform(1.0, l[:, None], (batch, 3)), axis=1)
         a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
-        lhs = (
-            (a - 1) * a
-            + (b - a) * (b - a + 1)
-            + (c - b) * (c - b + 1)
-            + (l - c) * (l - c + 1)
-            + (a - 1) * (b - a)
-            + (b - a) * (c - b)
-            + (c - b) * (l - c)
-        )
+        lhs = _seven_terms(a, b, c, l)
         rhs = (5.0 / 12.0) * l * l + l / 6.0 - 7.0 / 12.0
         gap = lhs - rhs
         bad = gap < -REAL_FUZZ_TOLERANCE
@@ -280,35 +268,10 @@ class AuditReport:
         return {step.name: step.holds for step in self.steps}
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "budget": self.budget,
-            "n_used": self.n_used,
-            "max_gap": self.max_gap,
-            "max_gap_ok": self.max_gap_ok,
-            "density_lhs": self.density_lhs,
-            "density_rhs": self.density_rhs,
-            "multigap_lhs": self.multigap_lhs,
-            "multigap_rhs": self.multigap_rhs,
-            "partition_mass": self.partition_mass,
-            "partition_mass_rhs": self.partition_mass_rhs,
-            "bias_lhs": self.bias_lhs,
-            "bias_rhs": self.bias_rhs,
-            "final_ineq_value": self.final_ineq_value,
-            "block_count": self.block_count,
-            "part_count": self.part_count,
-            "total_block_length": self.total_block_length,
-            "steps": [
-                {
-                    "name": s.name,
-                    "lhs": s.lhs,
-                    "rhs": s.rhs,
-                    "direction": s.direction,
-                    "holds": s.holds,
-                }
-                for s in self.steps
-            ],
-        }
+        """Every field in declaration order, with the steps as dicts."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["steps"] = [step._asdict() for step in self.steps]
+        return doc
 
 
 def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
@@ -339,16 +302,9 @@ def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
     multigap_rhs = 2.0 * math.sqrt(eps)
 
     blocks = maximal_blocks(g, n, budget)
-    parts_binom = 0
-    parts_len = 0
-    part_count = 0
-    for block in blocks.blocks:
-        p = greedy_partition(g, block, budget)
-        part_count += p.size
-        for part in p.parts:
-            m = part.length
-            parts_binom += m * (m + 1) // 2
-            parts_len += m
+    lengths = partition_lengths(g, blocks.left, blocks.right, budget)
+    parts_binom = int(np.sum(lengths * (lengths + 1) // 2))
+    parts_len = int(np.sum(lengths))
     partition_mass = parts_binom / n
     partition_mass_rhs = 0.5 - 4.0 * math.sqrt(2.0) * eps**0.25
 
@@ -387,8 +343,8 @@ def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
         bias_lhs=bias_lhs,
         bias_rhs=bias_rhs,
         final_ineq_value=final_value,
-        block_count=len(blocks.blocks),
-        part_count=part_count,
+        block_count=int(blocks.left.size),
+        part_count=int(lengths.size),
         total_block_length=parts_len,
         steps=steps,
     )

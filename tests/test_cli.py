@@ -270,3 +270,46 @@ def test_floats_printed_with_17_significant_digits(tmp_path, capsys):
     # parse-back equality is the round-trip contract
     assert doc["value"] == pl.final_inequality(1e-9)
     assert "-0.015104937746762168" in out
+
+
+def test_analyze_cdf_grid_keeps_a_negative_upper_end(tmp_path, capsys):
+    path = write_lattice(tmp_path)
+    code, out, _ = run(capsys, "analyze", "--input", path, "--cdf-grid=-1:-0.5:0.25")
+    assert code == 0
+    assert out.splitlines() == ["x,F", "-1,0", "-0.75,0", "-0.5,0"]
+
+
+def test_analyze_cdf_grid_matches_gap_cdf_at_every_point(tmp_path, capsys):
+    gaps = [0.25, 0.5, 0.5, 0.75, 1.25, 0.25, 2.0, 0.5]  # several gaps sit exactly on grid points
+    seq = pl.sequence_from_gaps(gaps)
+    path = tmp_path / "seq.txt"
+    pl.write_sequence(path, seq)
+    code, out, _ = run(capsys, "analyze", "--input", str(path), "--n", "7", "--cdf-grid", "0:2.5:0.25")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 11
+    g = pl.gaps_of(seq)
+    for x, f in rows:
+        assert f == format(pl.gap_cdf(g, float(x), 7), ".17g"), x  # analyze reads --n 7 as 7 gaps
+
+
+def test_worker_count_is_clamped_without_starting_processes(monkeypatch):
+    from ppclab import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("PPC_LAB_THREADS", raising=False)
+    assert cli._worker_count(2) == 4  # unset: the CPU count, as before
+    for raw, l_max, expected in (("3", 100, 3), ("1000000", 100, 4), ("1000000", 2, 2)):
+        monkeypatch.setenv("PPC_LAB_THREADS", raw)
+        assert cli._worker_count(l_max) == expected
+    for raw in ("abc", "1.5", "0", "-3"):
+        monkeypatch.setenv("PPC_LAB_THREADS", raw)
+        with pytest.raises(ValueError, match="^PPC_LAB_THREADS must be a positive integer$"):
+            cli._worker_count(100)
+
+
+def test_verify_lemma512_rejects_a_non_integer_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("PPC_LAB_THREADS", "many")
+    code, out, err = run(capsys, "verify", "lemma512", "--lmax", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: PPC_LAB_THREADS must be a positive integer\n"

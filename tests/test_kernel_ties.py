@@ -1,0 +1,100 @@
+"""Tie-adversarial inputs for the exact crossing kernel and its callers.
+
+Dyadic gaps (multiples of 1/8 or 1/16) keep every window sum and every
+difference exact, so the direct-summation oracles and the canonical prefix
+differences agree and any miscount is the kernel's.  Interval endpoints are
+drawn from the realized sums and differences themselves, so the boundary
+comparisons are ties in every closedness combination.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ppclab as pl
+from oracles import GreedyOracle, brute_multi_gap_count, brute_pair_count
+
+# runs of equal dyadic gaps; k = 0 gives runs of zero gaps, i.e. equal prefix values
+runs = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max_size=10)
+
+
+def expand(run_list, denominator):
+    return [k / denominator for k, r in run_list for _ in range(r)]
+
+
+def realized_interval(data, points):
+    """An interval whose endpoints are two of the given realized values."""
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
+    return pl.Interval(lo, hi, data.draw(st.booleans()), data.draw(st.booleans()))
+
+
+@given(runs, st.integers(1, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_multi_gap_count_on_realized_window_sums(run_list, m_min, data):
+    g = pl.GapSequence(expand(run_list, 8))
+    n = data.draw(st.integers(1, g.length))
+    p = g.prefix
+    sums = sorted({float(p[e] - p[s - 1]) for s in range(1, n + 1) for e in range(s, n + 1)})
+    interval = realized_interval(data, sums)
+    assert pl.multi_gap_count(g, interval, n, m_min) == brute_multi_gap_count(
+        g.gaps, interval, n, m_min
+    )
+
+
+@given(runs, st.data())
+@settings(max_examples=300, deadline=None)
+def test_pair_correlation_on_realized_differences(run_list, data):
+    gaps = [k / 8 or 1 / 8 for k, r in run_list for _ in range(r)]  # strictly increasing values
+    seq = pl.sequence_from_gaps(gaps, start=data.draw(st.integers(-4, 4)) / 8)
+    n = data.draw(st.integers(1, seq.n))
+    v = seq.values[:n]
+    diffs = sorted(set((v[None, :] - v[:, None]).ravel().tolist()))
+    interval = realized_interval(data, diffs)
+    assert pl.pair_correlation(seq, interval, n).pair_count == brute_pair_count(v, interval, n)
+
+
+@given(st.lists(runs, min_size=1, max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_partition_lengths_match_replayed_greedy(blocks, data):
+    separator = [0.75]  # above the threshold, so every run list becomes its own block
+    gaps = separator + [x for b in blocks for x in expand(b, 16) + separator]
+    g = pl.GapSequence(gaps)
+    threshold = 0.5
+    p = g.prefix
+    sums = sorted({float(p[e] - p[s - 1]) for s in range(1, g.length + 1)
+                   for e in range(s, min(g.length, s + 12) + 1)})
+    budget = data.draw(st.sampled_from([threshold] + [x for x in sums if 0 < x <= threshold]))
+    bs = pl.maximal_blocks(g, g.length, threshold)
+    try:
+        expected = []
+        for block in bs.blocks:
+            partition = pl.greedy_partition(g, block, budget)
+            GreedyOracle(g, block, budget).replay_check(partition)
+            expected.extend(part.length for part in partition.parts)
+    except ValueError as exc:  # a single gap above a budget chosen below the threshold
+        with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
+            pl.partition_lengths(g, bs.left, bs.right, budget)
+        assert str(caught.value) == str(exc)
+        return
+    assert pl.partition_lengths(g, bs.left, bs.right, budget).tolist() == expected
+
+
+def test_seed_past_a_long_run_of_equal_prefix_values():
+    """The rounded seed lands past a run of 10^4 + 1 equal prefix values; the answer is its start."""
+    ulp = 2.0**-52
+    run = 10**4 + 1
+    g = pl.GapSequence([1.0, ulp] + [0.0] * run)
+    t = 0.75 * ulp  # 1 + t rounds up to 1 + ulp, the run's prefix value
+    interval = pl.Interval.open(t, 1.0)
+    p = g.prefix
+    seed = int(np.searchsorted(p, p[1] + t, side="right"))
+    answer = int(pl.first_crossing(p, p[1:2], 2, t, True)[0])
+    assert (answer, seed) == (2, g.length + 1)  # the seed misses by the whole run
+
+    started = time.perf_counter()
+    got = pl.multi_gap_count(g, interval, g.length, 1)
+    assert time.perf_counter() - started < 1.0
+    assert got == brute_multi_gap_count(g.gaps, interval, g.length, 1) == run + 1
