@@ -45,7 +45,6 @@ from .verifier import (
     bias_check,
     final_inequality,
     lemma512_exhaustive,
-    lemma512_random_real,
 )
 
 
@@ -262,18 +261,7 @@ def cmd_verify_lemma512(args) -> int:
         "counterexamples": [list(c) for c in result.counterexamples],
     }
     failed = bool(result.counterexamples) or result.checked != expected
-    if args.real_samples:
-        violations = lemma512_random_real(args.real_samples, float(args.lmax), args.seed)
-        doc["real_samples"] = args.real_samples
-        doc["real_violations"] = [
-            {"a": v.a, "b": v.b, "c": v.c, "l": v.l, "gap": v.gap} for v in violations
-        ]
-        failed = failed or bool(violations)
-    doc["manifest"] = _manifest(
-        "verify lemma512",
-        {"lmax": args.lmax, "real_samples": args.real_samples, "workers": workers},
-        seed=args.seed,
-    )
+    doc["manifest"] = _manifest("verify lemma512", {"lmax": args.lmax, "workers": workers})
     print(_dumps(doc))
     return 1 if failed else 0
 
@@ -416,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("lemma512", help="exhaustive integer sweep of the quadratic lower bound")
     v.add_argument("--lmax", required=True, type=int)
-    v.add_argument("--real-samples", type=int, default=0, help="additional random real-tuple fuzzing")
-    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify_lemma512)
 
     v = vsub.add_parser("bias", help="randomized check of the small-window bias bound")

@@ -13,6 +13,11 @@ TWO_PI = 2.0 * math.pi
 GENERATOR_KINDS = ("poisson", "capped", "quadratic_form")
 INGEST_MODES = ("raw", "zeta_unfold")
 
+# Rejection sampling of capped gaps takes about ln(n)/(1 - exp(-cap)) rounds,
+# which grows without bound as cap -> 0.  At this floor, n = 10^5 takes
+# 0.2-0.4 s on a 2-core x86 VM.
+CAPPED_MIN_CAP = 0.01
+
 
 class SequenceFormatError(ValueError):
     """Malformed sequence file; carries the 1-based offending line number."""
@@ -115,10 +120,11 @@ class GapSequence:
 class GeneratorConfig:
     """Configuration for :func:`generate`; equal configs give bit-identical output.
 
-    ``cap`` is required for the capped kind (units of mean gap).  ``alpha`` is
-    the quadratic-form coefficient in x^2 + alpha*y^2.  ``cutoff`` optionally
-    fixes the enumeration cutoff for the quadratic form; by default it grows
-    until at least ``n_points`` values are available.
+    ``cap`` is required for the capped kind (units of mean gap) and must be at
+    least ``CAPPED_MIN_CAP``.  ``alpha`` is the quadratic-form coefficient in
+    x^2 + alpha*y^2.  ``cutoff`` optionally fixes the enumeration cutoff for
+    the quadratic form; by default it grows until at least ``n_points``
+    values are available.
     """
 
     kind: str
@@ -136,8 +142,11 @@ class GeneratorConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.kind == "capped":
-            if self.cap is None or not self.cap > 0:
-                raise ValueError("capped generator requires cap > 0")
+            if self.cap is None or not self.cap >= CAPPED_MIN_CAP:
+                raise ValueError(
+                    f"capped generator requires cap >= {CAPPED_MIN_CAP}: rejection sampling "
+                    f"needs about ln(n)/(1 - exp(-cap)) rounds, got cap={self.cap!r}"
+                )
         if self.kind == "quadratic_form":
             if not self.alpha > 0:
                 raise ValueError("quadratic_form generator requires alpha > 0")
@@ -187,7 +196,11 @@ def quadratic_form_values(n_points: int, alpha: float = math.sqrt(2.0),
 
     Returns the sorted raw values (duplicates kept, no normalization) and the
     enumeration cutoff actually used.  With an explicit ``cutoff`` that yields
-    fewer than ``n_points`` values, raises instead of guessing.
+    fewer than ``n_points`` values, raises instead of guessing.  Raises before
+    allocating when the ``mx x my`` enumeration grid would exceed
+    16 * n_points + 2^20 cells: a moderate alpha needs at most about
+    3 * n_points, and the floor keeps small requests with an extreme alpha or
+    a generous cutoff working.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -195,9 +208,17 @@ def quadratic_form_values(n_points: int, alpha: float = math.sqrt(2.0),
         raise ValueError("alpha must be positive")
     # Density heuristic: #{(x,y): x^2+alpha*y^2 <= C} ~ (pi/4) C / sqrt(alpha).
     c = cutoff if cutoff is not None else max(1.0 + alpha, 4.0 * math.sqrt(alpha) * n_points / math.pi) * 1.25
+    grid_limit = 16 * n_points + (1 << 20)
     while True:
-        mx = int(math.floor(math.sqrt(max(c - alpha, 0.0))))
-        my = int(math.floor(math.sqrt(max((c - 1.0) / alpha, 0.0))))
+        fx = math.sqrt(max(c - alpha, 0.0))
+        fy = math.sqrt(max((c - 1.0) / alpha, 0.0))
+        if not fx * fy <= grid_limit:  # also rejects the nan and inf of an overflowed cutoff
+            raise ValueError(
+                f"quadratic_form enumeration needs about {fx * fy:.3g} grid cells, more than the "
+                f"{grid_limit} allowed for {n_points} points: alpha={alpha!r} or cutoff={c!r} "
+                "is too extreme"
+            )
+        mx, my = math.floor(fx), math.floor(fy)
         if mx >= 1 and my >= 1:
             xs = np.arange(1, mx + 1, dtype=float) ** 2
             ys = alpha * np.arange(1, my + 1, dtype=float) ** 2

@@ -2,12 +2,14 @@
 small-window bias bound, the closing epsilon inequality, and the end-to-end
 finite-N audit of the whole chain.
 
-The quadratic-bound sweep is exact: integer tuples are compared via
+The quadratic bound is proved for all reals by :func:`lemma512_certificate`.
+The integer sweep is exact too: integer tuples are compared via
 12*LHS >= 5L^2 + 2L - 7 in int64, with no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -19,8 +21,6 @@ import numpy as np
 from .correlation import Interval, gap_cdf, multi_gap_count
 from .partition import maximal_blocks, partition_lengths
 from .sequences import GapSequence, RealSequence, gaps_of
-
-REAL_FUZZ_TOLERANCE = 1e-9  # binary64 rounding headroom only
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,28 @@ def lemma512_rhs(l):
     return (5.0 / 12.0) * l * l + l / 6.0 - 7.0 / 12.0
 
 
+def _squares(a, b, c, l):
+    """The three weighted squares that 12*LHS - (5l^2 + 2l - 7) equals."""
+    return 3 * (2 * a - c - 1) ** 2 + 3 * (2 * b - l - 1) ** 2 + (3 * c - 2 * l - 1) ** 2
+
+
+def lemma512_certificate() -> bool:
+    """Prove LHS >= RHS for every real tuple, not only the integer ones swept.
+
+    Checks 12*LHS - (5l^2 + 2l - 7) = 3(2a-c-1)^2 + 3(2b-l-1)^2 + (3c-2l-1)^2
+    in exact integer arithmetic at the 81 points of {0, 1, 2}^4.  Both sides
+    have degree <= 2 in each variable, and such a polynomial that vanishes on
+    {0, 1, 2}^4 is zero (variable by variable: a nonzero one has at most two
+    roots), so True proves the identity, and with it the bound, for all
+    reals.  The squares all vanish, and the bound is tight, exactly on the
+    line a = (l+2)/3, b = (l+1)/2, c = (2l+1)/3.
+    """
+    return all(
+        12 * _seven_terms(a, b, c, l) - (5 * l * l + 2 * l - 7) == _squares(a, b, c, l)
+        for a, b, c, l in itertools.product(range(3), repeat=4)
+    )
+
+
 class ExhaustiveResult(NamedTuple):
     checked: int
     counterexamples: list
@@ -94,17 +116,21 @@ def _scan_l_values(l_values) -> ExhaustiveResult:
 def lemma512_exhaustive(l_max: int, workers: int = 1) -> ExhaustiveResult:
     """Sweep every integer tuple 1 <= a <= b <= c <= L <= l_max exactly.
 
-    Uses int64 throughout (safe for l_max up to ~10^4, far beyond practical
-    sweeps); the comparison is 12*LHS < 5L^2 + 2L - 7 so no division occurs.
-    The L-range is striped across workers and results merged; the outcome is
-    independent of the worker count.
+    The comparison is 12*LHS < 5L^2 + 2L - 7 in int64, so no division
+    occurs; 12*LHS <= 12L(L-1), about 5*10^9 at L = 20000, far inside int64.
+    What limits l_max is cost: the sweep takes O(l_max^4) time, and each
+    (a, L) step builds (L-a+1)^2 int64 matrices, 3.2 GB each at L = 20000.
+    The L-range is striped across workers and results merged; the outcome
+    is independent of the worker count.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if l_max > 20000:
-        raise ValueError("l_max too large for int64-exact arithmetic margin")
+        raise ValueError(
+            "l_max must be <= 20000: sweep time grows as l_max^4 and its matrices reach 3.2 GB"
+        )
     stripes = [list(range(1 + r, l_max + 1, workers)) for r in range(workers)]
     stripes = [s for s in stripes if s]
     if len(stripes) == 1:
@@ -115,46 +141,6 @@ def lemma512_exhaustive(l_max: int, workers: int = 1) -> ExhaustiveResult:
     checked = sum(r.checked for r in results)
     counterexamples = sorted(x for r in results for x in r.counterexamples)
     return ExhaustiveResult(checked, counterexamples)
-
-
-class RealViolation(NamedTuple):
-    a: float
-    b: float
-    c: float
-    l: float
-    gap: float
-
-
-def lemma512_random_real(samples: int, l_max: float, seed: int) -> list[RealViolation]:
-    """Fuzz the bound over real tuples drawn uniformly under the ordering constraint.
-
-    Draws L ~ U(1, l_max) and (a, b, c) as the sorted triple of U(1, L)
-    draws, then reports every point where LHS - RHS < -1e-9.  The tolerance
-    absorbs polynomial-evaluation rounding only; anything beyond it is a
-    genuine counterexample candidate, returned at full precision.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not l_max >= 1:
-        raise ValueError("l_max must be >= 1")
-    rng = np.random.default_rng(seed)
-    violations: list[RealViolation] = []
-    remaining = samples
-    while remaining > 0:
-        batch = min(remaining, 1_000_000)
-        remaining -= batch
-        l = rng.uniform(1.0, l_max, batch)
-        abc = np.sort(rng.uniform(1.0, l[:, None], (batch, 3)), axis=1)
-        a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
-        lhs = _seven_terms(a, b, c, l)
-        rhs = (5.0 / 12.0) * l * l + l / 6.0 - 7.0 / 12.0
-        gap = lhs - rhs
-        bad = gap < -REAL_FUZZ_TOLERANCE
-        for i in np.nonzero(bad)[0]:
-            violations.append(
-                RealViolation(float(a[i]), float(b[i]), float(c[i]), float(l[i]), float(gap[i]))
-            )
-    return violations
 
 
 class BiasCheck(NamedTuple):

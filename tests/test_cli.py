@@ -179,16 +179,6 @@ def test_verify_lemma512(capsys):
     assert doc["counterexamples"] == []
 
 
-def test_verify_lemma512_with_real_fuzz(capsys):
-    code, out, _ = run(
-        capsys, "verify", "lemma512", "--lmax", "20", "--real-samples", "10000", "--seed", "5"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["real_samples"] == 10000
-    assert doc["real_violations"] == []
-
-
 def test_verify_bias(capsys):
     code, out, _ = run(capsys, "verify", "bias", "--samples", "2000", "--seed", "11")
     assert code == 0
@@ -313,3 +303,40 @@ def test_verify_lemma512_rejects_a_non_integer_thread_count(monkeypatch, capsys)
     code, out, err = run(capsys, "verify", "lemma512", "--lmax", "5")
     assert (code, out) == (2, "")
     assert err == "error: PPC_LAB_THREADS must be a positive integer\n"
+
+
+def test_verify_lemma512_rejects_the_retired_fuzz_flags(capsys):
+    for extra in (["--real-samples", "10"], ["--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lemma512", "--lmax", "20", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_generate_quadratic_form_rejects_an_extreme_alpha(tmp_path, capsys):
+    # each alpha makes one side of the enumeration grid at least 5e149 cells
+    # (1.7e308 overflows the cutoff to inf), so nothing can allocate it
+    out = tmp_path / "qf.txt"
+    for alpha in ("1e-300", "1e300", "1.7e308"):
+        code, stdout, err = run(
+            capsys, "generate", "--kind", "quadratic_form", "--n", "10", "--alpha", alpha, "-o", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert "grid cells" in err and "Traceback" not in err
+        assert not out.exists()
+    code, _, _ = run(
+        capsys, "generate", "--kind", "quadratic_form", "--n", "10", "--alpha", "1e-8", "-o", str(out)
+    )
+    assert code == 0  # a 1 x 5000 grid stays under the floor
+
+
+def test_generate_capped_rejects_a_cap_below_the_floor(tmp_path, capsys):
+    out = tmp_path / "capped.txt"
+    code, stdout, err = run(
+        capsys, "generate", "--kind", "capped", "--cap", "1e-6", "--n", "10", "-o", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: capped generator requires cap >= 0.01")
+    assert not out.exists()
+    code, _, _ = run(capsys, "generate", "--kind", "capped", "--cap", "0.01", "--n", "1000", "-o", str(out))
+    assert code == 0

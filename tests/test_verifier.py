@@ -109,17 +109,6 @@ def test_exhaustive_validation():
         pl.lemma512_exhaustive(10, workers=0)
 
 
-def test_random_real_fuzz_finds_nothing():
-    assert pl.lemma512_random_real(100_000, 50.0, seed=1234) == []
-
-
-def test_random_real_validation():
-    with pytest.raises(ValueError):
-        pl.lemma512_random_real(0, 50.0, 1)
-    with pytest.raises(ValueError):
-        pl.lemma512_random_real(10, 0.5, 1)
-
-
 def test_bias_check_trivial_length_one():
     check = pl.bias_check(pl.GapSequence([0.4]))
     assert check.rhs == 0.0 and check.ok
@@ -264,3 +253,31 @@ def test_audit_report_structure():
     for step in d["steps"]:
         assert step["direction"] in ("<=", ">=")
         assert math.isfinite(step["lhs"]) and math.isfinite(step["rhs"])
+
+
+def test_certificate_proves_the_sum_of_squares_identity():
+    assert pl.lemma512_certificate() is True
+
+
+def test_certificate_fails_when_the_polynomial_is_perturbed(monkeypatch):
+    from ppclab import verifier
+
+    seven_terms = verifier._seven_terms
+    monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) + 1)
+    assert pl.lemma512_certificate() is False
+
+
+def test_squares_vanish_on_the_critical_line():
+    # the float gap on this line dips below -1e-9 at large l, although the
+    # exact gap is zero: rounding, not a counterexample
+    from ppclab import verifier
+
+    float_dips = 0
+    for l_val in range(10_000, 20_001, 7):
+        a, b, c = Fraction(l_val + 2, 3), Fraction(l_val + 1, 2), Fraction(2 * l_val + 1, 3)
+        assert verifier._squares(a, b, c, l_val) == 0
+        assert 12 * pl.lemma512_lhs(pl.LemmaPoint(a, b, c, l_val)) == 5 * l_val**2 + 2 * l_val - 7
+        fa, fb, fc = (l_val + 2) / 3, (l_val + 1) / 2, (2 * l_val + 1) / 3
+        gap = pl.lemma512_lhs(pl.LemmaPoint(fa, fb, fc, l_val)) - pl.lemma512_rhs(float(l_val))
+        float_dips += gap < -1e-9
+    assert float_dips > 0
