@@ -48,6 +48,9 @@ from .verifier import (
 )
 
 
+CDF_GRID_MAX_POINTS = 10**6  # --cdf-grid rows; a larger or non-finite grid is rejected, not looped over
+
+
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
@@ -113,6 +116,27 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _parse_cdf_grid(text: str) -> tuple[float, float, float]:
+    """``lo:hi:step`` as (lo, step, end): the grid is lo + k*step, k = 0, 1, ..., while <= end.
+
+    ``end`` is hi plus a relative 1e-15, so hi stays on the grid when rounding
+    lands just past it.  A non-finite lo or hi, or more than
+    ``CDF_GRID_MAX_POINTS`` points, is rejected before anything is printed.
+    """
+    pieces = text.split(":")
+    if len(pieces) != 3:
+        raise ValueError(f"--cdf-grid must be 'lo:hi:step', got {text!r}")
+    lo, hi, step = (float(p) for p in pieces)
+    if not step > 0:
+        raise ValueError("--cdf-grid step must be positive")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("--cdf-grid lo and hi must be finite")
+    end = hi * (1 + math.copysign(1e-15, hi)) + 1e-300
+    if not (end - lo) / step < CDF_GRID_MAX_POINTS:
+        raise ValueError(f"--cdf-grid has more than {CDF_GRID_MAX_POINTS} points")
+    return lo, step, end
+
+
 def _interval_flags(args) -> tuple[bool, bool]:
     if args.closed:
         return True, True
@@ -156,6 +180,7 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     if not args.interval and not args.cdf_grid:
         raise ValueError("nothing to do: give --interval and/or --cdf-grid")
+    grid = _parse_cdf_grid(args.cdf_grid) if args.cdf_grid else None
     seq = ingest_and_unfold(args.input, "raw")
     n = args.n if args.n is not None else seq.n
     lo_closed, hi_closed = _interval_flags(args)
@@ -182,20 +207,15 @@ def cmd_analyze(args) -> int:
             "manifest": manifest,
         }
         print(_dumps(doc))
-    if args.cdf_grid:
+    if grid:
+        lo, step, end = grid
         g = gaps_of(seq)
         m = min(n, g.length)
-        pieces = args.cdf_grid.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"--cdf-grid must be 'lo:hi:step', got {args.cdf_grid!r}")
-        lo, hi, step = (float(p) for p in pieces)
-        if not step > 0:
-            raise ValueError("--cdf-grid step must be positive")
         sorted_gaps = np.sort(g.gaps[:m])  # searchsorted "right" counts the gaps <= x
         lines = ["x,F"]
         k = 0
         x = lo
-        while x <= hi * (1 + math.copysign(1e-15, hi)) + 1e-300:
+        while x <= end:
             below = int(np.searchsorted(sorted_gaps, x, side="right"))
             lines.append(f"{_fmt(x)},{_fmt(below / m)}")
             k += 1
@@ -267,6 +287,10 @@ def cmd_verify_lemma512(args) -> int:
 
 
 def cmd_verify_bias(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
+    if args.max_len < 1:
+        raise ValueError("--max-len must be >= 1")
     rng = np.random.default_rng(args.seed)
     violations = []
     for _ in range(args.samples):

@@ -18,6 +18,10 @@ INGEST_MODES = ("raw", "zeta_unfold")
 # 0.2-0.4 s on a 2-core x86 VM.
 CAPPED_MIN_CAP = 0.01
 
+# Generation holds a few n-element float64 arrays (0.8 GB each at this bound)
+# and writes one 17-digit line per point, so larger n is rejected up front.
+GENERATOR_MAX_POINTS = 10**8
+
 
 class SequenceFormatError(ValueError):
     """Malformed sequence file; carries the 1-based offending line number."""
@@ -120,6 +124,8 @@ class GapSequence:
 class GeneratorConfig:
     """Configuration for :func:`generate`; equal configs give bit-identical output.
 
+    ``n_points`` must lie in [1, ``GENERATOR_MAX_POINTS``].
+
     ``cap`` is required for the capped kind (units of mean gap) and must be at
     least ``CAPPED_MIN_CAP``.  ``alpha`` is the quadratic-form coefficient in
     x^2 + alpha*y^2.  ``cutoff`` optionally fixes the enumeration cutoff for
@@ -139,6 +145,8 @@ class GeneratorConfig:
             raise ValueError(f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}")
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
+        if self.n_points > GENERATOR_MAX_POINTS:
+            raise ValueError(f"n_points must be <= {GENERATOR_MAX_POINTS}, got {self.n_points}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.kind == "capped":

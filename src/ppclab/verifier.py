@@ -93,43 +93,105 @@ class ExhaustiveResult(NamedTuple):
     counterexamples: list
 
 
+LEMMA512_MAX_L = 2000  # the serial sweep to here takes about 90 s on one core of a 2-core x86 VM
+_PAIR_CHUNK = 1 << 16  # (a, b) pairs per sweep pass: bounded temporaries at every l
+
+
+def _convex_in_c() -> bool:
+    """True when 12*LHS has second difference exactly 24 in c, for every tuple.
+
+    Checks 12*(LHS(c+2) - 2*LHS(c+1) + LHS(c)) == 24 in exact integer
+    arithmetic at the 81 points of {0, 1, 2}^4.  Each of the seven terms is
+    a product of two affine forms, so LHS, and with it this second
+    difference minus 24, has degree <= 2 in each variable; such a
+    polynomial that vanishes on {0, 1, 2}^4 is zero, as in
+    :func:`lemma512_certificate`.  So True proves the premise the sweep
+    rests on: in c the c^2 coefficient is 1 + 1 - 1 = 1.
+    """
+    return all(
+        12 * (_seven_terms(a, b, c + 2, l) - 2 * _seven_terms(a, b, c + 1, l) + _seven_terms(a, b, c, l))
+        == 24
+        for a, b, c, l in itertools.product(range(3), repeat=4)
+    )
+
+
+def _violator_runs(a, b, c, l, rhs12):
+    """Every (a, b, c', l) with 12*LHS < rhs12, given violating minima c per (a, b).
+
+    By convexity in c the violators of each (a, b) form one run of
+    consecutive c' in [b, l] around its minimum, so each run is walked
+    outward until 12*LHS >= rhs12 or the end of [b, l].
+    """
+    lo, hi = c.copy(), c.copy()
+    live = np.arange(a.size)
+    while live.size:
+        live = live[lo[live] > b[live]]
+        live = live[12 * _seven_terms(a[live], b[live], lo[live] - 1, l) < rhs12]
+        lo[live] -= 1
+    live = np.arange(a.size)
+    while live.size:
+        live = live[hi[live] < l]
+        live = live[12 * _seven_terms(a[live], b[live], hi[live] + 1, l) < rhs12]
+        hi[live] += 1
+    runs = hi - lo + 1
+    cs = np.arange(int(runs.sum())) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
+    return zip(np.repeat(a, runs).tolist(), np.repeat(b, runs).tolist(), cs.tolist(), itertools.repeat(l))
+
+
 def _scan_l_values(l_values) -> ExhaustiveResult:
+    """Check every tuple 1 <= a <= b <= c <= l for each l, in O(l^3) time per l.
+
+    For fixed (a, b, l), f(c) = 12*LHS - (5l^2 + 2l - 7) has forward
+    differences d0 + 24k with d0 = f(b+1) - f(b) (:func:`_convex_in_c`), so
+    its minimum on the integers of [b, l] is at
+    c = b + clip((23 - d0) // 24, 0, l - b).  If f >= 0 there, all l - b + 1
+    values of c pass; otherwise :func:`_violator_runs` lists the failing c.
+    The (a, b) pairs go through in int64 chunks of whole rows of a, at most
+    max(_PAIR_CHUNK, l) pairs each.
+    """
+    if not _convex_in_c():
+        raise RuntimeError("the seven-term sum does not have second difference 2 in c; the sweep needs it")
     checked = 0
     counterexamples = []
     for l in l_values:
         rhs12 = 5 * l * l + 2 * l - 7
-        for a in range(1, l + 1):
-            b = np.arange(a, l + 1, dtype=np.int64)[:, None]
-            c = np.arange(a, l + 1, dtype=np.int64)[None, :]
-            valid = b <= c
-            lhs12 = 12 * _seven_terms(a, b, c, l)
-            bad = valid & (lhs12 < rhs12)
-            checked += int(np.count_nonzero(valid))
-            if np.any(bad):
-                bi, ci = np.nonzero(bad)
-                counterexamples.extend(
-                    (a, int(b[i, 0]), int(c[0, j]), l) for i, j in zip(bi, ci)
-                )
+        rows = max(1, _PAIR_CHUNK // l)
+        for a0 in range(1, l + 1, rows):
+            first_a = np.arange(a0, min(a0 + rows, l + 1), dtype=np.int64)
+            width = l - first_a + 1  # b runs over [a, l]
+            a = np.repeat(first_a, width)
+            b = a + np.arange(a.size) - np.repeat(np.cumsum(width) - width, width)
+            f_b = 12 * _seven_terms(a, b, b, l) - rhs12
+            d0 = 12 * _seven_terms(a, b, b + 1, l) - rhs12 - f_b
+            k = np.clip((23 - d0) // 24, 0, l - b)
+            c = b + k
+            bad = np.flatnonzero(f_b + k * d0 + 12 * k * (k - 1) < 0)  # f(c), exactly
+            checked += int(np.sum(l - b + 1))
+            if bad.size:
+                counterexamples.extend(_violator_runs(a[bad], b[bad], c[bad], l, rhs12))
     return ExhaustiveResult(checked, counterexamples)
 
 
 def lemma512_exhaustive(l_max: int, workers: int = 1) -> ExhaustiveResult:
-    """Sweep every integer tuple 1 <= a <= b <= c <= L <= l_max exactly.
+    """Check every integer tuple 1 <= a <= b <= c <= L <= l_max exactly.
 
     The comparison is 12*LHS < 5L^2 + 2L - 7 in int64, so no division
-    occurs; 12*LHS <= 12L(L-1), about 5*10^9 at L = 20000, far inside int64.
-    What limits l_max is cost: the sweep takes O(l_max^4) time, and each
-    (a, L) step builds (L-a+1)^2 int64 matrices, 3.2 GB each at L = 20000.
-    The L-range is striped across workers and results merged; the outcome
-    is independent of the worker count.
+    occurs; 12*LHS <= 12L(L-1), far inside int64.  Convexity in c lets
+    each (a, b, L) be decided at one c, so the sweep takes O(l_max^3) time
+    (about 90 s on one core at ``LEMMA512_MAX_L``) while still
+    counting every tuple and listing every counterexample; memory is
+    bounded by the chunk, not by l_max.  The L-range is striped across
+    workers and results merged; the outcome is independent of the worker
+    count.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if l_max > 20000:
+    if l_max > LEMMA512_MAX_L:
         raise ValueError(
-            "l_max must be <= 20000: sweep time grows as l_max^4 and its matrices reach 3.2 GB"
+            f"l_max must be <= {LEMMA512_MAX_L}: sweep time grows as l_max^3, "
+            f"about 90 s on one core at l_max = {LEMMA512_MAX_L}"
         )
     stripes = [list(range(1 + r, l_max + 1, workers)) for r in range(workers)]
     stripes = [s for s in stripes if s]

@@ -143,3 +143,28 @@ def random_block_gaps(rng, max_len=64, budget=0.5):
         for _ in range(int(spikes)):
             gaps[int(rng.integers(0, length))] = rng.uniform(budget * 0.5, budget)
     return gaps
+
+
+def lemma512_brute(l_max):
+    """Every tuple 1 <= a <= b <= c <= l <= l_max, evaluated directly: O(l_max^4).
+
+    Returns ``(checked, sorted counterexamples)``.  Reads the seven-term sum
+    from ``ppclab.verifier`` at call time, so a test that patches it patches
+    the oracle too.
+    """
+    from ppclab import verifier
+
+    checked = 0
+    counterexamples = []
+    for l in range(1, l_max + 1):
+        rhs12 = 5 * l * l + 2 * l - 7
+        for a in range(1, l + 1):
+            b = np.arange(a, l + 1, dtype=np.int64)[:, None]
+            c = np.arange(a, l + 1, dtype=np.int64)[None, :]
+            valid = b <= c
+            lhs12 = 12 * verifier._seven_terms(a, b, c, l)
+            bad = valid & (lhs12 < rhs12)
+            checked += int(np.count_nonzero(valid))
+            bi, ci = np.nonzero(bad)
+            counterexamples.extend((a, int(b[i, 0]), int(c[0, j]), l) for i, j in zip(bi, ci))
+    return checked, sorted(counterexamples)

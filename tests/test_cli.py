@@ -340,3 +340,74 @@ def test_generate_capped_rejects_a_cap_below_the_floor(tmp_path, capsys):
     assert not out.exists()
     code, _, _ = run(capsys, "generate", "--kind", "capped", "--cap", "0.01", "--n", "1000", "-o", str(out))
     assert code == 0
+
+
+def test_verify_lemma512_rejects_an_lmax_above_the_bound_before_any_work(monkeypatch, capsys):
+    from ppclab import verifier
+
+    def no_sweep(l_values):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(verifier, "_scan_l_values", no_sweep)
+    monkeypatch.delenv("PPC_LAB_THREADS", raising=False)
+    for lmax in (verifier.LEMMA512_MAX_L + 1, 20000):
+        code, out, err = run(capsys, "verify", "lemma512", "--lmax", str(lmax))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: l_max must be <= 2000: sweep time grows as l_max^3")
+
+
+def test_analyze_rejects_an_unbounded_cdf_grid_before_printing(tmp_path, capsys):
+    # each of these grids used to loop without end (or for about 10^15 rows)
+    path = write_lattice(tmp_path, n=10)
+    for grid, message in (
+        ("0:inf:1", "lo and hi must be finite"),
+        ("-inf:0:1", "lo and hi must be finite"),
+        ("nan:1:0.5", "lo and hi must be finite"),
+        ("0:nan:0.5", "lo and hi must be finite"),
+        ("0:1e300:1e-300", "has more than 1000000 points"),
+        ("1e300:1e300:1e270", "has more than 1000000 points"),
+        ("0:1:1e-6", "has more than 1000000 points"),
+    ):
+        code, out, err = run(capsys, "analyze", "--input", path, "--interval", "0,1", f"--cdf-grid={grid}")
+        assert (code, out) == (2, ""), grid
+        assert err == f"error: --cdf-grid {message}\n", grid
+
+
+def test_analyze_cdf_grid_point_bound_is_exact(monkeypatch, tmp_path, capsys):
+    from ppclab import cli
+
+    monkeypatch.setattr(cli, "CDF_GRID_MAX_POINTS", 5)
+    path = write_lattice(tmp_path)
+    code, out, _ = run(capsys, "analyze", "--input", path, "--cdf-grid", "0:1:0.25")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,0", "0.25,0", "0.5,0", "0.75,0", "1,1"]
+    code, out, err = run(capsys, "analyze", "--input", path, "--cdf-grid", "0:1.25:0.25")
+    assert (code, out) == (2, "")
+    assert err == "error: --cdf-grid has more than 5 points\n"
+
+
+def test_generate_rejects_too_many_points_before_generating(monkeypatch, tmp_path, capsys):
+    from ppclab import cli
+
+    def no_generate(cfg):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(cli, "generate", no_generate)
+    out = tmp_path / "big.txt"
+    code, stdout, err = run(capsys, "generate", "--kind", "poisson", "--n", "1000000000000", "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: n_points must be <= 100000000, got 1000000000000\n"
+    assert not out.exists()
+
+
+def test_verify_bias_rejects_negative_samples_and_empty_blocks(capsys):
+    for flags, message in (
+        (("--samples", "-1"), "--samples must be >= 0"),
+        (("--samples", "10", "--max-len", "0"), "--max-len must be >= 1"),
+    ):
+        code, out, err = run(capsys, "verify", "bias", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+    code, out, _ = run(capsys, "verify", "bias", "--samples", "0")
+    assert code == 0
+    assert json.loads(out)["violation_count"] == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
+from ppclab.sequences import GENERATOR_MAX_POINTS
 
 positive_gap_lists = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -218,3 +219,10 @@ def test_write_then_ingest_round_trips_exactly(tmp_path):
     pl.write_sequence(path, seq, comment="round trip")
     back = pl.ingest_and_unfold(path, "raw")
     assert np.array_equal(back.values, seq.values)
+
+
+def test_generator_config_bounds_the_point_count():
+    # a config is plain data, so rejecting it allocates nothing
+    pl.GeneratorConfig("poisson", GENERATOR_MAX_POINTS)
+    with pytest.raises(ValueError, match=r"^n_points must be <= 100000000, got 1000000000000$"):
+        pl.GeneratorConfig("poisson", 10**12)

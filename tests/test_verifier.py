@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import ppclab as pl
+from oracles import lemma512_brute
+from ppclab import verifier
 
 
 def lhs_direct(a, b, c, l):
@@ -281,3 +283,60 @@ def test_squares_vanish_on_the_critical_line():
         gap = pl.lemma512_lhs(pl.LemmaPoint(fa, fb, fc, l_val)) - pl.lemma512_rhs(float(l_val))
         float_dips += gap < -1e-9
     assert float_dips > 0
+
+
+def test_convex_sweep_matches_the_brute_oracle():
+    assert verifier._convex_in_c() is True
+    assert tuple(pl.lemma512_exhaustive(40)) == lemma512_brute(40) == (math.comb(43, 4), [])
+
+
+@pytest.mark.parametrize("shift, count", [(1, 136), (5, 1785), (40, 23605), (300, 107346)])
+def test_convex_sweep_lists_every_counterexample_of_a_lowered_polynomial(monkeypatch, shift, count):
+    seven_terms = verifier._seven_terms
+    monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) - shift)
+    result = pl.lemma512_exhaustive(40)
+    assert tuple(result) == lemma512_brute(40)
+    assert len(result.counterexamples) == count
+
+
+@pytest.mark.parametrize("slope", [40, -40, 3, -3])
+def test_convex_sweep_with_the_minimum_moved_to_an_end(monkeypatch, slope):
+    # a term linear in c and <= 0 on [1, l] tilts the minimum over [b, l]
+    # toward c = b (slope > 0) or c = l (slope < 0); at |slope| = 40 it sits there
+    seven_terms = verifier._seven_terms
+
+    def tilted(a, b, c, l):
+        return seven_terms(a, b, c, l) + slope * (c - l if slope > 0 else c - 1)
+
+    monkeypatch.setattr(verifier, "_seven_terms", tilted)
+    result = pl.lemma512_exhaustive(40)
+    assert tuple(result) == lemma512_brute(40)
+    end = (lambda b, l: b) if slope > 0 else (lambda b, l: l)
+    assert any(c == end(b, l) for _, b, c, l in result.counterexamples)
+
+
+def test_convex_sweep_is_independent_of_the_chunk_size(monkeypatch):
+    seven_terms = verifier._seven_terms
+    monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) - 40)
+    expected = lemma512_brute(30)
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(verifier, "_PAIR_CHUNK", chunk)
+        assert tuple(pl.lemma512_exhaustive(30)) == expected
+
+
+def test_convex_sweep_refuses_a_polynomial_that_is_not_quadratic_in_c(monkeypatch):
+    seven_terms = verifier._seven_terms
+    monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) + c**3)
+    assert verifier._convex_in_c() is False
+    with pytest.raises(RuntimeError, match="second difference"):
+        pl.lemma512_exhaustive(5)
+
+
+def test_exhaustive_bound_rejects_before_any_work(monkeypatch):
+    def no_sweep(l_values):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(verifier, "_scan_l_values", no_sweep)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=r"l_max must be <= 2000: sweep time grows as l_max\^3"):
+            pl.lemma512_exhaustive(verifier.LEMMA512_MAX_L + 1, workers=workers)
