@@ -1,9 +1,11 @@
 """Command-line front end: generation, analysis, partitioning, verification, audit.
 
 Exit codes: 0 success / no violation, 1 verified violation or failed check,
-2 usage or input error.  Every JSON document embeds a run manifest from which
-the run can be replayed byte-identically.  Floats are printed with 17
-significant digits, so every value round-trips.
+2 usage or input error.  Every run's output carries a manifest from which
+the run can be replayed byte-identically; ``partition`` prints it once, as a
+header document.  Floats are printed with 17 significant digits, so every
+value round-trips; a non-finite float, which JSON cannot hold, is an input
+error.
 
 Pair counts follow the ordered-pair convention: an interval containing both
 signs counts each unordered pair twice (once per orientation).
@@ -23,6 +25,7 @@ import numpy as np
 from . import __version__
 from .correlation import Interval, pair_correlation
 from .partition import (
+    _unpartitionable,
     greedy_partition,
     maximal_blocks,
     sandwiched_indices,
@@ -32,7 +35,6 @@ from .partition import (
 from .sequences import (
     GapSequence,
     GeneratorConfig,
-    SequenceFormatError,
     gaps_of,
     generate,
     ingest_and_unfold,
@@ -56,7 +58,7 @@ def _fmt(x: float) -> str:
 
 
 def _dumps(obj) -> str:
-    """Deterministic one-line JSON with 17-significant-digit floats."""
+    """Deterministic one-line JSON with 17-significant-digit floats; nan and inf raise ValueError."""
     if obj is None:
         return "null"
     if obj is True:
@@ -68,6 +70,8 @@ def _dumps(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj!r} has no JSON form: values must be finite")
         return _fmt(obj)
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{_dumps(v)}" for k, v in obj.items()) + "}"
@@ -109,11 +113,14 @@ def _worker_count(l_max: int) -> int:
     return min(count, cpus, l_max)
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
+def _parse_interval(text: str, lo_closed: bool, hi_closed: bool) -> Interval:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"interval must be 'lo,hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval endpoints must be finite, got {text!r}")
+    return Interval(lo, hi, lo_closed, hi_closed)
 
 
 def _parse_cdf_grid(text: str) -> tuple[float, float, float]:
@@ -155,7 +162,6 @@ def cmd_generate(args) -> int:
         cutoff=args.cutoff,
     )
     seq = generate(cfg)
-    write_sequence(args.output, seq)
     params = {
         "kind": args.kind,
         "n": args.n,
@@ -171,9 +177,11 @@ def cmd_generate(args) -> int:
         "metadata": {k: (float(v) if isinstance(v, float) else v) for k, v in seq.metadata.items()},
         "manifest": manifest,
     }
+    text = _dumps(sidecar)  # before any file is written: a non-finite parameter is an input error
+    write_sequence(args.output, seq)
     with open(str(args.output) + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(_dumps(sidecar) + "\n")
-    print(_dumps(sidecar))
+        fh.write(text + "\n")
+    print(text)
     return 0
 
 
@@ -181,9 +189,13 @@ def cmd_analyze(args) -> int:
     if not args.interval and not args.cdf_grid:
         raise ValueError("nothing to do: give --interval and/or --cdf-grid")
     grid = _parse_cdf_grid(args.cdf_grid) if args.cdf_grid else None
+    intervals = [_parse_interval(text, *_interval_flags(args)) for text in args.interval or []]
     seq = ingest_and_unfold(args.input, "raw")
     n = args.n if args.n is not None else seq.n
-    lo_closed, hi_closed = _interval_flags(args)
+    if not 1 <= n <= seq.n:
+        raise ValueError(f"--n must lie in 1..{seq.n} (the points in the input), got {n}")
+    if grid and seq.n < 2:
+        raise ValueError("--cdf-grid needs at least 2 points to form gaps")
     params = {
         "input": str(args.input),
         "n": n,
@@ -193,14 +205,13 @@ def cmd_analyze(args) -> int:
         "cdf_grid": args.cdf_grid,
     }
     manifest = _manifest("analyze", params, input_path=args.input)
-    for text in args.interval or []:
-        lo, hi = _parse_interval(text)
-        report = pair_correlation(seq, Interval(lo, hi, lo_closed, hi_closed), n)
+    for interval in intervals:
+        report = pair_correlation(seq, interval, n)
         doc = {
-            "lo": lo,
-            "hi": hi,
-            "lo_closed": lo_closed,
-            "hi_closed": hi_closed,
+            "lo": interval.lo,
+            "hi": interval.hi,
+            "lo_closed": interval.lo_closed,
+            "hi_closed": interval.hi_closed,
             "n": report.n,
             "pair_count": report.pair_count,
             "r_value": report.r_value,
@@ -242,8 +253,14 @@ def cmd_partition(args) -> int:
         "budget": budget,
         "check": bool(args.check),
     }
-    manifest = _manifest("partition", params, input_path=args.input)
     blocks = maximal_blocks(g, n, threshold)
+    if not budget > 0:
+        raise ValueError("budget must be positive")
+    gaps = g.gaps[:n]
+    over = np.flatnonzero((gaps <= threshold) & (gaps > budget))  # block gaps no part can hold
+    if over.size:
+        raise _unpartitionable(int(over[0]) + 1, budget)
+    print(_dumps({"manifest": _manifest("partition", params, input_path=args.input)}))
     any_violation = False
     for block in blocks.blocks:
         p = greedy_partition(g, block, budget)
@@ -254,7 +271,6 @@ def cmd_partition(args) -> int:
             "ranks": list(p.selection_rank),
             "sums": [float(s) for s in p.sums],
             "sandwiched": sandwiched,
-            "manifest": manifest,
         }
         if args.check:
             adjacent_ok = all(
@@ -469,9 +485,6 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
-    except SequenceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

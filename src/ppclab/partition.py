@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import IndexInterval, first_crossing
+from .correlation import IndexInterval, _pairs_within, first_crossing
 from .sequences import GapSequence
 
 
@@ -192,10 +192,11 @@ def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> Gr
 
     picks = _greedy_picks(local)
     by_position = sorted(range(len(picks)), key=lambda i: picks[i][0])
-    parts = tuple(IndexInterval(left + picks[i][0], left + picks[i][1]) for i in by_position)
+    ordered = [picks[i] for i in by_position]
+    parts = tuple(IndexInterval(left + s, left + e) for s, e in ordered)
     selection_rank = tuple(i + 1 for i in by_position)  # pick order is append order
-    prefix = g.prefix_list()
-    sums = tuple(float(prefix[p.right] - prefix[p.left - 1]) for p in parts)
+    prefix = g.prefix[left - 1 : parent.right + 1].tolist()  # prefix[i] = g.prefix[left - 1 + i]
+    sums = tuple(prefix[e + 1] - prefix[s] for s, e in ordered)
     return GreedyPartition(parent, parts, selection_rank, sums, budget)
 
 
@@ -236,14 +237,14 @@ def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
     return lengths
 
 
+def _is_sandwiched(p: GreedyPartition, k: int) -> bool:
+    """Part k lies in [2, s-1] and was chosen after both neighbors."""
+    return 2 <= k < p.size and p.rank(k) > max(p.rank(k - 1), p.rank(k + 1))
+
+
 def sandwiched_indices(p: GreedyPartition) -> set[int]:
     """Parts chosen after both neighbors: {k in [2, s-1] : rank k > ranks of k-1 and k+1}."""
-    s = p.size
-    return {
-        k
-        for k in range(2, s)
-        if p.rank(k) > p.rank(k - 1) and p.rank(k) > p.rank(k + 1)
-    }
+    return {k for k in range(2, p.size) if _is_sandwiched(p, k)}
 
 
 def classify_pair(
@@ -269,7 +270,7 @@ def classify_pair(
         return PairClass.SAME_BLOCK
     if k2 == k1 + 1:
         return PairClass.ADJACENT
-    if k2 == k1 + 2 and (k1 + 1) in sandwiched_indices(p):
+    if k2 == k1 + 2 and _is_sandwiched(p, k1 + 1):
         return PairClass.SANDWICH_SKIP
     raise RuntimeError(
         f"pair ({n}, {n2}) with in-budget sum {total} falls outside the three "
@@ -277,17 +278,13 @@ def classify_pair(
     )
 
 
-def _cross_pairs_above(prefix, j1: IndexInterval, j2: IndexInterval, budget: float) -> int:
-    """#{(n, n') in J1 x J2 : canonical window sum > budget}."""
-    total = 0
-    e = j2.left  # first end index with sum > budget for the current start
-    # sums shrink as the start moves right, so the boundary only moves right
-    for s in range(j1.left, j1.right + 1):
-        base = prefix[s - 1]
-        while e <= j2.right and prefix[e] - base <= budget:
-            e += 1
-        total += j2.right - e + 1
-    return total
+def _cross_bound(p: GreedyPartition, g: GapSequence, k1: int, k2: int, budget: float) -> BoundCheck:
+    """J_k1 x J_k2 against |the later-picked of the two|^2 / 2 over-budget pairs."""
+    j1, j2 = p.parts[k1 - 1], p.parts[k2 - 1]
+    lhs = j1.length * j2.length - _pairs_within(g.prefix, j1, j2, budget, True)
+    later = j1 if p.rank(k1) > p.rank(k2) else j2
+    rhs = 0.5 * later.length ** 2
+    return BoundCheck(lhs, rhs, lhs >= rhs)
 
 
 def verify_adjacent_bound(
@@ -296,23 +293,13 @@ def verify_adjacent_bound(
     """Check that J_k x J_{k+1} has at least |later-picked part|^2 / 2 over-budget pairs."""
     if not 1 <= k <= p.size - 1:
         raise ValueError(f"k={k} out of range 1..{p.size - 1}")
-    jk, jk1 = p.parts[k - 1], p.parts[k]
-    prefix = g.prefix_list()
-    lhs = _cross_pairs_above(prefix, jk, jk1, budget)
-    later = k if p.rank(k) > p.rank(k + 1) else k + 1
-    rhs = 0.5 * p.parts[later - 1].length ** 2
-    return BoundCheck(lhs, rhs, lhs >= rhs)
+    return _cross_bound(p, g, k, k + 1, budget)
 
 
 def verify_sandwich_bound(
     p: GreedyPartition, g: GapSequence, k: int, budget: float
 ) -> BoundCheck:
     """Check the skip-one analogue of :func:`verify_adjacent_bound` for a sandwiched k."""
-    if k not in sandwiched_indices(p):
+    if not _is_sandwiched(p, k):
         raise ValueError(f"part {k} is not sandwiched")
-    jprev, jnext = p.parts[k - 2], p.parts[k]
-    prefix = g.prefix_list()
-    lhs = _cross_pairs_above(prefix, jprev, jnext, budget)
-    later = k - 1 if p.rank(k - 1) > p.rank(k + 1) else k + 1
-    rhs = 0.5 * p.parts[later - 1].length ** 2
-    return BoundCheck(lhs, rhs, lhs >= rhs)
+    return _cross_bound(p, g, k - 1, k + 1, budget)

@@ -105,14 +105,6 @@ class GapSequence:
     def length(self) -> int:
         return int(self.gaps.size)
 
-    def prefix_list(self) -> list:
-        """The prefix sums as a plain list, cached; hot counting loops use this."""
-        cached = self.__dict__.get("_prefix_list")
-        if cached is None:
-            cached = self.prefix.tolist()
-            object.__setattr__(self, "_prefix_list", cached)
-        return cached
-
     def window_sum(self, start: int, end: int) -> float:
         """Canonical sum of gaps ``start..end`` (1-based, inclusive)."""
         if not 1 <= start <= end <= self.length:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import Interval, gap_cdf, multi_gap_count
+from .correlation import IndexInterval, Interval, _pairs_within, gap_cdf, multi_gap_count
 from .partition import maximal_blocks, partition_lengths
 from .sequences import GapSequence, RealSequence, gaps_of
 
@@ -225,22 +225,9 @@ def bias_check(g: GapSequence, strict_scale: bool = False) -> BiasCheck:
         raise ValueError(f"total gap sum {total} exceeds 1/2")
     if strict_scale and 0.0 < total < 0.5:
         g = GapSequence(g.gaps * (0.5 / total))
-    prefix = g.prefix_list()
     length = g.length
-    lhs = 0
-    f_eighth = 1  # first end index with sum > 1/8 for the current start
-    f_quarter = 1
-    for s in range(1, length + 1):
-        base = prefix[s - 1]
-        if f_eighth < s:
-            f_eighth = s
-        while f_eighth <= length and prefix[f_eighth] - base <= 0.125:
-            f_eighth += 1
-        if f_quarter < f_eighth:
-            f_quarter = f_eighth
-        while f_quarter <= length and prefix[f_quarter] - base <= 0.25:
-            f_quarter += 1
-        lhs += (f_quarter - s) + (f_eighth - s)
+    whole = IndexInterval(1, length)
+    lhs = sum(_pairs_within(g.prefix, whole, whole, t, True) for t in (0.125, 0.25))
     rhs = (5.0 / 6.0) * (length * (length + 1) / 2.0) - (5.0 / 6.0) * length
     return BiasCheck(lhs, rhs, lhs >= rhs)
 

@@ -147,7 +147,10 @@ def test_partition_flanked_middle_fixture(tmp_path, capsys):
     pl.write_sequence(path, seq)
     code, out, _ = run(capsys, "partition", "--input", str(path), "--check")
     assert code == 0
-    doc = json.loads(out.splitlines()[0])
+    header, line = out.splitlines()
+    assert list(json.loads(header)) == ["manifest"]
+    doc = json.loads(line)
+    assert "manifest" not in doc
     assert doc["parent"] == [1, 9]
     assert doc["parts"] == [[1, 1], [2, 8], [9, 9]]
     assert doc["ranks"] == [2, 1, 3]
@@ -159,7 +162,22 @@ def test_partition_no_blocks_is_empty_success(tmp_path, capsys):
     path.write_text("0\n1\n2\n3\n")
     code, out, _ = run(capsys, "partition", "--input", str(path))
     assert code == 0
-    assert out == ""
+    (header,) = out.splitlines()  # the manifest header and no block documents
+    doc = json.loads(header)
+    assert list(doc) == ["manifest"]
+    assert doc["manifest"]["command"] == "partition"
+
+
+def test_partition_checks_every_block_before_printing(tmp_path, capsys):
+    path = tmp_path / "two_blocks.txt"
+    path.write_text("0\n0.25\n0.5\n5\n5.25\n6\n")  # blocks [1, 2] and [4, 5]; gap 5 is 0.75
+    code, out, err = run(capsys, "partition", "--input", str(path), "--threshold", "1", "--budget", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: unpartitionable singleton: gap at index 5 exceeds budget 0.5\n"
+    for flags in (("--budget", "0"), ("--budget", "nan"), ("--threshold", "inf")):
+        code, out, err = run(capsys, "partition", "--input", str(path), "--threshold", "1", *flags, "--check")
+        assert (code, out) == (2, ""), flags
+        assert err.startswith("error: ") and "Traceback" not in err, flags
 
 
 def test_partition_100_random_capped_sequences_check_passes(tmp_path, capsys):
@@ -411,3 +429,41 @@ def test_verify_bias_rejects_negative_samples_and_empty_blocks(capsys):
     code, out, _ = run(capsys, "verify", "bias", "--samples", "0")
     assert code == 0
     assert json.loads(out)["violation_count"] == 0
+
+
+def test_analyze_checks_all_input_before_printing(tmp_path, capsys):
+    path = write_lattice(tmp_path, n=50)
+    single = tmp_path / "single.txt"
+    single.write_text("0\n")
+    for argv, message in (
+        (("--n", "0", "--cdf-grid", "0:1:0.5"), "--n must lie in 1..50 (the points in the input), got 0"),
+        (("--n", "-5", "--cdf-grid", "0:1:0.5"), "--n must lie in 1..50 (the points in the input), got -5"),
+        (("--n", "51", "--interval", "0,1"), "--n must lie in 1..50 (the points in the input), got 51"),
+        (("--interval", "0,1", "--interval", "2,1"), "interval endpoints out of order: 2.0 > 1.0"),
+        (("--interval", "0,1", "--interval", "bad"), "interval must be 'lo,hi', got 'bad'"),
+        (("--interval", "0,1", "--interval", "0,inf"), "interval endpoints must be finite, got '0,inf'"),
+        (("--input", str(single), "--interval", "0,1", "--cdf-grid", "0:1:0.5"),
+         "--cdf-grid needs at least 2 points to form gaps"),
+    ):
+        code, out, err = run(capsys, "analyze", "--input", path, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n", argv
+
+
+def test_non_finite_floats_never_reach_stdout(tmp_path, capsys):
+    from ppclab.cli import _dumps
+
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="has no JSON form"):
+            _dumps({"x": [1.0, bad]})
+    code, out, err = run(capsys, "verify", "final-ineq", "--epsilon", "inf")
+    assert (code, out) == (2, "")
+    assert err == "error: inf has no JSON form: values must be finite\n"
+    code, out, err = run(capsys, "partition", "--input", write_lattice(tmp_path, n=50), "--budget", "inf")
+    assert (code, out) == (2, "")
+    assert err == "error: inf has no JSON form: values must be finite\n"
+    seq = tmp_path / "capped.txt"
+    code, out, err = run(capsys, "generate", "--kind", "capped", "--cap", "inf", "--n", "10", "-o", str(seq))
+    assert (code, out) == (2, "")
+    assert err == "error: inf has no JSON form: values must be finite\n"
+    assert not seq.exists()

@@ -1,4 +1,4 @@
-"""Tie-adversarial inputs for the exact crossing kernel and its callers.
+"""Tie-adversarial inputs for the exact counting kernels and their callers.
 
 Dyadic gaps (multiples of 1/8 or 1/16) keep every window sum and every
 difference exact, so the direct-summation oracles and the canonical prefix
@@ -7,15 +7,23 @@ drawn from the realized sums and differences themselves, so the boundary
 comparisons are ties in every closedness combination.
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
-from oracles import GreedyOracle, brute_multi_gap_count, brute_pair_count
+from oracles import (
+    GreedyOracle,
+    brute_cross_pairs_above,
+    brute_multi_gap_count,
+    brute_pair_count,
+    brute_ppc_block,
+    brute_ppc_cross,
+)
 
 # runs of equal dyadic gaps; k = 0 gives runs of zero gaps, i.e. equal prefix values
 runs = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max_size=10)
@@ -23,6 +31,12 @@ runs = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max
 
 def expand(run_list, denominator):
     return [k / denominator for k, r in run_list for _ in range(r)]
+
+
+def window_sums(g):
+    """Every canonical window sum of ``g``, sorted."""
+    p, n = g.prefix, g.length
+    return sorted({float(p[e] - p[s - 1]) for s in range(1, n + 1) for e in range(s, n + 1)})
 
 
 def realized_interval(data, points):
@@ -80,6 +94,59 @@ def test_partition_lengths_match_replayed_greedy(blocks, data):
         assert str(caught.value) == str(exc)
         return
     assert pl.partition_lengths(g, bs.left, bs.right, budget).tolist() == expected
+
+
+@given(runs, st.data())
+@settings(max_examples=300, deadline=None)
+def test_ppc_block_and_cross_on_realized_window_sums(run_list, data):
+    g = pl.GapSequence(expand(run_list, 8))
+    n = g.length
+    a = data.draw(st.sampled_from(window_sums(g)))
+    left = data.draw(st.integers(1, n))
+    block = pl.IndexInterval(left, data.draw(st.integers(left, n)))
+    assert pl.ppc_block(g, block, a) == brute_ppc_block(g.gaps, block, a)
+    assume(n >= 2)
+    l1 = data.draw(st.integers(1, n - 1))
+    j1 = pl.IndexInterval(l1, data.draw(st.integers(l1, n - 1)))
+    l2 = data.draw(st.integers(j1.right + 1, n))
+    j2 = pl.IndexInterval(l2, data.draw(st.integers(l2, n)))
+    assert pl.ppc_cross(g, j1, j2, a) == brute_ppc_cross(g.gaps, j1, j2, a)
+
+
+@given(runs, st.data())
+@settings(max_examples=300, deadline=None)
+def test_cross_bound_lhs_on_realized_window_sums(run_list, data):
+    g = pl.GapSequence(expand(run_list, 16))
+    n = g.length
+    assume(n >= 2)
+    lefts = [1] + sorted(data.draw(st.sets(st.integers(2, n), min_size=1)))
+    parts = tuple(pl.IndexInterval(a, b - 1) for a, b in zip(lefts, lefts[1:] + [n + 1]))
+    ranks = tuple(data.draw(st.permutations(range(1, len(parts) + 1))))
+    sums = tuple(g.window_sum(part.left, part.right) for part in parts)
+    budget = data.draw(st.sampled_from(window_sums(g)))
+    p = pl.GreedyPartition(pl.IndexInterval(1, n), parts, ranks, sums, budget)
+    for k in range(1, p.size):
+        expected = brute_cross_pairs_above(g.gaps, parts[k - 1], parts[k], budget)
+        assert pl.verify_adjacent_bound(p, g, k, budget).lhs == expected
+    sandwiched = pl.sandwiched_indices(p)
+    for k in range(0, p.size + 2):
+        if k in sandwiched:
+            expected = brute_cross_pairs_above(g.gaps, parts[k - 2], parts[k], budget)
+            assert pl.verify_sandwich_bound(p, g, k, budget).lhs == expected
+        else:
+            with pytest.raises(ValueError, match="not sandwiched"):
+                pl.verify_sandwich_bound(p, g, k, budget)
+
+
+@given(runs)
+@settings(max_examples=300, deadline=None)
+def test_bias_check_lhs_on_windows_at_one_eighth_and_one_quarter(run_list):
+    gaps = expand(run_list, 32)
+    gaps = [x for x, total in zip(gaps, itertools.accumulate(gaps)) if total <= 0.5]
+    g = pl.GapSequence(gaps)
+    n = g.length
+    expected = sum(brute_multi_gap_count(g.gaps, pl.Interval.closed(0.0, t), n, 1) for t in (0.125, 0.25))
+    assert pl.bias_check(g).lhs == expected
 
 
 def test_seed_past_a_long_run_of_equal_prefix_values():
