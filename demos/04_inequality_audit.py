@@ -6,7 +6,8 @@ Three exact verifiers and one finite-N audit:
   1. the seven-term quadratic lower bound, swept over every integer tuple and
      proved for all real tuples by an exact sum-of-squares identity;
   2. the bias bound: blocks with total gap <= 1/2 must overweight windows
-     with sums <= 1/4 and <= 1/8 (at least 5/6 C(L+1,2) - 5/6 L of them);
+     with sums <= 1/4 and <= 1/8 (at least 5/6 C(L+1,2) - 5/6 L of them),
+     which is the quadratic bound again once the prefix values are binned;
   3. the closing inequality in epsilon, whose sign flips between 1e-8 and
      1e-9 -- the flip is what pins the gap threshold 3/2 + 1e-9;
   4. an audit that evaluates every step of the chain on concrete sequences.
@@ -42,21 +43,27 @@ def main():
     gap_mid = pl.lemma512_lhs(pl.LemmaPoint(a, b, c, l_val)) - pl.lemma512_rhs(float(l_val))
     print(f"  interior critical point (L=10): gap = {gap_mid:.2e} (tight along a whole line)")
 
-    banner("2. bias of small windows inside light blocks")
-    rng = np.random.default_rng(1)
-    worst = None
-    for _ in range(50_000):
-        length = int(rng.integers(1, 65))
-        raw = rng.uniform(0.0, 1.0, length)
-        gaps = raw * (0.5 * (1 - rng.random()) / raw.sum())
-        check = pl.bias_check(pl.GapSequence(gaps))
-        assert check.ok
-        margin = check.lhs - check.rhs
-        if worst is None or margin < worst[0]:
-            worst = (margin, length)
-    print(f"  50,000 random blocks: bound held every time; worst margin {worst[0]:.3f} at L={worst[1]}")
-    check = pl.bias_check(pl.GapSequence(np.full(64, 1 / 128)))
-    print(f"  64 equal gaps of 1/128: lhs={check.lhs}, rhs={check.rhs:.1f} -> ok={check.ok}")
+    banner("2. bias of small windows inside light blocks: Lemma 5.12 in bin coordinates")
+    print("  bin the L+1 prefix values into [0,1/8], (1/8,1/4], (1/4,3/8], (3/8,1/2]; counts x1..x4")
+    print("  same bin: difference <= 1/8; adjacent bins: <= 1/4, so lhs >= B(x) = sum xi(xi-1) + sum xi x(i+1)")
+    print("  B(x) = LHS(x1+1, x1+x2+1, x1+x2+x3+1, L+2) - 2(L+1) >= (5L^2 - 2L - 7)/12 by section 1,")
+    print("  which is rhs + (3L - 7)/12; for L <= 2, B is an integer, so B >= rhs there too")
+    cluster = [0.0] * 16 + [1 / 6] + [0.0] * 7 + [1 / 6] + [0.0] * 7 + [1 / 6] + [0.0] * 17
+    for label, gaps in (
+        ("clusters of 17, 8, 8, 18 at 0, 1/6, 1/3, 1/2", cluster),
+        ("64 equal gaps of 1/128", np.full(64, 1 / 128)),
+    ):
+        g = pl.GapSequence(gaps)
+        length = g.length
+        p = g.prefix
+        x = np.diff(np.searchsorted(p, [1 / 8, 1 / 4, 3 / 8, 1 / 2], side="right"), prepend=0).tolist()
+        bound = sum(v * (v - 1) for v in x) + sum(u * v for u, v in zip(x, x[1:]))
+        point = pl.LemmaPoint(x[0] + 1, x[0] + x[1] + 1, x[0] + x[1] + x[2] + 1, length + 2)
+        check = pl.bias_check(g)
+        print(f"\n  {label} (L = {length}): bins x = {tuple(x)}")
+        print(f"    Lemma 5.12 tuple {(point.a, point.b, point.c, point.l)}: "
+              f"LHS - 2(L+1) = {pl.lemma512_lhs(point) - 2 * (length + 1)} = B(x)")
+        print(f"    lhs = {check.lhs} >= B(x) = {bound} >= rhs = {check.rhs:.2f} -> ok={check.ok}")
 
     banner("3. the closing inequality: sign flip between 1e-8 and 1e-9")
     print("     epsilon        value      verdict")

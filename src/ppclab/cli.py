@@ -33,7 +33,6 @@ from .partition import (
     verify_sandwich_bound,
 )
 from .sequences import (
-    GapSequence,
     GeneratorConfig,
     gaps_of,
     generate,
@@ -44,7 +43,6 @@ from .sequences import (
 from .verifier import (
     AuditConfig,
     audit,
-    bias_check,
     final_inequality,
     lemma512_exhaustive,
 )
@@ -302,39 +300,6 @@ def cmd_verify_lemma512(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_verify_bias(args) -> int:
-    if args.samples < 0:
-        raise ValueError("--samples must be >= 0")
-    if args.max_len < 1:
-        raise ValueError("--max-len must be >= 1")
-    rng = np.random.default_rng(args.seed)
-    violations = []
-    for _ in range(args.samples):
-        length = int(rng.integers(1, args.max_len + 1))
-        raw = rng.uniform(0.0, 1.0, length)
-        total = 0.5 * (1.0 - rng.random())  # target sum in (0, 1/2]
-        raw_sum = float(raw.sum())
-        if raw_sum == 0.0:
-            continue
-        gaps = raw * (total / raw_sum)
-        check = bias_check(GapSequence(gaps))
-        if not check.ok:
-            violations.append(
-                {"gaps": [float(x) for x in gaps], "lhs": check.lhs, "rhs": check.rhs}
-            )
-    doc = {
-        "samples": args.samples,
-        "max_len": args.max_len,
-        "violation_count": len(violations),
-        "violations": violations[:10],
-        "manifest": _manifest(
-            "verify bias", {"samples": args.samples, "max_len": args.max_len}, seed=args.seed
-        ),
-    }
-    print(_dumps(doc))
-    return 1 if violations else 0
-
-
 def cmd_verify_final_ineq(args) -> int:
     value = final_inequality(args.epsilon)
     verdict = (
@@ -353,8 +318,9 @@ def cmd_verify_final_ineq(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    cfg = AuditConfig(epsilon=args.epsilon, n=args.n, budget=args.budget)
     seq = ingest_and_unfold(args.input, "raw")
-    report = audit(seq, AuditConfig(epsilon=args.epsilon, n=args.n, budget=args.budget))
+    report = audit(seq, cfg)
     doc = report.to_dict()
     doc["manifest"] = _manifest(
         "audit",
@@ -445,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("lemma512", help="exhaustive integer sweep of the quadratic lower bound")
     v.add_argument("--lmax", required=True, type=int)
     v.set_defaults(func=cmd_verify_lemma512)
-
-    v = vsub.add_parser("bias", help="randomized check of the small-window bias bound")
-    v.add_argument("--samples", required=True, type=int)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--max-len", type=int, default=64)
-    v.set_defaults(func=cmd_verify_bias)
 
     v = vsub.add_parser("final-ineq", help="evaluate the closing epsilon inequality")
     v.add_argument("--epsilon", required=True, type=float)

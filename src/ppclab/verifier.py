@@ -2,7 +2,8 @@
 small-window bias bound, the closing epsilon inequality, and the end-to-end
 finite-N audit of the whole chain.
 
-The quadratic bound is proved for all reals by :func:`lemma512_certificate`.
+The quadratic bound is proved for all reals by :func:`lemma512_certificate`,
+and the bias bound follows from it (see :func:`bias_check`).
 The integer sweep is exact too: integer tuples are compared via
 12*LHS >= 5L^2 + 2L - 7 in int64, with no floating point anywhere.
 """
@@ -59,10 +60,10 @@ def _seven_terms(a, b, c, l):
 
 def lemma512_rhs(l):
     """(5/12) l^2 + (1/6) l - 7/12; an exact Fraction for integer l."""
-    if isinstance(l, int):
-        return Fraction(5 * l * l + 2 * l - 7, 12)
     if not l >= 1:
         raise ValueError("l must be >= 1")
+    if isinstance(l, int):
+        return Fraction(5 * l * l + 2 * l - 7, 12)
     return (5.0 / 12.0) * l * l + l / 6.0 - 7.0 / 12.0
 
 
@@ -211,20 +212,28 @@ class BiasCheck(NamedTuple):
     ok: bool
 
 
-def bias_check(g: GapSequence, strict_scale: bool = False) -> BiasCheck:
+def bias_check(g: GapSequence) -> BiasCheck:
     """Check the small-window bias bound on one block with total gap <= 1/2.
 
     lhs counts every window (all lengths m >= 1) with sum <= 1/4, plus every
     window with sum <= 1/8; rhs is (5/6) L(L+1)/2 - (5/6) L.  The thresholds
-    are exact dyadics, so the comparisons are exact.  With ``strict_scale``
-    the gaps are first rescaled so they total 1/2, the hardest admissible
-    case.
+    are exact dyadics, so the comparisons are exact.
+
+    The bound always holds: it is Lemma 5.12 in bin coordinates.  The L+1
+    prefix values lie in [0, 1/2]; let x1..x4 count them in [0, 1/8],
+    (1/8, 1/4], (1/4, 3/8] and (3/8, 1/2], so sum(x) = L+1.  Two values in
+    one bin differ by at most 1/8 and two in adjacent bins by at most 1/4,
+    also as canonical binary64 differences (the prefix is non-decreasing,
+    rounding is monotone, and 1/8 and 1/4 are representable), so
+    lhs >= B(x) = sum xi(xi - 1) + sum xi x(i+1).  With
+    (a, b, c, l) = (x1 + 1, x1 + x2 + 1, x1 + x2 + x3 + 1, L + 2),
+    B(x) = LHS(a, b, c, l) - 2(L+1), and :func:`lemma512_certificate` gives
+    12 B >= 5L^2 - 2L - 7 = 12 rhs + 3L - 7.  For L <= 2, B is an integer, so
+    B >= ceil((5L^2 - 2L - 7)/12) >= rhs (L = 1: 0 >= 0; L = 2: 1 >= 5/6).
     """
     total = float(g.prefix[-1])
     if total > 0.5:
         raise ValueError(f"total gap sum {total} exceeds 1/2")
-    if strict_scale and 0.0 < total < 0.5:
-        g = GapSequence(g.gaps * (0.5 / total))
     length = g.length
     whole = IndexInterval(1, length)
     lhs = sum(_pairs_within(g.prefix, whole, whole, t, True) for t in (0.125, 0.25))
@@ -259,6 +268,8 @@ class AuditConfig:
             raise ValueError("n must be >= 2")
         if not self.budget > 0:
             raise ValueError("budget must be positive")
+        if self.budget > 1.5 + self.epsilon:
+            raise ValueError(f"budget {self.budget} exceeds 3/2 + epsilon = {1.5 + self.epsilon}")
 
 
 class AuditStep(NamedTuple):

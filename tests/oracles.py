@@ -168,3 +168,16 @@ def lemma512_brute(l_max):
             bi, ci = np.nonzero(bad)
             counterexamples.extend((a, int(b[i, 0]), int(c[0, j]), l) for i, j in zip(bi, ci))
     return checked, sorted(counterexamples)
+
+
+def bias_bins(prefix):
+    """(x1, x2, x3, x4): how many prefix values lie in [0, 1/8], (1/8, 1/4], (1/4, 3/8], (3/8, 1/2]."""
+    edges = (0.0, 0.125, 0.25, 0.375, 0.5)
+    p = [float(v) for v in prefix]
+    first = sum(edges[0] <= v <= edges[1] for v in p)
+    return (first,) + tuple(sum(lo < v <= hi for v in p) for lo, hi in zip(edges[1:], edges[2:]))
+
+
+def bin_form(x):
+    """B(x) = sum x_i (x_i - 1) + sum x_i x_{i+1}: the bias lhs that the binning alone guarantees."""
+    return sum(v * (v - 1) for v in x) + sum(u * v for u, v in zip(x, x[1:]))

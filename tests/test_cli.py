@@ -197,13 +197,6 @@ def test_verify_lemma512(capsys):
     assert doc["counterexamples"] == []
 
 
-def test_verify_bias(capsys):
-    code, out, _ = run(capsys, "verify", "bias", "--samples", "2000", "--seed", "11")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["violation_count"] == 0
-
-
 def test_verify_final_ineq_both_signs(capsys):
     code, out, _ = run(capsys, "verify", "final-ineq", "--epsilon", "1e-9")
     assert code == 0
@@ -229,6 +222,27 @@ def test_audit_lattice(tmp_path, capsys):
     assert doc["multigap_lhs"] == 0.0
     assert doc["n_used"] == 999  # a 1000-point file carries 999 gaps
     assert doc["manifest"]["parameters"]["epsilon"] == 1e-9
+
+
+def test_audit_rejects_a_budget_above_the_gap_bound_before_reading_input(tmp_path, capsys):
+    path = write_lattice(tmp_path, n=50)
+    missing = str(tmp_path / "missing.txt")  # the config is checked first, so this is never opened
+    for source in (path, missing):
+        code, out, err = run(capsys, "audit", "--input", source, "--epsilon", "1e-9", "--n", "49", "--budget", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: budget 2.0 exceeds 3/2 + epsilon = 1.500000001\n"
+    code, out, _ = run(capsys, "audit", "--input", path, "--epsilon", "1e-9", "--n", "49", "--budget", "1.500000001")
+    assert code == 0
+    assert json.loads(out)["multigap_lhs"] == 0.0
+
+
+def test_verify_bias_is_retired(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bias", "--samples", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'bias'" in captured.err
 
 
 def test_analyze_poisson_statistical_regression(tmp_path, capsys):
@@ -416,19 +430,6 @@ def test_generate_rejects_too_many_points_before_generating(monkeypatch, tmp_pat
     assert (code, stdout) == (2, "")
     assert err == "error: n_points must be <= 100000000, got 1000000000000\n"
     assert not out.exists()
-
-
-def test_verify_bias_rejects_negative_samples_and_empty_blocks(capsys):
-    for flags, message in (
-        (("--samples", "-1"), "--samples must be >= 0"),
-        (("--samples", "10", "--max-len", "0"), "--max-len must be >= 1"),
-    ):
-        code, out, err = run(capsys, "verify", "bias", *flags)
-        assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
-    code, out, _ = run(capsys, "verify", "bias", "--samples", "0")
-    assert code == 0
-    assert json.loads(out)["violation_count"] == 0
 
 
 def test_analyze_checks_all_input_before_printing(tmp_path, capsys):

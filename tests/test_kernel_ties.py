@@ -23,6 +23,8 @@ from oracles import (
     brute_pair_count,
     brute_ppc_block,
     brute_ppc_cross,
+    bias_bins,
+    bin_form,
 )
 
 # runs of equal dyadic gaps; k = 0 gives runs of zero gaps, i.e. equal prefix values
@@ -147,6 +149,29 @@ def test_bias_check_lhs_on_windows_at_one_eighth_and_one_quarter(run_list):
     n = g.length
     expected = sum(brute_multi_gap_count(g.gaps, pl.Interval.closed(0.0, t), n, 1) for t in (0.125, 0.25))
     assert pl.bias_check(g).lhs == expected
+
+
+# numerators of at most 4 over 8, 16 or 32: no gap exceeds 1/2, so truncation never empties a block
+short_runs = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)), min_size=1, max_size=12)
+
+
+@given(short_runs, st.sampled_from([8, 16, 32]))
+@settings(max_examples=300, deadline=None)
+def test_bias_bound_through_the_bins_with_prefix_values_on_the_bin_edges(run_list, denominator):
+    # with denominator 8 every prefix value is one of the edges 0, 1/8, 1/4, 3/8, 1/2
+    gaps = expand(run_list, denominator)
+    gaps = [x for x, total in zip(gaps, itertools.accumulate(gaps)) if total <= 0.5]
+    g = pl.GapSequence(gaps)
+    length = g.length
+    x = bias_bins(g.prefix)
+    assert sum(x) == length + 1
+    check = pl.bias_check(g)
+    assert check.lhs >= bin_form(x)
+    point = pl.LemmaPoint(x[0] + 1, x[0] + x[1] + 1, x[0] + x[1] + x[2] + 1, length + 2)
+    assert bin_form(x) + 2 * (length + 1) == pl.lemma512_lhs(point) >= pl.lemma512_rhs(length + 2)
+    assert 12 * bin_form(x) >= 5 * length * (length - 1)
+    assert check.rhs == pytest.approx(5 * length * (length - 1) / 12)
+    assert check.ok
 
 
 def test_seed_past_a_long_run_of_equal_prefix_values():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ppclab as pl
-from oracles import lemma512_brute
+from oracles import bias_bins, bin_form, lemma512_brute
 from ppclab import verifier
 
 
@@ -45,6 +45,12 @@ def test_rhs_exact_rationals():
     assert pl.lemma512_rhs(2) == Fraction(17, 12)
     assert pl.lemma512_rhs(8) == Fraction(329, 12)
     assert pl.lemma512_rhs(2.0) == pytest.approx(17 / 12)
+
+
+def test_rhs_rejects_l_below_one_for_ints_and_floats():
+    for l_val in (0, -3, 0.0, -3.0, 0.5):
+        with pytest.raises(ValueError, match="l must be >= 1"):
+            pl.lemma512_rhs(l_val)
 
 
 def test_equality_witness_at_origin_corner():
@@ -124,8 +130,8 @@ def test_bias_check_small_example():
 
 
 def test_bias_check_strict_scale():
-    check = pl.bias_check(pl.GapSequence([0.1, 0.1]), strict_scale=True)
-    # scaled to (.25, .25): windows .25, .25, .5 -> two <= 1/4, none <= 1/8
+    check = pl.bias_check(pl.GapSequence([0.25, 0.25]))
+    # windows .25, .25, .5 -> two <= 1/4, none <= 1/8
     assert check.lhs == 2
     assert check.ok
 
@@ -148,7 +154,7 @@ def test_bias_check_rejects_heavy_blocks():
 
 
 def test_bias_check_zero_total_is_fine():
-    check = pl.bias_check(pl.GapSequence([0.0, 0.0, 0.0]), strict_scale=True)
+    check = pl.bias_check(pl.GapSequence([0.0, 0.0, 0.0]))
     assert check.lhs == 12  # every window counted under both thresholds
     assert check.ok
 
@@ -161,6 +167,61 @@ def test_bias_check_random_property():
         target = 0.5 * (1.0 - rng.random())
         gaps = raw * (target / raw.sum())
         assert pl.bias_check(pl.GapSequence(gaps)).ok
+
+
+def bin_form_is_the_seven_term_sum():
+    """B(x) + 2 sum(x) == LHS(x1+1, x1+x2+1, x1+x2+x3+1, sum(x)+1) at the 81 points of {0, 1, 2}^4.
+
+    Both sides have degree <= 2 in each x_i, so agreement there proves the
+    identity for all reals, as in lemma512_certificate.
+    """
+    return all(
+        bin_form(x) + 2 * sum(x)
+        == verifier._seven_terms(x[0] + 1, x[0] + x[1] + 1, x[0] + x[1] + x[2] + 1, sum(x) + 1)
+        for x in itertools.product(range(3), repeat=4)
+    )
+
+
+def test_bin_form_is_the_seven_term_sum_in_bin_coordinates():
+    assert bin_form_is_the_seven_term_sum()
+
+
+def test_bin_form_identity_fails_when_the_polynomial_is_perturbed(monkeypatch):
+    seven_terms = verifier._seven_terms
+    monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) + 1)
+    assert not bin_form_is_the_seven_term_sum()
+
+
+def cluster_block(shares):
+    """Prefix values in four clusters at 0, 1/6, 1/3 and 1/2, with the given sizes."""
+    gaps = []
+    for k, size in enumerate(shares):
+        if k:
+            gaps.append(1 / 6)
+        gaps += [0.0] * (size - 1)
+    return pl.GapSequence(gaps)
+
+
+@pytest.mark.parametrize(
+    "shares, lhs, margin",
+    [
+        ((17, 8, 8, 18), 1034, 13.17),
+        ((133, 66, 66, 136), 66606, 106.0),
+        ((667, 333, 333, 668), 1666334, 500.67),
+    ],
+)
+def test_bias_check_on_near_tight_cluster_blocks(shares, lhs, margin):
+    # the cluster shares 1/3, 1/6, 1/6, 1/3 sit near B's minimum on sum(x) = L + 1,
+    # and no pair outside one bin or two adjacent bins falls within 1/4
+    g = cluster_block(shares)
+    length = g.length
+    assert length == sum(shares) - 1 and g.prefix[-1] <= 0.5
+    assert bias_bins(g.prefix) == shares
+    check = pl.bias_check(g)
+    assert check.lhs == bin_form(shares) == lhs
+    assert 12 * bin_form(shares) >= 5 * length**2 - 2 * length - 7 > 5 * length * (length - 1)
+    assert check.lhs - check.rhs == pytest.approx(margin, abs=0.01)
+    assert check.ok
 
 
 def test_final_inequality_signs_and_values():
@@ -190,6 +251,12 @@ def test_audit_config_validation():
         pl.AuditConfig(epsilon=1e-9, n=1)
     with pytest.raises(ValueError):
         pl.AuditConfig(epsilon=1e-9, n=10, budget=0.0)
+
+
+def test_audit_config_rejects_a_budget_above_three_halves_plus_epsilon():
+    with pytest.raises(ValueError, match=r"^budget 1.6 exceeds 3/2 \+ epsilon = 1.500000001$"):
+        pl.AuditConfig(epsilon=1e-9, n=10, budget=1.6)
+    pl.AuditConfig(epsilon=1e-9, n=10, budget=1.5 + 1e-9)  # the open multigap interval is then empty
 
 
 def test_audit_unit_lattice_is_all_zero():
