@@ -24,14 +24,7 @@ import numpy as np
 
 from . import __version__
 from .correlation import Interval, pair_correlation
-from .partition import (
-    _unpartitionable,
-    greedy_partition,
-    maximal_blocks,
-    sandwiched_indices,
-    verify_adjacent_bound,
-    verify_sandwich_bound,
-)
+from .partition import _unpartitionable, maximal_blocks, partition_table
 from .sequences import (
     GeneratorConfig,
     gaps_of,
@@ -49,6 +42,7 @@ from .verifier import (
 
 
 CDF_GRID_MAX_POINTS = 10**6  # --cdf-grid rows; a larger or non-finite grid is rejected, not looped over
+PARTITION_CHUNK = 4096  # blocks per partition table: bounds the arrays and the text held at once
 
 
 def _fmt(x: float) -> str:
@@ -259,29 +253,48 @@ def cmd_partition(args) -> int:
     if over.size:
         raise _unpartitionable(int(over[0]) + 1, budget)
     print(_dumps({"manifest": _manifest("partition", params, input_path=args.input)}))
-    any_violation = False
-    for block in blocks.blocks:
-        p = greedy_partition(g, block, budget)
-        sandwiched = sorted(sandwiched_indices(p))
-        doc = {
-            "parent": [block.left, block.right],
-            "parts": [[part.left, part.right] for part in p.parts],
-            "ranks": list(p.selection_rank),
-            "sums": [float(s) for s in p.sums],
-            "sandwiched": sandwiched,
-        }
-        if args.check:
-            adjacent_ok = all(
-                verify_adjacent_bound(p, g, k, budget).ok for k in range(1, p.size)
-            )
-            sandwich_ok = all(
-                verify_sandwich_bound(p, g, k, budget).ok for k in sandwiched
-            )
-            doc["check"] = {"adjacent_ok": adjacent_ok, "sandwich_ok": sandwich_ok}
-            if not (adjacent_ok and sandwich_ok):
-                any_violation = True
-        print(_dumps(doc))
-    return 1 if any_violation else 0
+    violation = False
+    for first in range(0, blocks.left.size, PARTITION_CHUNK):
+        chunk = slice(first, first + PARTITION_CHUNK)
+        table = partition_table(g, blocks.left[chunk], blocks.right[chunk], budget)
+        sys.stdout.write(_partition_documents(table, blocks.left[chunk], blocks.right[chunk], args.check))
+        violation = violation or not (table.adjacent_ok.all() and table.sandwich_ok.all())
+    return 1 if args.check and violation else 0
+
+
+def _partition_documents(table, left, right, check: bool) -> str:
+    """One partition table's block documents, byte for byte as ``_dumps`` writes them.
+
+    Each document is one fixed-shape f-string; ``check`` adds the per-block
+    bound verdicts.  A non-finite sum raises ``ValueError``, as in ``_dumps``.
+    """
+    finite = np.isfinite(table.sums)
+    if not finite.all():
+        raise ValueError(f"{float(table.sums[~finite][0])!r} has no JSON form: values must be finite")
+    parts = [f"[{a},{b}]" for a, b in zip(table.left.tolist(), table.right.tolist())]
+    ranks = list(map(str, table.rank.tolist()))
+    sums = list(map(_fmt, table.sums.tolist()))
+    ends = np.cumsum(table.counts)
+    starts = ends - table.counts
+    block = np.repeat(np.arange(left.size), table.counts)
+    position = np.arange(block.size) - np.repeat(starts, table.counts) + 1
+    middle = np.flatnonzero(table.sandwiched)
+    sandwiched = [[] for _ in range(left.size)]
+    for k, j in zip(block[middle].tolist(), position[middle].tolist()):
+        sandwiched[k].append(str(j))
+    verdicts = [""] * left.size
+    if check:
+        verdicts = [
+            f',"check":{{"adjacent_ok":{_dumps(a)},"sandwich_ok":{_dumps(b)}}}'
+            for a, b in zip(table.adjacent_ok.tolist(), table.sandwich_ok.tolist())
+        ]
+    return "".join(
+        f'{{"parent":[{a},{b}],"parts":[{",".join(parts[i:j])}],"ranks":[{",".join(ranks[i:j])}],'
+        f'"sums":[{",".join(sums[i:j])}],"sandwiched":[{",".join(sw)}]{verdict}}}\n'
+        for a, b, i, j, sw, verdict in zip(
+            left.tolist(), right.tolist(), starts.tolist(), ends.tolist(), sandwiched, verdicts
+        )
+    )
 
 
 def cmd_verify_lemma512(args) -> int:

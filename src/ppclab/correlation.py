@@ -195,11 +195,11 @@ def _pairs_within(prefix, starts: IndexInterval, ends: IndexInterval, t: float, 
     "Passes" follows :func:`first_crossing`: ``> t`` when ``strict`` and
     ``>= t`` otherwise.  The sums shrink as s moves right, so the first
     passing end only moves right: one two-pointer pass over a block-local
-    list of the prefix sums.  This stays a scalar loop because its callers
-    ask about small blocks one at a time: for the 125,148 adjacent-part
-    checks on 4*10^5 Poisson points at threshold 2 (2-core x86 VM), one
-    first_crossing call per check took 4.8 s, a numpy pass over the
-    greedy's reach array 1.2 s, and this function 0.2 s.
+    list of the prefix sums.  It serves callers that ask about one block or
+    block pair at a time, at any threshold: :func:`ppc_block`,
+    :func:`ppc_cross`, ``bias_check``, and the per-partition bound checks
+    ``verify_adjacent_bound`` and ``verify_sandwich_bound``, which are also
+    the test oracles for ``partition_table``'s one-pass bounds.
     """
     off = starts.left - 1
     p = prefix[off : ends.right + 1].tolist()  # p[i] = prefix[off + i]

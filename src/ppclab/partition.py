@@ -200,14 +200,16 @@ def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> Gr
     return GreedyPartition(parent, parts, selection_rank, sums, budget)
 
 
-def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
-    """Part lengths of ``greedy_partition(g, IndexInterval(left[k], right[k]), budget)`` for all k.
+def _block_reach(g: GapSequence, left, right, budget: float):
+    """``(left, right, multi, offsets, sizes, local)``: what the greedy picks of many blocks start from.
 
-    Lengths are concatenated block by block, left to right within a block.
     A block whose whole canonical sum fits the budget is one part; one
-    comparison decides that for every block, and only the other blocks run
-    the greedy picks.  No :class:`GreedyPartition` is built, and the same
-    "unpartitionable singleton" error is raised.
+    comparison decides that for every block, and ``multi`` marks the other
+    blocks.  ``local`` lists, block after block, the block-local
+    :func:`_reach` of each of their gaps, as :func:`_greedy_picks` takes it;
+    a block's slice begins at its entry in ``offsets`` and has its entry in
+    ``sizes`` as length.  Raises the "unpartitionable singleton" error for
+    the first gap that exceeds the budget on its own.
     """
     reach = _reach(g, budget)
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
@@ -223,18 +225,130 @@ def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
     bad = np.flatnonzero(local < position)
     if bad.size:
         raise _unpartitionable(int(firsts[bad[0]] + position[bad[0]]), budget)
+    return left, right, multi, offsets, multi_sizes, local.tolist()
 
-    local = local.tolist()
+
+def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
+    """Part lengths of ``greedy_partition(g, IndexInterval(left[k], right[k]), budget)`` for all k.
+
+    Lengths are concatenated block by block, left to right within a block.
+    Only the blocks that are not one part run the greedy picks; no
+    :class:`GreedyPartition` is built, and the same "unpartitionable
+    singleton" error is raised.
+    """
+    left, right, multi, offsets, multi_sizes, local = _block_reach(g, left, right, budget)
     multi_lengths, multi_counts = [], []
     for offset, size in zip(offsets.tolist(), multi_sizes.tolist()):
         picks = sorted(_greedy_picks(local[offset : offset + size]))
         multi_lengths.extend(e - s + 1 for s, e in picks)
         multi_counts.append(len(picks))
+    sizes = right - left + 1
     counts = np.ones(sizes.size, dtype=np.intp)
     counts[multi] = multi_counts
     lengths = np.repeat(sizes, counts)  # right for one-part blocks; the rest are overwritten
     lengths[np.repeat(multi, counts)] = multi_lengths
     return lengths
+
+
+class PartitionTable(NamedTuple):
+    """The greedy partitions of a list of blocks, as flat arrays.
+
+    Parts are listed block by block, left to right within a block; block k
+    owns ``counts[k]`` consecutive entries.  Entry for entry, ``left``,
+    ``right``, ``rank`` and ``sums`` are what :func:`greedy_partition` puts
+    in ``parts``, ``selection_rank`` and ``sums``, and ``sandwiched`` marks
+    the members of :func:`sandwiched_indices`.  ``adjacent_lhs`` has one
+    entry per pair of neighbouring parts and ``sandwich_lhs`` one per
+    sandwiched part, both in part order: the lhs that
+    :func:`verify_adjacent_bound` and :func:`verify_sandwich_bound` report.
+    ``adjacent_ok`` and ``sandwich_ok`` say, per block, that every one of
+    its checks holds.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    rank: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+    sandwiched: np.ndarray
+    adjacent_lhs: np.ndarray
+    sandwich_lhs: np.ndarray
+    adjacent_ok: np.ndarray
+    sandwich_ok: np.ndarray
+
+
+def _cross_lhs(reach: np.ndarray, left: np.ndarray, right: np.ndarray, j1: np.ndarray, j2: np.ndarray):
+    """The :func:`_cross_bound` lhs of every part pair (j1[i], j2[i]), J_j1 left of J_j2, in one pass.
+
+    The canonical sum of s..e grows with e, so the ends of J_j2 within
+    budget from s are ``J_j2.left .. min(reach[s], J_j2.right)``: the same
+    ``<= budget`` test on the same float that :func:`_pairs_within` makes.
+    """
+    n1, n2 = right[j1] - left[j1] + 1, right[j2] - left[j2] + 1
+    if not j1.size:
+        return n1 * n2
+    first = np.cumsum(n1) - n1  # where each pair's starts begin in the flat list below
+    starts = np.repeat(left[j1] - first, n1) + np.arange(first[-1] + n1[-1])
+    lo = np.repeat(left[j2], n1)
+    within = np.minimum(reach[starts], np.repeat(right[j2], n1)) - lo + 1
+    return n1 * n2 - np.add.reduceat(np.maximum(within, 0), first)
+
+
+def partition_table(g: GapSequence, left, right, budget: float) -> PartitionTable:
+    """``greedy_partition`` of every block ``[left[k], right[k]]`` and both cross-pair bounds, as arrays.
+
+    The picks come from :func:`_greedy_picks`, one call per block that is not
+    one part, so they are those of :func:`greedy_partition`; the sums are the
+    same binary64 subtraction ``prefix[right] - prefix[left - 1]``.  Every
+    bound check of every block is made in one numpy pass (see
+    :func:`_cross_lhs`).  No :class:`GreedyPartition` is built.
+    """
+    left, right, multi, offsets, multi_sizes, local = _block_reach(g, left, right, budget)
+    reach = _reach(g, budget)
+    picks, multi_counts = [], []
+    for offset, size in zip(offsets.tolist(), multi_sizes.tolist()):
+        block_picks = _greedy_picks(local[offset : offset + size])
+        picks.extend(block_picks)
+        multi_counts.append(len(block_picks))
+    counts = np.ones(left.size, dtype=np.intp)
+    counts[multi] = multi_counts
+    part_left, part_right = np.repeat(left, counts), np.repeat(right, counts)
+    rank = np.ones(part_left.size, dtype=np.intp)
+    if picks:
+        multi_counts = np.asarray(multi_counts)
+        picks = np.asarray(picks, dtype=np.intp)  # block-local (start, end), in pick order per block
+        block = np.repeat(np.arange(multi_counts.size), multi_counts)
+        order = np.lexsort((picks[:, 0], block))  # left to right within each block
+        firsts = np.repeat(left[multi], multi_counts)
+        in_multi = np.repeat(multi, counts)
+        part_left[in_multi] = firsts + picks[order, 0]
+        part_right[in_multi] = firsts + picks[order, 1]
+        # pick order is list order within a block
+        rank[in_multi] = order - np.repeat(np.cumsum(multi_counts) - multi_counts, multi_counts) + 1
+    sums = g.prefix[part_right] - g.prefix[part_left - 1]
+
+    block_of = np.repeat(np.arange(left.size), counts)
+    position = np.arange(part_left.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    has_next = position < np.repeat(counts, counts) - 1
+    inner = (position > 0) & has_next
+    sandwiched = np.zeros(part_left.size, dtype=bool)
+    sandwiched[1:-1] = inner[1:-1] & (rank[1:-1] > np.maximum(rank[:-2], rank[2:]))
+
+    def checks(j1, j2):
+        lhs = _cross_lhs(reach, part_left, part_right, j1, j2)
+        later = np.where(rank[j1] > rank[j2], j1, j2)
+        length = part_right[later] - part_left[later] + 1
+        ok = 2 * lhs >= length * length  # lhs >= |later part|^2 / 2, in integers
+        return lhs, np.bincount(block_of[j1[~ok]], minlength=left.size) == 0
+
+    adjacent = np.flatnonzero(has_next)
+    middle = np.flatnonzero(sandwiched)
+    adjacent_lhs, adjacent_ok = checks(adjacent, adjacent + 1)
+    sandwich_lhs, sandwich_ok = checks(middle - 1, middle + 1)
+    return PartitionTable(
+        part_left, part_right, rank, counts, sums, sandwiched,
+        adjacent_lhs, sandwich_lhs, adjacent_ok, sandwich_ok,
+    )
 
 
 def _is_sandwiched(p: GreedyPartition, k: int) -> bool:

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import ppclab as pl
@@ -187,6 +188,80 @@ def test_partition_100_random_capped_sequences_check_passes(tmp_path, capsys):
         pl.write_sequence(path, seq)
         code, _, _ = run(capsys, "partition", "--input", str(path), "--check")
         assert code == 0
+
+
+def test_partition_check_stream_equals_the_object_api_across_chunks(tmp_path, capsys):
+    from ppclab import cli
+
+    seq = pl.generate(pl.GeneratorConfig("poisson", 45_000, seed=11))
+    path = tmp_path / "poisson.txt"
+    pl.write_sequence(path, seq)
+    g = pl.gaps_of(seq)
+    for n_flag in ((), ("--n", "40000")):
+        code, out, _ = run(capsys, "partition", "--input", str(path), *n_flag, "--threshold", "2", "--check")
+        assert code == 0
+        n = int(n_flag[1]) if n_flag else g.length
+        params = {"input": str(path), "n": n, "threshold": 2.0, "budget": 2.0, "check": True}
+        expected = [cli._dumps({"manifest": cli._manifest("partition", params, input_path=path)})]
+        blocks = pl.maximal_blocks(g, n, 2.0).blocks
+        assert len(blocks) > cli.PARTITION_CHUNK  # at least two tables are written
+        for block in blocks:
+            p = pl.greedy_partition(g, block, 2.0)
+            sandwiched = sorted(pl.sandwiched_indices(p))
+            adjacent_ok = all(pl.verify_adjacent_bound(p, g, k, 2.0).ok for k in range(1, p.size))
+            sandwich_ok = all(pl.verify_sandwich_bound(p, g, k, 2.0).ok for k in sandwiched)
+            expected.append(cli._dumps({
+                "parent": [block.left, block.right],
+                "parts": [[part.left, part.right] for part in p.parts],
+                "ranks": list(p.selection_rank),
+                "sums": list(p.sums),
+                "sandwiched": sandwiched,
+                "check": {"adjacent_ok": adjacent_ok, "sandwich_ok": sandwich_ok},
+            }))
+        assert out.splitlines() == expected
+
+
+def test_partition_check_exits_1_on_a_failed_bound_and_prints_every_block(tmp_path, capsys, monkeypatch):
+    from ppclab import partition
+
+    # one-gap parts, picked left to right: no part is sandwiched, and with gaps of 0.1 every
+    # adjacent pair of gaps sums to 0.2 <= 0.5, so every adjacent lhs is 0 < 1/2
+    monkeypatch.setattr(partition, "_greedy_picks", lambda reach: [(i, i) for i in range(len(reach))])
+    sizes = (1, 3, 8, 12, 20)
+    gaps = [g for size in sizes for g in [1.0] + [0.1] * size]
+    path = tmp_path / "constant.txt"
+    pl.write_sequence(path, pl.sequence_from_gaps(gaps))
+    code, out, _ = run(capsys, "partition", "--input", str(path), "--budget", "0.5", "--check")
+    assert code == 1
+    lines = out.splitlines()[1:]
+    parents, gap_of_one = [], 1  # each block follows a gap of 1.0
+    for size in sizes:
+        parents.append([gap_of_one + 1, gap_of_one + size])
+        gap_of_one += size + 1
+    assert [json.loads(line)["parent"] for line in lines] == parents
+    multi = 0
+    for line in lines:
+        if len(json.loads(line)["parts"]) > 1:
+            multi += 1
+            assert '"check":{"adjacent_ok":false,"sandwich_ok":true}' in line
+    assert multi == 3  # the blocks of 8, 12 and 20 gaps; 3 gaps of 0.1 fit the budget as one part
+
+
+def test_partition_writer_refuses_a_non_finite_sum():
+    from ppclab import cli
+
+    g = pl.GapSequence([0.25, 0.25, 1.0, 0.5])
+    blocks = pl.maximal_blocks(g, g.length, 0.5)
+    table = pl.partition_table(g, blocks.left, blocks.right, 0.5)
+    text = cli._partition_documents(table, blocks.left, blocks.right, True)
+    assert text.splitlines()[0] == cli._dumps({
+        "parent": [1, 2], "parts": [[1, 2]], "ranks": [1], "sums": [0.5], "sandwiched": [],
+        "check": {"adjacent_ok": True, "sandwich_ok": True},
+    })
+    for bad in (math.inf, math.nan):
+        broken = table._replace(sums=np.where(np.arange(table.sums.size) == 1, bad, table.sums))
+        with pytest.raises(ValueError, match=f"^{bad!r} has no JSON form: values must be finite$"):
+            cli._partition_documents(broken, blocks.left, blocks.right, True)
 
 
 def test_verify_lemma512(capsys):

@@ -8,6 +8,7 @@ comparisons are ties in every closedness combination.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
+from ppclab.partition import _cross_bound
 from oracles import (
     GreedyOracle,
     brute_cross_pairs_above,
@@ -96,6 +98,64 @@ def test_partition_lengths_match_replayed_greedy(blocks, data):
         assert str(caught.value) == str(exc)
         return
     assert pl.partition_lengths(g, bs.left, bs.right, budget).tolist() == expected
+
+
+# One block's gaps, all <= 1/2: dyadic runs (zero runs among them); one constant gap repeated,
+# so that many fits have equal length; or gaps 2^-30 under 1/2 and 1/4 among 2^-30 and zero
+# gaps.  Multiples of 2^-30 keep every sum exact; 0.1, 0.3 and 1/3 do not.
+EPS = 2.0**-30
+block_gaps = st.one_of(
+    runs.map(lambda r: expand(r, 16)),
+    st.tuples(st.sampled_from([0.0, 0.1, 0.125, 0.3, 1 / 3, 0.5]), st.integers(1, 30)).map(
+        lambda t: [t[0]] * t[1]
+    ),
+    st.lists(st.sampled_from([0.5 - EPS, 0.25 - EPS, 0.25, EPS, 0.0]), min_size=1, max_size=24),
+)
+
+
+@given(st.lists(block_gaps, min_size=1, max_size=5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_partition_table_matches_the_object_api_and_the_oracles(blocks, data):
+    separator = [0.75]  # above every threshold drawn below, so each gap list is its own block
+    gaps = separator + [x for b in blocks for x in b + separator]
+    g = pl.GapSequence(gaps)
+    p = g.prefix
+    sums = sorted({float(p[e] - p[s - 1]) for s in range(1, g.length + 1)
+                   for e in range(s, min(g.length, s + 12) + 1)})
+    budget = data.draw(st.sampled_from([0.5] + [x for x in sums if 0 < x <= 0.5]))
+    bs = pl.maximal_blocks(g, data.draw(st.integers(1, g.length)), budget)
+    table = pl.partition_table(g, bs.left, bs.right, budget)
+    exact = all((x / EPS).is_integer() for x in gaps)  # direct and canonical sums agree
+
+    part, adjacent, sandwich = 0, 0, 0
+    for k, block in enumerate(bs.blocks):
+        expected = pl.greedy_partition(g, block, budget)
+        size = int(table.counts[k])
+        rows = range(part, part + size)
+        parts = tuple(pl.IndexInterval(int(table.left[i]), int(table.right[i])) for i in rows)
+        ranks = tuple(int(table.rank[i]) for i in rows)
+        sums_k = tuple(float(table.sums[i]) for i in rows)
+        assert (parts, ranks, sums_k) == (expected.parts, expected.selection_rank, expected.sums)
+        sandwiched = {j + 1 for j in range(size) if table.sandwiched[part + j]}
+        assert sandwiched == pl.sandwiched_indices(expected)
+        GreedyOracle(g, block, budget).replay_check(pl.GreedyPartition(block, parts, ranks, sums_k, budget))
+
+        adjacent_ok = sandwich_ok = True
+        for j in range(1, size):
+            check = _cross_bound(expected, g, j, j + 1, budget)
+            assert table.adjacent_lhs[adjacent] == check.lhs
+            if exact:
+                assert check.lhs == brute_cross_pairs_above(g.gaps, parts[j - 1], parts[j], budget)
+            adjacent, adjacent_ok = adjacent + 1, adjacent_ok and check.ok
+        for j in sorted(sandwiched):
+            check = _cross_bound(expected, g, j - 1, j + 1, budget)
+            assert table.sandwich_lhs[sandwich] == check.lhs
+            if exact:
+                assert check.lhs == brute_cross_pairs_above(g.gaps, parts[j - 2], parts[j], budget)
+            sandwich, sandwich_ok = sandwich + 1, sandwich_ok and check.ok
+        assert (table.adjacent_ok[k], table.sandwich_ok[k]) == (adjacent_ok, sandwich_ok)
+        part += size
+    assert (part, adjacent, sandwich) == (table.left.size, table.adjacent_lhs.size, table.sandwich_lhs.size)
 
 
 @given(runs, st.data())
