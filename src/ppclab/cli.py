@@ -14,7 +14,6 @@ signs counts each unordered pair twice (once per orientation).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -72,20 +71,12 @@ def _dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _file_hash(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _manifest(command: str, parameters: dict, seed=None, input_path=None) -> dict:
+def _manifest(command: str, parameters: dict, seed=None, input_hash=None) -> dict:
     return {
         "command": command,
         "parameters": parameters,
         "seed": seed,
-        "input_hash": _file_hash(input_path) if input_path else None,
+        "input_hash": input_hash,
         "tool_version": __version__,
     }
 
@@ -196,7 +187,7 @@ def cmd_analyze(args) -> int:
         "open": bool(args.open),
         "cdf_grid": args.cdf_grid,
     }
-    manifest = _manifest("analyze", params, input_path=args.input)
+    manifest = _manifest("analyze", params, input_hash=seq.metadata["input_sha256"])
     for interval in intervals:
         report = pair_correlation(seq, interval, n)
         doc = {
@@ -248,11 +239,11 @@ def cmd_partition(args) -> int:
     blocks = maximal_blocks(g, n, threshold)
     if not budget > 0:
         raise ValueError("budget must be positive")
-    gaps = g.gaps[:n]
-    over = np.flatnonzero((gaps <= threshold) & (gaps > budget))  # block gaps no part can hold
+    # block gaps no part can hold: a part's sum is canonical, prefix[i] - prefix[i-1] for one gap
+    over = np.flatnonzero((g.gaps[:n] <= threshold) & (np.diff(g.prefix[: n + 1]) > budget))
     if over.size:
         raise _unpartitionable(int(over[0]) + 1, budget)
-    print(_dumps({"manifest": _manifest("partition", params, input_path=args.input)}))
+    print(_dumps({"manifest": _manifest("partition", params, input_hash=seq.metadata["input_sha256"])}))
     violation = False
     for first in range(0, blocks.left.size, PARTITION_CHUNK):
         chunk = slice(first, first + PARTITION_CHUNK)
@@ -343,7 +334,7 @@ def cmd_audit(args) -> int:
             "n": args.n,
             "budget": args.budget,
         },
-        input_path=args.input,
+        input_hash=seq.metadata["input_sha256"],
     )
     print(_dumps(doc))
     return 0
@@ -363,7 +354,7 @@ def cmd_ingest(args) -> int:
     doc = {
         "written": str(args.output),
         "n_points": seq.n,
-        "manifest": _manifest("ingest", params, input_path=args.input),
+        "manifest": _manifest("ingest", params, input_hash=seq.metadata["input_sha256"]),
     }
     with open(str(args.output) + ".manifest.json", "w", encoding="utf-8") as fh:
         fh.write(_dumps(doc) + "\n")

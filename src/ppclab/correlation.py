@@ -17,7 +17,7 @@ import numpy as np
 
 from .sequences import GapSequence, RealSequence
 
-_CHUNK = 1 << 16  # starts per first_crossing pass: bounded, cache-sized temporaries
+_CHUNK = 1 << 16  # starts per pass of the count functions and first_crossing: cache-sized temporaries
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> Correlati
     its ends are found by :func:`first_crossing` on the difference
     values[j] - values[i] itself, the same expression a brute-force
     enumerator would use, so the count is aggregated without enumerating
-    pairs.
+    pairs.  The i are taken ``_CHUNK`` at a time, so no temporary is n long.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -152,10 +152,11 @@ def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> Correlati
         raise ValueError(f"n={n} exceeds sequence length {seq.n}")
 
     values = seq.values[:n]
-    first = first_crossing(values, values, 0, interval.lo, not interval.lo_closed)
-    stop = first_crossing(values, values, first, interval.hi, interval.hi_closed)
-    self_pairs = n if interval.contains(0.0) else 0  # j = i has the difference 0.0
-    count = int(np.sum(stop - first)) - self_pairs
+    count = -n if interval.contains(0.0) else 0  # j = i has the difference 0.0 and is no pair
+    for c in range(0, n, _CHUNK):
+        base = values[c : c + _CHUNK]
+        first = first_crossing(values, base, 0, interval.lo, not interval.lo_closed)
+        count += int(np.sum(first_crossing(values, base, first, interval.hi, interval.hi_closed) - first))
     return CorrelationReport(interval, n, count, count / n)
 
 
@@ -173,7 +174,9 @@ def multi_gap_count(g: GapSequence, interval: Interval, n: int, m_min: int = 1) 
 
     Because gaps are non-negative, the admissible window ends of each start
     form one contiguous run; :func:`first_crossing` finds both of its ends
-    on the canonical sums ``prefix[e] - prefix[s-1]``.
+    on the canonical sums ``prefix[e] - prefix[s-1]``, ``_CHUNK`` starts at
+    a time, so no temporary is n long.  The lower end needs no pass when
+    every sum passes lo.
     """
     if m_min < 1:
         raise ValueError("m_min must be >= 1")
@@ -183,10 +186,16 @@ def multi_gap_count(g: GapSequence, interval: Interval, n: int, m_min: int = 1) 
         return 0
 
     prefix = g.prefix[: n + 1]
-    base = prefix[: n - m_min + 1]  # prefix[s-1] for the starts s = 1..n-m_min+1
-    first = first_crossing(prefix, base, np.arange(m_min, n + 1), interval.lo, not interval.lo_closed)
-    stop = first_crossing(prefix, base, first, interval.hi, interval.hi_closed)
-    return int(np.sum(stop - first))
+    # canonical sums are >= 0, so with lo < 0, or lo == 0 closed, every end passes lo
+    lo_trivial = interval.lo < 0 or (interval.lo == 0 and interval.lo_closed)
+    starts = n - m_min + 1  # s = 1..starts
+    total = 0
+    for c in range(0, starts, _CHUNK):
+        base = prefix[c : min(c + _CHUNK, starts)]  # prefix[s-1] for the starts s = c+1, ...
+        lower = np.arange(c + m_min, c + m_min + base.size)  # each start's first end, s + m_min - 1
+        first = lower if lo_trivial else first_crossing(prefix, base, lower, interval.lo, not interval.lo_closed)
+        total += int(np.sum(first_crossing(prefix, base, first, interval.hi, interval.hi_closed) - first))
+    return total
 
 
 def _pairs_within(prefix, starts: IndexInterval, ends: IndexInterval, t: float, strict: bool) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +24,10 @@ CAPPED_MIN_CAP = 0.01
 # and writes one 17-digit line per point, so larger n is rejected up front.
 GENERATOR_MAX_POINTS = 10**8
 
+# Ingest parses a file this many bytes at a time (rounded up to a line end),
+# so the line objects of one chunk are alive at once, never the whole file's.
+_INGEST_CHUNK = 1 << 20
+
 
 class SequenceFormatError(ValueError):
     """Malformed sequence file; carries the 1-based offending line number."""
@@ -37,8 +43,8 @@ class RealSequence:
 
     All statistics in this package are computed over (prefixes of) one of
     these.  ``values`` is stored as a read-only float64 array; ``metadata``
-    carries generator provenance (e.g. tie-perturbation counts) and does not
-    affect any computation.
+    carries provenance (a generator's tie-perturbation count, the SHA-256 of
+    an ingested file) and does not affect any computation.
     """
 
     values: np.ndarray
@@ -290,42 +296,92 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     """Read a sequence file, optionally unfolding a zeta-zero-style table.
 
     The file holds one decimal number per line (UTF-8, ``#`` comment lines and
-    blank lines ignored) and must be strictly increasing.  ``zeta_unfold``
-    maps each value t to t*ln(t)/(2*pi), the rescaling under which a sequence
-    counted by ~ T*log(T)/(2*pi) acquires asymptotic mean gap 1; it requires
-    every value > 1.
+    blank lines ignored) and must be strictly increasing.  A line's value is
+    ``float(line.strip())``, so ``float``'s accept set holds: ``1_000``,
+    ``infinity`` (then rejected as non-finite) and non-ASCII digits parse,
+    ``1 2`` does not.  ``zeta_unfold`` maps each value t to t*ln(t)/(2*pi), the
+    rescaling under which a sequence counted by ~ T*log(T)/(2*pi) acquires
+    asymptotic mean gap 1; it requires every value > 1.
+
+    The file is read once; ``metadata["input_sha256"]`` is the SHA-256 of
+    those bytes.  They are parsed by :func:`_parse_fast` and, where that
+    declines, line by line by :func:`_parse_lines`, which names the first bad
+    line.
     """
     if mode not in INGEST_MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
-    values = []
-    prev = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                val = float(line)
-            except ValueError:
-                raise SequenceFormatError(f"could not parse {line!r} as a number", lineno) from None
-            if not math.isfinite(val):
-                raise SequenceFormatError(f"non-finite value {line!r}", lineno)
-            if prev is not None and val <= prev:
-                raise SequenceFormatError(
-                    f"not strictly increasing: {val!r} after {prev!r}", lineno
-                )
-            if mode == "zeta_unfold" and val <= 1.0:
-                raise SequenceFormatError(
-                    f"zeta_unfold requires values > 1, got {val!r}", lineno
-                )
-            prev = val
-            values.append(val)
-    if not values:
-        raise SequenceFormatError("file contains no data lines", 1)
-    arr = np.asarray(values, dtype=float)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    arr = _parse_fast(data, mode)
+    if arr is None:
+        arr = _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), mode)
+    del data  # RealSequence's checks and copy below hold more n-length arrays at once
     if mode == "zeta_unfold":
         arr = arr * np.log(arr) / TWO_PI
-    return RealSequence(arr)
+    return RealSequence(arr, metadata={"input_sha256": digest})
+
+
+def _parse_fast(data: bytes, mode: str) -> np.ndarray | None:
+    """The values of a file with no blank, comment or bad line, or None for any other file.
+
+    ASCII bytes are split on ``\\n`` only, ``_INGEST_CHUNK`` bytes at a time,
+    and each line goes to ``float`` as bytes.  On an ASCII line, ``float``
+    either rejects the bytes or gives ``float(line.strip())``, and a ``\\r``
+    (a line end to the text reader) can only sit in the whitespace around the
+    number, so every line accepted here has the value :func:`_parse_lines`
+    gives it.  Finiteness, strict increase and the ``zeta_unfold`` bound are
+    then tested on the whole array.
+    """
+    stop = len(data) - data.endswith(b"\n")  # a final newline ends the last line
+    if stop == 0 or not data.isascii():
+        return None
+    out = np.empty(data.count(b"\n", 0, stop) + 1)
+    pos = filled = 0
+    try:
+        while pos <= stop:  # a chunk ending at data[stop - 1] leaves an empty last line
+            end = data.find(b"\n", pos + _INGEST_CHUNK, stop)
+            end = stop if end < 0 else end
+            lines = data[pos:end].split(b"\n")
+            out[filled : filled + len(lines)] = list(map(float, lines))
+            filled += len(lines)
+            pos = end + 1
+    except ValueError:  # a blank, comment or malformed line
+        return None
+    if not (np.isfinite(out).all() and (out[1:] > out[:-1]).all()):
+        return None
+    if mode == "zeta_unfold" and not out[0] > 1.0:
+        return None
+    return out
+
+
+def _parse_lines(lines, mode: str) -> np.ndarray:
+    """Values of ``lines`` one at a time; the first bad line raises :class:`SequenceFormatError`."""
+    values = []
+    prev = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            val = float(line)
+        except ValueError:
+            raise SequenceFormatError(f"could not parse {line!r} as a number", lineno) from None
+        if not math.isfinite(val):
+            raise SequenceFormatError(f"non-finite value {line!r}", lineno)
+        if prev is not None and val <= prev:
+            raise SequenceFormatError(
+                f"not strictly increasing: {val!r} after {prev!r}", lineno
+            )
+        if mode == "zeta_unfold" and val <= 1.0:
+            raise SequenceFormatError(
+                f"zeta_unfold requires values > 1, got {val!r}", lineno
+            )
+        prev = val
+        values.append(val)
+    if not values:
+        raise SequenceFormatError("file contains no data lines", 1)
+    return np.asarray(values, dtype=float)
 
 
 def write_sequence(path, seq: RealSequence, comment: str | None = None) -> None:

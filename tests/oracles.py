@@ -1,12 +1,44 @@
 """Independent brute-force oracles for the counting and partition machinery.
 
 Everything here enumerates directly: pair counts by materializing all ordered
-differences, window counts by fresh per-start summation, and the greedy
-oracle by exhaustively scanning every subwindow before each pick.  None of it
+differences, window counts by fresh per-start summation, the greedy oracle
+by exhaustively scanning every subwindow before each pick, and ingest by
+reading a text file one line at a time.  None of it
 shares a code path with the library implementations it checks.
 """
 
+import math
+
 import numpy as np
+
+from ppclab import SequenceFormatError
+
+
+def ingest_loop(path, mode="raw") -> np.ndarray:
+    """``ingest_and_unfold``'s values by a text-mode loop: one ``float(line.strip())`` per line."""
+    values = []
+    prev = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                val = float(line)
+            except ValueError:
+                raise SequenceFormatError(f"could not parse {line!r} as a number", lineno) from None
+            if not math.isfinite(val):
+                raise SequenceFormatError(f"non-finite value {line!r}", lineno)
+            if prev is not None and val <= prev:
+                raise SequenceFormatError(f"not strictly increasing: {val!r} after {prev!r}", lineno)
+            if mode == "zeta_unfold" and val <= 1.0:
+                raise SequenceFormatError(f"zeta_unfold requires values > 1, got {val!r}", lineno)
+            prev = val
+            values.append(val)
+    if not values:
+        raise SequenceFormatError("file contains no data lines", 1)
+    arr = np.asarray(values, dtype=float)
+    return arr * np.log(arr) / (2.0 * math.pi) if mode == "zeta_unfold" else arr
 
 
 def brute_pair_count(values, interval, n) -> int:

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, JSON schemas, manifests, and replay determinism."""
 
+import hashlib
 import json
 import math
 
@@ -202,7 +203,7 @@ def test_partition_check_stream_equals_the_object_api_across_chunks(tmp_path, ca
         assert code == 0
         n = int(n_flag[1]) if n_flag else g.length
         params = {"input": str(path), "n": n, "threshold": 2.0, "budget": 2.0, "check": True}
-        expected = [cli._dumps({"manifest": cli._manifest("partition", params, input_path=path)})]
+        expected = [cli._dumps({"manifest": cli._manifest("partition", params, input_hash=hashlib.sha256(path.read_bytes()).hexdigest())})]
         blocks = pl.maximal_blocks(g, n, 2.0).blocks
         assert len(blocks) > cli.PARTITION_CHUNK  # at least two tables are written
         for block in blocks:
@@ -543,3 +544,32 @@ def test_non_finite_floats_never_reach_stdout(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: inf has no JSON form: values must be finite\n"
     assert not seq.exists()
+
+
+def test_partition_refuses_a_gap_whose_canonical_sum_exceeds_the_budget_before_printing(tmp_path, capsys):
+    path = tmp_path / "five.txt"
+    path.write_text("0.1\n0.2\n0.95\n1.45\n2.2\n")  # gap 3 is 0.5 raw, 0.5000000000000001 as a prefix difference
+    g = pl.gaps_of(pl.ingest_and_unfold(path))
+    assert g.gaps[2] == 0.5 < g.window_sum(3, 3)
+    for flags in ((), ("--check",)):
+        code, out, err = run(capsys, "partition", "--input", str(path), *flags)
+        assert (code, out) == (2, ""), flags
+        assert err == "error: unpartitionable singleton: gap at index 3 exceeds budget 0.5\n"
+
+
+def test_manifest_input_hash_is_the_sha256_of_the_file_bytes(tmp_path, capsys):
+    for name, content in (("plain.txt", "".join(f"{i / 4}\n" for i in range(60))),
+                          ("commented.txt", "# header\n" + "".join(f"{i / 4}\r\n" for i in range(60)))):
+        path = tmp_path / name
+        path.write_bytes(content.encode())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        runs = [
+            ("analyze", "--input", str(path), "--interval", "0,1"),
+            ("partition", "--input", str(path), "--check"),
+            ("audit", "--input", str(path), "--epsilon", "1e-9", "--n", "59"),
+            ("ingest", "--input", str(path), "-o", str(tmp_path / "out.txt")),
+        ]
+        for argv in runs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert json.loads(out.splitlines()[0])["manifest"]["input_hash"] == digest, argv

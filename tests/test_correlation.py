@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
+from ppclab import correlation
 from oracles import (
     brute_multi_gap_count,
     brute_pair_count,
@@ -140,6 +141,46 @@ def test_multi_gap_count_matches_brute_force():
         m_min = int(rng.integers(1, 4))
         got = pl.multi_gap_count(pl.GapSequence(g), interval, n, m_min)
         assert got == brute_multi_gap_count(g, interval, n, m_min)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_count_functions_match_the_oracles_at_any_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(correlation, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    gaps = rng.integers(0, 4, 150) / 8  # dyadic, so direct and canonical sums agree
+    gaps[40:60] = 0.0  # a zero-gap run: equal prefix values
+    g = pl.GapSequence(gaps)
+    values = np.cumsum(rng.integers(1, 5, 120) / 8)
+    seq = pl.RealSequence(values)
+    intervals = [
+        pl.Interval(-0.5, 1.0, True, True),  # lo < 0
+        pl.Interval(-0.375, 0.0, False, True),
+        pl.Interval.half_open(0.0, 0.25),  # lo == 0 closed
+        pl.Interval.closed(0.0, 0.0),
+        pl.Interval.open(0.0, 0.25),  # lo == 0 open: zero sums are out
+        pl.Interval(0.0, 1.5, False, True),
+        pl.Interval(0.25, 1.0, True, False),
+        pl.Interval(-1.5, -0.25, True, True),
+    ]
+    for interval in intervals:
+        for n, m_min in ((g.length, 1), (g.length, 2), (100, 3), (1, 1)):
+            assert pl.multi_gap_count(g, interval, n, m_min) == brute_multi_gap_count(gaps, interval, n, m_min)
+        for n in (seq.n, 65, 1):
+            assert pl.pair_correlation(seq, interval, n).pair_count == brute_pair_count(values, interval, n)
+
+
+def test_multi_gap_count_makes_no_pass_for_a_lower_end_every_sum_passes(monkeypatch):
+    calls = []
+    real = correlation.first_crossing
+    monkeypatch.setattr(correlation, "first_crossing", lambda *args: calls.append(1) or real(*args))
+    g = pl.GapSequence(np.full(200, 0.125))
+    for interval in (pl.Interval.half_open(0.0, 0.25), pl.Interval(-1.0, 0.25)):
+        calls.clear()
+        assert pl.multi_gap_count(g, interval, 200, 1) == brute_multi_gap_count(g.gaps, interval, 200, 1)
+        assert len(calls) == 1  # the upper end only
+    calls.clear()
+    pl.multi_gap_count(g, pl.Interval.open(0.0, 0.25), 200, 1)
+    assert len(calls) == 2
 
 
 def test_ppc_block_examples():

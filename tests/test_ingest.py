@@ -1,0 +1,141 @@
+"""Ingest's whole-file parse against the line-by-line oracle: the same values or the same error."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import ppclab as pl
+from ppclab import sequences
+from oracles import ingest_loop
+
+
+def outcome(read, path, mode="raw"):
+    """The values' bytes, or the error's type, message and line."""
+    try:
+        values = read(path, mode)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return np.asarray(getattr(values, "values", values)).tobytes()
+
+
+def assert_matches_oracle(path, mode="raw"):
+    expected = outcome(ingest_loop, path, mode)
+    assert outcome(pl.ingest_and_unfold, path, mode) == expected
+    return expected
+
+
+CASES = {
+    "underscores": b"1_000\n2_000\n",
+    "whitespace and tabs": b" 1.5 \n\t2.5\t\n  3  \t\n",
+    "crlf": b"1\r\n2\r\n3\r\n",
+    "lone cr": b"1\r2\r3\r",
+    "cr between": b"1\n2\r3\n",
+    "cr around a number": b"1\n\r2\n3\r\r\n",
+    "vertical tab and form feed": b"1\x0b\n\x0c2\n",
+    "file separator": b"1\x1c\n2\n",
+    "two numbers on a line": b"1\n1 2\n3\n",
+    "infinity": b"1\ninfinity\n",
+    "negative infinity": b"-inf\n1\n",
+    "nan": b"1\nnan\n",
+    "arabic-indic digits": "١\n٢٫٥\n3\n".encode(),
+    "arabic-indic digits only": "١\n٢\n".encode(),
+    "leading blank": b"\n1\n2\n",
+    "blank after data": b"1\n\n2\n",
+    "blank at the end": b"1\n2\n\n",
+    "whitespace-only line": b"1\n \t \n2\n",
+    "comment first": b"# header\n1\n2\n",
+    "comment after data": b"1\n# middle\n2\n# end\n",
+    "no trailing newline": b"1\n2\n3",
+    "one value": b"7",
+    "empty": b"",
+    "only a newline": b"\n",
+    "only comments": b"# a\n# b\n",
+    "invalid utf-8": b"1\n\xff\n3\n",
+    "truncated utf-8 at the end": b"1\n2\n\xc3",
+    "byte order mark": "\ufeff1\n2\n".encode(),
+    "nul byte": b"1\x00\n2\n",
+    "decrease on the last line": b"1\n2\n3\n2.5\n",
+    "tie on the last line": b"1\n2\n2\n",
+    "negative zero after zero": b"0\n-0\n",
+    "garbage": b"1\nbogus\n3\n",
+}
+
+
+@pytest.mark.parametrize("content", CASES.values(), ids=CASES.keys())
+@pytest.mark.parametrize("mode", sequences.INGEST_MODES)
+def test_ingest_matches_the_line_loop(tmp_path, content, mode):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(content)
+    assert_matches_oracle(path, mode)
+
+
+@pytest.mark.parametrize("content", [b"0.5\n2\n", b"1\n2\n", b"2\n3\n1\n", b"1.0000000000000002\n2\n"])
+def test_zeta_unfold_bound_matches_the_line_loop(tmp_path, content):
+    path = tmp_path / "zeros.txt"
+    path.write_bytes(content)
+    assert_matches_oracle(path, "zeta_unfold")
+
+
+def test_float_accept_set_is_kept(tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_bytes("1_000\n\t2_000.5 \n٣٠٠٠\n".encode())  # underscores and Arabic-Indic digits parse
+    assert pl.ingest_and_unfold(path).values.tolist() == [1000.0, 2000.5, 3000.0]
+
+
+def test_clean_files_take_the_fast_path_and_others_fall_back():
+    assert sequences._parse_fast(b"1\n2.5\n3e2\n", "raw").tolist() == [1.0, 2.5, 300.0]
+    for content in (b"1\n\n2\n", b"# c\n1\n", b"1\n1\n", b"1\nnan\n", "١\n".encode(), b"0.5\n", b""):
+        mode = "zeta_unfold" if content == b"0.5\n" else "raw"
+        assert sequences._parse_fast(content, mode) is None, content
+
+
+def test_ingest_records_the_hash_of_the_bytes_it_read(tmp_path):
+    for content in (b"1\n2\n3\n", b"# fallback\n1\n2\n"):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(content)
+        seq = pl.ingest_and_unfold(path)
+        assert seq.metadata["input_sha256"] == hashlib.sha256(content).hexdigest()
+
+
+def many_lines(count, bad_line=None, bad=b""):
+    lines = [format(1.0 + k / 7, ".17g").encode() for k in range(count)]
+    if bad_line is not None:
+        lines[bad_line - 1] = bad
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("bad", [None, b"", b"# c", b"0.5", b"x", b"inf"])
+def test_small_chunks_match_the_line_loop(tmp_path, monkeypatch, chunk, bad):
+    monkeypatch.setattr(sequences, "_INGEST_CHUNK", chunk)
+    path = tmp_path / "seq.txt"
+    for bad_line in (1, 2, 17, 40) if bad is not None else (None,):
+        path.write_bytes(many_lines(40, bad_line, bad))
+        assert_matches_oracle(path)
+
+
+def test_first_bad_line_in_the_second_chunk(tmp_path):
+    content = many_lines(80_000)
+    assert len(content) > 1.1 * sequences._INGEST_CHUNK
+    bad_line = content.count(b"\n", 0, sequences._INGEST_CHUNK) + 50  # past the first chunk's end
+    path = tmp_path / "seq.txt"
+    path.write_bytes(content)
+    assert isinstance(assert_matches_oracle(path), bytes)
+    for bad in (b"1.5", b"", b"x"):
+        path.write_bytes(many_lines(80_000, bad_line, bad))
+        expected = assert_matches_oracle(path)
+        if bad != b"":
+            assert expected[2] == bad_line
+
+
+@pytest.mark.parametrize("form", [repr, lambda x: format(x, ".17g"), lambda x: format(x, ".25g")],
+                         ids=["repr", ".17g", ".25g"])
+def test_random_bit_doubles_parse_as_float_does(tmp_path, form):
+    bits = np.random.default_rng(8).integers(0, 2**64, 10_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = np.unique(values[np.isfinite(values)])
+    path = tmp_path / "bits.txt"
+    path.write_text("".join(form(x) + "\n" for x in values.tolist()))
+    got = pl.ingest_and_unfold(path).values
+    assert got.tobytes() == ingest_loop(path).tobytes() == values.tobytes()  # each form round-trips

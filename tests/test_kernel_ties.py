@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
@@ -113,23 +113,44 @@ block_gaps = st.one_of(
 )
 
 
-@given(st.lists(block_gaps, min_size=1, max_size=5), st.data())
-@settings(max_examples=200, deadline=None)
-def test_partition_table_matches_the_object_api_and_the_oracles(blocks, data):
-    separator = [0.75]  # above every threshold drawn below, so each gap list is its own block
-    gaps = separator + [x for b in blocks for x in b + separator]
-    g = pl.GapSequence(gaps)
+def table_gaps(blocks):
+    separator = [0.75]  # above every budget drawn, so each gap list is its own block
+    return separator + [x for b in blocks for x in b + separator]
+
+
+@st.composite
+def table_cases(draw):
+    """(blocks, budget, n): block gap lists, a budget among their window sums or 1/2, and a gap count."""
+    blocks = draw(st.lists(block_gaps, min_size=1, max_size=5))
+    g = pl.GapSequence(table_gaps(blocks))
     p = g.prefix
     sums = sorted({float(p[e] - p[s - 1]) for s in range(1, g.length + 1)
                    for e in range(s, min(g.length, s + 12) + 1)})
-    budget = data.draw(st.sampled_from([0.5] + [x for x in sums if 0 < x <= 0.5]))
-    bs = pl.maximal_blocks(g, data.draw(st.integers(1, g.length)), budget)
+    budget = draw(st.sampled_from([0.5] + [x for x in sums if 0 < x <= 0.5]))
+    return blocks, budget, draw(st.integers(1, g.length))
+
+
+@given(table_cases())
+# gap 13 is raw 0.5 but its canonical sum is 0.5000000000000004: a block gap no part can hold
+@example(([[0.1, 0.1], [0.1] * 6, [0.5, 0.5]], 0.5, 13))
+@settings(max_examples=200, deadline=None)
+def test_partition_table_matches_the_object_api_and_the_oracles(case):
+    blocks, budget, n = case
+    gaps = table_gaps(blocks)
+    g = pl.GapSequence(gaps)
+    bs = pl.maximal_blocks(g, n, budget)
+    try:
+        partitions = [pl.greedy_partition(g, block, budget) for block in bs.blocks]
+    except ValueError as exc:  # a block gap whose canonical sum exceeds the budget
+        with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
+            pl.partition_table(g, bs.left, bs.right, budget)
+        assert str(caught.value) == str(exc)
+        return
     table = pl.partition_table(g, bs.left, bs.right, budget)
     exact = all((x / EPS).is_integer() for x in gaps)  # direct and canonical sums agree
 
     part, adjacent, sandwich = 0, 0, 0
-    for k, block in enumerate(bs.blocks):
-        expected = pl.greedy_partition(g, block, budget)
+    for k, (block, expected) in enumerate(zip(bs.blocks, partitions)):
         size = int(table.counts[k])
         rows = range(part, part + size)
         parts = tuple(pl.IndexInterval(int(table.left[i]), int(table.right[i])) for i in rows)
