@@ -10,8 +10,7 @@ hold exactly in binary64 arithmetic, not merely up to rounding.
 from __future__ import annotations
 
 import enum
-import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -116,60 +115,124 @@ def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
     return BlockSet(np.flatnonzero(edges == 1) + 1, np.flatnonzero(edges == -1), threshold, n)
 
 
-def _reach(g: GapSequence, budget: float) -> np.ndarray:
-    """``reach[s]``: the last end e with canonical sum of gaps s..e <= budget, for s = 1..n.
+def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:
+    """``reach[s]``, the last end e with canonical sum of gaps s..e <= budget, for each s in ``starts``.
 
-    ``reach[s] = s - 1`` when gap s alone exceeds the budget.  Computed for
-    all starts at once by :func:`first_crossing`; the array for the latest
-    budget is cached on ``g``, so one pass serves every block.
+    ``reach[s] = s - 1`` when gap s alone exceeds the budget.  The lower
+    bound 0 of :func:`first_crossing` suffices: fl(prefix[e] - prefix[s-1])
+    <= 0 < budget for every e < s.
     """
-    if not budget > 0:
-        raise ValueError("budget must be positive")
-    cached = g.__dict__.get("_reach")
-    if cached is None or cached[0] != budget:
-        # lower bound 0 suffices: fl(prefix[e] - prefix[s-1]) <= 0 < budget for every e < s
-        ends = first_crossing(g.prefix, g.prefix[:-1], 0, budget, True)
-        ends -= 1
-        cached = (budget, np.concatenate(([0], ends)))  # reach[0] is unused
-        object.__setattr__(g, "_reach", cached)
-    return cached[1]
+    return first_crossing(g.prefix, g.prefix[starts - 1], 0, budget, True) - 1
 
 
 def _unpartitionable(index: int, budget: float) -> ValueError:
     return ValueError(f"unpartitionable singleton: gap at index {index} exceeds budget {budget}")
 
 
-def _greedy_picks(reach: list) -> list[tuple[int, int]]:
-    """The greedy picks over one block, as block-local (start, end) pairs in pick order.
+# A packed key is ``(fit << 32) - position``: the larger of two keys has the longer fit, then the
+# smaller position, and ``-key & _POSITION_MASK`` is its position (positions stay below 2^32).
+_POSITION_MASK = (1 << 32) - 1
 
-    ``reach[i]`` is the block-local :func:`_reach` of position i, at least i.
-    A fragment's longest fit depends only on the fragment, so it is found
-    once, when a pick creates the fragment; a heap keyed by (-length, start)
-    then gives the longest fit over all fragments, ties to the smallest left
-    endpoint.
+
+def _greedy_core(g: GapSequence, left, right, budget: float):
+    """``(part_left, part_right, rank, counts)``: the greedy partition of every block ``[left[k], right[k]]``.
+
+    Parts are listed block by block, left to right; block k owns ``counts[k]``
+    entries, and ``rank`` is each part's 1-based pick order in its block.  A
+    block whose canonical sum fits the budget is one part, decided for all
+    blocks by one comparison.  The gaps of the other blocks are laid end to
+    end as positions 0..M-1, and each block is split from an explicit stack
+    of fragments.  The first gap that exceeds the budget alone raises the
+    "unpartitionable singleton" error.
+
+    *Longest fit of a fragment [a, b].*  ``reach`` is non-decreasing, as IEEE
+    subtraction is monotone.  Let s* be the first s with ``reach[s] >= b``,
+    found by bisection (the fragment right of a pick keeps b, so its search
+    starts at the parent's s*).  Starts from s* on fit up to b, the longest
+    at s*; a start s < s* fits ``reach[s] - s + 1`` gaps, and the longest of
+    those, smallest s on ties, is the range-argmax over [a, s* - 1], which
+    wins an equal-length tie.  The range-argmax comes from one sparse table
+    of packed keys (Bender & Farach-Colton, "The LCA Problem Revisited",
+    2000) with as many levels as the longest block needs: O(log L) per pick.
+
+    *Pick order without a heap.*  Greedy picks the longest fit over all
+    fragments, ties to the smallest start: a heap keyed by (-length, start).
+    A child fragment's longest fit is never longer than the pick that split
+    its parent, whose windows include the child's; a left child cannot tie
+    it either, or that fit (smaller start) would have been the parent's
+    pick.  So keys strictly grow from a pick to every pick below it, and
+    starts differ.  Each pick still to come lies below a fragment in the
+    heap, keyed at least as high as the one popped; the heap therefore pops
+    in sorted order, and the ranks are one lexsort by (block, -length, start).
     """
+    if not budget > 0:
+        raise ValueError("budget must be positive")
+    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+    if np.any(left < 1) or np.any(left > right) or np.any(right > g.length):
+        raise ValueError(f"blocks must satisfy 1 <= left <= right <= {g.length}")
+    multi = g.prefix[right] - g.prefix[left - 1] > budget
+    multi_sizes = right[multi] - left[multi] + 1
+    firsts = np.cumsum(multi_sizes) - multi_sizes  # each multi-part block's first position
+    shift = np.repeat(left[multi] - firsts, multi_sizes)  # gap index minus position
+    position = np.arange(shift.size)
+    ends = _reach(g, position + shift, budget)
+    ends -= shift  # reach, as a position
+    bad = np.flatnonzero(ends < position)
+    if bad.size:
+        raise _unpartitionable(int(position[bad[0]] + shift[bad[0]]), budget)
+    del shift
+    key = ends - position + 1  # the fit at each position
+    key <<= 32
+    key -= position
+    del position
+    levels = [key]
+    while 1 << len(levels) < multi_sizes.max(initial=0):  # level k spans 2^k; a query is shorter than its block
+        span = 1 << (len(levels) - 1)
+        levels.append(np.maximum(levels[-1][:-span], levels[-1][span:]))
+    tables, reach_at = [memoryview(level) for level in levels], memoryview(ends)
 
-    def longest_fit(a: int, b: int):
-        best, best_s = 0, a
-        for s in range(a, b + 1):
-            if b - s + 1 <= best:
-                break
-            length = (reach[s] if reach[s] < b else b) - s + 1
-            if length > best:
-                best, best_s = length, s
-        return -best, best_s, a, b
+    starts = np.empty_like(ends)
+    start_at = memoryview(starts)
+    picks = 0
+    for first, last in zip(memoryview(firsts), memoryview(firsts + multi_sizes - 1)):
+        stack = [(first, last, first)]  # fragment [a, b], and a position at or before its s*
+        while stack:
+            a, b, lo = stack.pop()
+            s = star = bisect_left(reach_at, b, lo, b)
+            if s > a:
+                k = (s - a).bit_length() - 1
+                level = tables[k]
+                x, y = level[a], level[s - (1 << k)]
+                t = -(x if x > y else y) & _POSITION_MASK
+                e = reach_at[t]
+                if e - t >= b - s:
+                    s = t
+                    stack.append((e + 1, b, star if star > e else e + 1))
+                if s > a:
+                    stack.append((a, s - 1, a))
+            start_at[picks] = s
+            picks += 1
+    del tables, reach_at, start_at, levels, key
 
-    heap = [longest_fit(0, len(reach) - 1)]
-    picks = []
-    while heap:
-        neg_length, s, a, b = heapq.heappop(heap)
-        e = s - neg_length - 1
-        picks.append((s, e))
-        if s > a:
-            heapq.heappush(heap, longest_fit(a, s - 1))
-        if e < b:
-            heapq.heappush(heap, longest_fit(e + 1, b))
-    return picks
+    starts = np.sort(starts[:picks])  # left to right, block after block; parts tile the positions
+    lengths = np.diff(starts, append=ends.size)
+    block = np.searchsorted(firsts, starts, side="right") - 1
+    multi_counts = np.bincount(block, minlength=firsts.size)
+    by_pick = np.lexsort((starts, -lengths, block))
+    multi_rank = np.empty_like(by_pick)
+    multi_rank[by_pick] = np.arange(picks) - np.repeat(np.cumsum(multi_counts) - multi_counts, multi_counts) + 1
+    starts += (left[multi] - firsts)[block]
+    del by_pick, block
+
+    counts = np.ones(left.size, dtype=np.intp)
+    counts[multi] = multi_counts
+    in_multi = np.repeat(multi, counts)
+    part_left, part_right = np.repeat(left, counts), np.repeat(right, counts)
+    part_left[in_multi] = starts
+    part_right[in_multi] = starts + lengths - 1
+    rank = np.ones(part_left.size, dtype=np.intp)
+    rank[in_multi] = multi_rank
+    return part_left, part_right, rank, counts
 
 
 def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> GreedyPartition:
@@ -181,73 +244,24 @@ def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> Gr
     procedure deterministic.  Every single gap in the parent must fit the
     budget on its own, otherwise no decomposition exists.
     """
-    reach = _reach(g, budget)
     if parent.right > g.length:
         raise ValueError(f"parent {parent} exceeds gap count {g.length}")
-    left = parent.left
-    local = (reach[left : parent.right + 1] - left).tolist()
-    for i, end in enumerate(local):
-        if end < i:
-            raise _unpartitionable(left + i, budget)
-
-    picks = _greedy_picks(local)
-    by_position = sorted(range(len(picks)), key=lambda i: picks[i][0])
-    ordered = [picks[i] for i in by_position]
-    parts = tuple(IndexInterval(left + s, left + e) for s, e in ordered)
-    selection_rank = tuple(i + 1 for i in by_position)  # pick order is append order
-    prefix = g.prefix[left - 1 : parent.right + 1].tolist()  # prefix[i] = g.prefix[left - 1 + i]
-    sums = tuple(prefix[e + 1] - prefix[s] for s, e in ordered)
-    return GreedyPartition(parent, parts, selection_rank, sums, budget)
-
-
-def _block_reach(g: GapSequence, left, right, budget: float):
-    """``(left, right, multi, offsets, sizes, local)``: what the greedy picks of many blocks start from.
-
-    A block whose whole canonical sum fits the budget is one part; one
-    comparison decides that for every block, and ``multi`` marks the other
-    blocks.  ``local`` lists, block after block, the block-local
-    :func:`_reach` of each of their gaps, as :func:`_greedy_picks` takes it;
-    a block's slice begins at its entry in ``offsets`` and has its entry in
-    ``sizes`` as length.  Raises the "unpartitionable singleton" error for
-    the first gap that exceeds the budget on its own.
-    """
-    reach = _reach(g, budget)
-    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
-    sizes = right - left + 1
-    if np.any(left < 1) or np.any(sizes < 1) or np.any(right > g.length):
-        raise ValueError(f"blocks must satisfy 1 <= left <= right <= {g.length}")
-    multi = reach[left] < right
-    multi_sizes = sizes[multi]
-    firsts = np.repeat(left[multi], multi_sizes)  # each gap's block start, over the multi-part blocks
-    offsets = np.cumsum(multi_sizes) - multi_sizes
-    position = np.arange(firsts.size) - np.repeat(offsets, multi_sizes)
-    local = reach[firsts + position] - firsts
-    bad = np.flatnonzero(local < position)
-    if bad.size:
-        raise _unpartitionable(int(firsts[bad[0]] + position[bad[0]]), budget)
-    return left, right, multi, offsets, multi_sizes, local.tolist()
+    part_left, part_right, rank, _ = _greedy_core(g, [parent.left], [parent.right], budget)
+    parts = tuple(map(IndexInterval, part_left.tolist(), part_right.tolist()))
+    sums = tuple((g.prefix[part_right] - g.prefix[part_left - 1]).tolist())
+    return GreedyPartition(parent, parts, tuple(rank.tolist()), sums, budget)
 
 
 def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
     """Part lengths of ``greedy_partition(g, IndexInterval(left[k], right[k]), budget)`` for all k.
 
     Lengths are concatenated block by block, left to right within a block.
-    Only the blocks that are not one part run the greedy picks; no
-    :class:`GreedyPartition` is built, and the same "unpartitionable
+    No :class:`GreedyPartition` is built, and the same "unpartitionable
     singleton" error is raised.
     """
-    left, right, multi, offsets, multi_sizes, local = _block_reach(g, left, right, budget)
-    multi_lengths, multi_counts = [], []
-    for offset, size in zip(offsets.tolist(), multi_sizes.tolist()):
-        picks = sorted(_greedy_picks(local[offset : offset + size]))
-        multi_lengths.extend(e - s + 1 for s, e in picks)
-        multi_counts.append(len(picks))
-    sizes = right - left + 1
-    counts = np.ones(sizes.size, dtype=np.intp)
-    counts[multi] = multi_counts
-    lengths = np.repeat(sizes, counts)  # right for one-part blocks; the rest are overwritten
-    lengths[np.repeat(multi, counts)] = multi_lengths
-    return lengths
+    part_left, part_right, _, _ = _greedy_core(g, left, right, budget)
+    part_right -= part_left - 1
+    return part_right
 
 
 class PartitionTable(NamedTuple):
@@ -277,7 +291,7 @@ class PartitionTable(NamedTuple):
     sandwich_ok: np.ndarray
 
 
-def _cross_lhs(reach: np.ndarray, left: np.ndarray, right: np.ndarray, j1: np.ndarray, j2: np.ndarray):
+def _cross_lhs(g: GapSequence, budget: float, left, right, j1: np.ndarray, j2: np.ndarray):
     """The :func:`_cross_bound` lhs of every part pair (j1[i], j2[i]), J_j1 left of J_j2, in one pass.
 
     The canonical sum of s..e grows with e, so the ends of J_j2 within
@@ -290,44 +304,23 @@ def _cross_lhs(reach: np.ndarray, left: np.ndarray, right: np.ndarray, j1: np.nd
     first = np.cumsum(n1) - n1  # where each pair's starts begin in the flat list below
     starts = np.repeat(left[j1] - first, n1) + np.arange(first[-1] + n1[-1])
     lo = np.repeat(left[j2], n1)
-    within = np.minimum(reach[starts], np.repeat(right[j2], n1)) - lo + 1
+    within = np.minimum(_reach(g, starts, budget), np.repeat(right[j2], n1)) - lo + 1
     return n1 * n2 - np.add.reduceat(np.maximum(within, 0), first)
 
 
 def partition_table(g: GapSequence, left, right, budget: float) -> PartitionTable:
     """``greedy_partition`` of every block ``[left[k], right[k]]`` and both cross-pair bounds, as arrays.
 
-    The picks come from :func:`_greedy_picks`, one call per block that is not
-    one part, so they are those of :func:`greedy_partition`; the sums are the
-    same binary64 subtraction ``prefix[right] - prefix[left - 1]``.  Every
-    bound check of every block is made in one numpy pass (see
-    :func:`_cross_lhs`).  No :class:`GreedyPartition` is built.
+    The parts and ranks come from the core that :func:`greedy_partition`
+    runs, and the sums are the same binary64 subtraction
+    ``prefix[right] - prefix[left - 1]``.  Every bound check of every block
+    is made in one numpy pass (see :func:`_cross_lhs`).  No
+    :class:`GreedyPartition` is built.
     """
-    left, right, multi, offsets, multi_sizes, local = _block_reach(g, left, right, budget)
-    reach = _reach(g, budget)
-    picks, multi_counts = [], []
-    for offset, size in zip(offsets.tolist(), multi_sizes.tolist()):
-        block_picks = _greedy_picks(local[offset : offset + size])
-        picks.extend(block_picks)
-        multi_counts.append(len(block_picks))
-    counts = np.ones(left.size, dtype=np.intp)
-    counts[multi] = multi_counts
-    part_left, part_right = np.repeat(left, counts), np.repeat(right, counts)
-    rank = np.ones(part_left.size, dtype=np.intp)
-    if picks:
-        multi_counts = np.asarray(multi_counts)
-        picks = np.asarray(picks, dtype=np.intp)  # block-local (start, end), in pick order per block
-        block = np.repeat(np.arange(multi_counts.size), multi_counts)
-        order = np.lexsort((picks[:, 0], block))  # left to right within each block
-        firsts = np.repeat(left[multi], multi_counts)
-        in_multi = np.repeat(multi, counts)
-        part_left[in_multi] = firsts + picks[order, 0]
-        part_right[in_multi] = firsts + picks[order, 1]
-        # pick order is list order within a block
-        rank[in_multi] = order - np.repeat(np.cumsum(multi_counts) - multi_counts, multi_counts) + 1
+    part_left, part_right, rank, counts = _greedy_core(g, left, right, budget)
     sums = g.prefix[part_right] - g.prefix[part_left - 1]
 
-    block_of = np.repeat(np.arange(left.size), counts)
+    block_of = np.repeat(np.arange(counts.size), counts)
     position = np.arange(part_left.size) - np.repeat(np.cumsum(counts) - counts, counts)
     has_next = position < np.repeat(counts, counts) - 1
     inner = (position > 0) & has_next
@@ -335,11 +328,11 @@ def partition_table(g: GapSequence, left, right, budget: float) -> PartitionTabl
     sandwiched[1:-1] = inner[1:-1] & (rank[1:-1] > np.maximum(rank[:-2], rank[2:]))
 
     def checks(j1, j2):
-        lhs = _cross_lhs(reach, part_left, part_right, j1, j2)
+        lhs = _cross_lhs(g, budget, part_left, part_right, j1, j2)
         later = np.where(rank[j1] > rank[j2], j1, j2)
         length = part_right[later] - part_left[later] + 1
         ok = 2 * lhs >= length * length  # lhs >= |later part|^2 / 2, in integers
-        return lhs, np.bincount(block_of[j1[~ok]], minlength=left.size) == 0
+        return lhs, np.bincount(block_of[j1[~ok]], minlength=counts.size) == 0
 
     adjacent = np.flatnonzero(has_next)
     middle = np.flatnonzero(sandwiched)

@@ -102,7 +102,9 @@ class GapSequence:
             raise ValueError(f"negative gap {g[pos]!r} at position {pos + 1}")
         g = g.copy()
         g.flags.writeable = False
-        prefix = np.concatenate(([0.0], np.cumsum(g)))
+        prefix = np.empty(g.size + 1)
+        prefix[0] = 0.0
+        np.cumsum(g, out=prefix[1:])
         prefix.flags.writeable = False
         object.__setattr__(self, "gaps", g)
         object.__setattr__(self, "prefix", prefix)
@@ -323,9 +325,12 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
 
 
 def _parse_fast(data: bytes, mode: str) -> np.ndarray | None:
-    """The values of a file with no blank, comment or bad line, or None for any other file.
+    """The values of a file with no blank, comment or bad line after its leading comments, or None.
 
-    ASCII bytes are split on ``\\n`` only, ``_INGEST_CHUNK`` bytes at a time,
+    Leading lines that begin with ``#`` (the header :func:`write_sequence`
+    writes) are skipped; a header holding a ``\\r`` outside a ``\\r\\n`` pair
+    declines, since the text reader ends a line there.  The remaining ASCII
+    bytes are split on ``\\n`` only, ``_INGEST_CHUNK`` bytes at a time,
     and each line goes to ``float`` as bytes.  On an ASCII line, ``float``
     either rejects the bytes or gives ``float(line.strip())``, and a ``\\r``
     (a line end to the text reader) can only sit in the whitespace around the
@@ -334,10 +339,17 @@ def _parse_fast(data: bytes, mode: str) -> np.ndarray | None:
     then tested on the whole array.
     """
     stop = len(data) - data.endswith(b"\n")  # a final newline ends the last line
-    if stop == 0 or not data.isascii():
+    if not data.isascii():
         return None
-    out = np.empty(data.count(b"\n", 0, stop) + 1)
-    pos = filled = 0
+    pos = 0
+    while data.startswith(b"#", pos):
+        pos = data.find(b"\n", pos, stop) + 1
+        if pos == 0:  # no data line follows
+            return None
+    if pos >= stop or data.count(b"\r", 0, pos) != data.count(b"\r\n", 0, pos):
+        return None
+    out = np.empty(data.count(b"\n", pos, stop) + 1)
+    filled = 0
     try:
         while pos <= stop:  # a chunk ending at data[stop - 1] leaves an empty last line
             end = data.find(b"\n", pos + _INGEST_CHUNK, stop)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ppclab as pl
 from ppclab.cli import main
@@ -227,7 +229,14 @@ def test_partition_check_exits_1_on_a_failed_bound_and_prints_every_block(tmp_pa
 
     # one-gap parts, picked left to right: no part is sandwiched, and with gaps of 0.1 every
     # adjacent pair of gaps sums to 0.2 <= 0.5, so every adjacent lhs is 0 < 1/2
-    monkeypatch.setattr(partition, "_greedy_picks", lambda reach: [(i, i) for i in range(len(reach))])
+    def one_gap_parts(g, left, right, budget):
+        blocks = [[(a, b)] if g.window_sum(a, b) <= budget else [(i, i) for i in range(a, b + 1)]
+                  for a, b in zip(left.tolist(), right.tolist())]
+        parts = np.array([part for block in blocks for part in block])
+        rank = np.concatenate([np.arange(1, len(block) + 1) for block in blocks])
+        return parts[:, 0], parts[:, 1], rank, np.array([len(block) for block in blocks])
+
+    monkeypatch.setattr(partition, "_greedy_core", one_gap_parts)
     sizes = (1, 3, 8, 12, 20)
     gaps = [g for size in sizes for g in [1.0] + [0.1] * size]
     path = tmp_path / "constant.txt"
@@ -573,3 +582,85 @@ def test_manifest_input_hash_is_the_sha256_of_the_file_bytes(tmp_path, capsys):
             code, out, _ = run(capsys, *argv)
             assert code == 0, argv
             assert json.loads(out.splitlines()[0])["manifest"]["input_hash"] == digest, argv
+
+
+# Sequence files for the argv fuzz test: the valid ones first (one is a long block of equal gaps),
+# then every kind of malformed file the reader must turn into exit 2.
+FUZZ_FILES = {
+    "lattice": b"0\n1\n2\n3\n",
+    "equal": "".join(f"{0.3 * i!r}\n" for i in range(2000)).encode(),
+    "crlf": b"0\r\n1\r\n2.5\r\n",
+    "cr": b"0\r1\r2\r",
+    "zeta": b"14.13\n21.02\n25.01\n30.42\n",
+    "one": b"5\n",
+    "empty": b"",
+    "comments": b"# a\n\n# b\n",
+    "unsorted": b"1\n0.5\n",
+    "duplicate": b"1\n1\n",
+    "nonfinite": b"0\ninf\n",
+    "text": b"0\nabc\n",
+    "binary": b"\x00\xff\xfe\n",
+    "bom": "\ufeff1\n2\n".encode(),
+    "overflow": b"-1.7e308\n1.7e308\n",
+}
+FUZZ_NUMBERS = ["0", "1", "-1", "0.5", "1.5", "2", "1e-9", "0.01", "1e308", "nan", "inf", "-inf", "x", "", "1_0"]
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for one subcommand: its required flags (each usually present), then random flags.
+
+    A value is drawn from in-range, edge, out-of-range, non-finite and non-numeric strings, in-range
+    ones more often; a ("file", name) or ("out", name) pair stands for a path the test fills in.
+    """
+    number = st.one_of(st.sampled_from(["1e-9", "0.01", "0.5", "1.5"]), st.sampled_from(FUZZ_NUMBERS))
+    count = st.one_of(st.integers(-2, 60).map(str), st.integers(-2, 10**4).map(str), number)
+    source = st.one_of(st.sampled_from(["lattice", "equal", "crlf", "cr", "zeta"]),
+                       st.sampled_from([*FUZZ_FILES, "missing", "."])).map(lambda name: ("file", name))
+    target = st.sampled_from(["out.txt", ".", "missing/out.txt"]).map(lambda name: ("out", name))
+    commands = {  # flag -> value strategy, or None for a switch; required flags first
+        "generate": ({"--kind": st.sampled_from(["poisson", "capped", "quadratic_form", "bogus"]),
+                      "--n": count, "-o": target},
+                     {"--seed": st.sampled_from(["0", "7", "-1", str(2**64), "x"]), "--cap": number,
+                      "--alpha": number, "--cutoff": number}),
+        "analyze": ({"--input": source},
+                    {"--n": count, "--interval": st.sampled_from(["0,1", "-1,1", "1,0", "0,nan", "0", "a,b"]),
+                     "--closed": None, "--open": None, "--cdf-out": target,
+                     "--cdf-grid": st.sampled_from(["0:1:0.25", "1:0:0.5", "0:1:0", "0:inf:1", "0:1e300:1e-300", "a"])}),
+        "partition": ({"--input": source},
+                      {"--n": count, "--threshold": number, "--budget": number, "--check": None}),
+        "audit": ({"--input": source, "--epsilon": number, "--n": count}, {"--budget": number}),
+        "ingest": ({"--input": source, "-o": target},
+                   {"--mode": st.sampled_from(["raw", "zeta_unfold", "bogus"]), "--normalize": None}),
+        "verify lemma512": ({"--lmax": st.integers(-2, 30).map(str)}, {}),
+        "verify final-ineq": ({"--epsilon": number}, {}),
+    }
+    command = draw(st.sampled_from(sorted(commands)))
+    required, optional = commands[command]
+    flags = [flag for flag in required if draw(st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from([*optional]), max_size=3)) if optional else []
+    flags += ["--bogus"] * (draw(st.integers(0, 9)) == 0)
+    argv = command.split()
+    for flag in flags:
+        argv.append(flag)
+        value = {**required, **optional}.get(flag)
+        if value is not None and draw(st.integers(0, 19)):  # now and then the value is missing
+            argv.append(draw(value))
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("PPC_LAB_THREADS", "1")  # the lemma sweep stays in this process
+    for name, content in FUZZ_FILES.items():
+        path = tmp_path / name
+        if not path.exists():
+            path.write_bytes(content)
+    resolved = [str(tmp_path / token[1]) if isinstance(token, tuple) else token for token in argv]
+    try:
+        code = main(resolved)
+    except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2), resolved

@@ -45,6 +45,11 @@ CASES = {
     "blank at the end": b"1\n2\n\n",
     "whitespace-only line": b"1\n \t \n2\n",
     "comment first": b"# header\n1\n2\n",
+    "two comments with crlf": b"# a\r\n# b\r\n1\r\n2\r\n",
+    "lone cr in a comment": b"# a\r1\n2\n",
+    "blank after the comments": b"# a\n\n1\n2\n",
+    "indented comment": b" # a\n1\n2\n",
+    "comment without a newline": b"# a",
     "comment after data": b"1\n# middle\n2\n# end\n",
     "no trailing newline": b"1\n2\n3",
     "one value": b"7",
@@ -85,9 +90,25 @@ def test_float_accept_set_is_kept(tmp_path):
 
 def test_clean_files_take_the_fast_path_and_others_fall_back():
     assert sequences._parse_fast(b"1\n2.5\n3e2\n", "raw").tolist() == [1.0, 2.5, 300.0]
-    for content in (b"1\n\n2\n", b"# c\n1\n", b"1\n1\n", b"1\nnan\n", "١\n".encode(), b"0.5\n", b""):
+    assert sequences._parse_fast(b"# c\n#\n1\n2\n", "raw").tolist() == [1.0, 2.0]  # leading comments
+    for content in (b"1\n\n2\n", b"1\n# c\n2\n", b"# c\r1\n", b"# c\n", b"# c", b"1\n1\n", b"1\nnan\n",
+                    "١\n".encode(), b"0.5\n", b""):
         mode = "zeta_unfold" if content == b"0.5\n" else "raw"
         assert sequences._parse_fast(content, mode) is None, content
+
+
+def test_a_written_comment_header_keeps_the_fast_path(tmp_path, monkeypatch):
+    def refuse(lines, mode):
+        raise AssertionError("the line loop was reached")
+
+    monkeypatch.setattr(sequences, "_parse_lines", refuse)
+    seq = pl.RealSequence(pl.generate(pl.GeneratorConfig("poisson", 5000, seed=3)).values + 2.0)  # > 1
+    path = tmp_path / "seq.txt"
+    pl.write_sequence(path, seq, comment="poisson, seed 3\nsecond header line")
+    assert path.read_bytes().startswith(b"# poisson, seed 3\n# second header line\n")
+    for mode in sequences.INGEST_MODES:
+        got = pl.ingest_and_unfold(path, mode).values
+        assert got.tobytes() == ingest_loop(path, mode).tobytes()
 
 
 def test_ingest_records_the_hash_of_the_bytes_it_read(tmp_path):

@@ -100,15 +100,18 @@ def test_partition_lengths_match_replayed_greedy(blocks, data):
     assert pl.partition_lengths(g, bs.left, bs.right, budget).tolist() == expected
 
 
-# One block's gaps, all <= 1/2: dyadic runs (zero runs among them); one constant gap repeated,
-# so that many fits have equal length; or gaps 2^-30 under 1/2 and 1/4 among 2^-30 and zero
-# gaps.  Multiples of 2^-30 keep every sum exact; 0.1, 0.3 and 1/3 do not.
+# One block's gaps, all <= 1/2: dyadic runs (zero runs among them); one constant gap repeated up
+# to 200 times, so that many fits have equal length and the greedy core's range-argmax table
+# gets 8 levels; constant runs with zero runs among them; or gaps 2^-30 under 1/2 and 1/4 among
+# 2^-30 and zero gaps.  Multiples of 2^-30 keep every sum exact; 0.1, 0.3 and 1/3 do not.
 EPS = 2.0**-30
 block_gaps = st.one_of(
     runs.map(lambda r: expand(r, 16)),
-    st.tuples(st.sampled_from([0.0, 0.1, 0.125, 0.3, 1 / 3, 0.5]), st.integers(1, 30)).map(
+    st.tuples(st.sampled_from([0.0, 0.1, 0.125, 0.3, 1 / 3, 0.5 - EPS, 0.5]), st.integers(1, 200)).map(
         lambda t: [t[0]] * t[1]
     ),
+    st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.3, 0.5 - EPS]), st.integers(1, 40)), min_size=1, max_size=6)
+    .map(lambda rs: [x for x, r in rs for _ in range(r)]),
     st.lists(st.sampled_from([0.5 - EPS, 0.25 - EPS, 0.25, EPS, 0.0]), min_size=1, max_size=24),
 )
 
@@ -133,6 +136,8 @@ def table_cases(draw):
 @given(table_cases())
 # gap 13 is raw 0.5 but its canonical sum is 0.5000000000000004: a block gap no part can hold
 @example(([[0.1, 0.1], [0.1] * 6, [0.5, 0.5]], 0.5, 13))
+# long blocks: every part one gap, picked left to right; one gap under the budget each; zero runs
+@example(([[0.3] * 200, [0.5 - EPS] * 150, [0.0] * 70 + [0.3] * 70 + [0.0] * 60], 0.5, 554))
 @settings(max_examples=200, deadline=None)
 def test_partition_table_matches_the_object_api_and_the_oracles(case):
     blocks, budget, n = case

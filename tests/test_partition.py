@@ -266,3 +266,13 @@ def test_partition_tiles_parent_exactly():
         for part, s in zip(p.parts, p.sums):
             assert s <= 0.5
             assert s == g.window_sum(part.left, part.right)
+
+
+def test_one_block_of_equal_gaps_is_split_left_to_right():
+    """10^5 gaps of 0.3 under budget 0.5: every part is one gap, picked left to right."""
+    length = 10**5
+    g = pl.GapSequence(np.full(length, 0.3))
+    p = pl.greedy_partition(g, pl.IndexInterval(1, length), 0.5)
+    assert [(part.left, part.right) for part in p.parts] == [(i, i) for i in range(1, length + 1)]
+    assert p.selection_rank == tuple(range(1, length + 1))
+    assert pl.partition_lengths(g, [1], [length], 0.5).tolist() == [1] * length

@@ -60,6 +60,18 @@ def test_gaps_of_prefix_sum_round_trip():
         assert np.max(np.abs(back - g)) <= 1e-12 * max(scale, 1.0)
 
 
+def test_prefix_is_bitwise_the_concatenated_cumsum():
+    rng = np.random.default_rng(12)
+    families = {
+        "exponential": rng.exponential(1.0, 10**5),
+        "dyadic with zeros": rng.integers(0, 9, 10**5) / 16,
+        "constant": np.full(10**5, 0.3),
+    }
+    for name, gaps in families.items():
+        prefix = pl.GapSequence(gaps).prefix
+        assert prefix.tobytes() == np.concatenate(([0.0], np.cumsum(gaps))).tobytes(), name
+
+
 def test_mean_gap_examples():
     assert pl.mean_gap(pl.RealSequence([0, 1, 2, 3])) == 1.0
     assert pl.mean_gap(pl.RealSequence([0, 0.5, 2.0])) == 1.0
