@@ -111,30 +111,61 @@ def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
     that never pass get ``P.size``.  ``P`` must be non-decreasing, so the
     true difference ``fl(P[e] - base)`` is non-decreasing in e (IEEE
     subtraction is monotone) and the answer equals a two-pointer scan's bit
-    for bit.  ``searchsorted`` on the rounded ``base + t`` only seeds each
-    answer; every decision tests the true difference.  Each start keeps a
-    bracket [lo, hi] holding its answer: a few probes walk from the seed,
-    and starts still open after them (e.g. on long runs of equal prefix
-    values) are bisected, so no start costs more than O(log P.size) probes.
+    for bit.  Each chunk of starts is answered in three steps:
+
+    * Seed: ``searchsorted`` on the rounded key ``base + t``, run over the
+      slice of ``P`` between the seeds of the chunk's smallest and largest
+      key (the same integers a whole-array search gives), raised to ``lower``.
+    * Check: a seed g is the answer exactly when ``P[g] - base`` passes (or
+      g is ``P.size``) and ``P[g-1] - base`` does not (or g is ``lower``).
+      Both are tested on the true difference, for all starts at once.
+    * Repair: a failed check says on which side of g the answer lies.  Only
+      those starts (e.g. a key that rounding put at the wrong end of a long
+      run of equal prefix values) keep a bracket [lo, hi] holding their
+      answer; a few probes walk on from the seed and any start still open
+      is bisected, so none costs more than O(log P.size) probes.
     """
     passes = np.greater if strict else np.greater_equal
-    out = np.full(len(base), P.size, dtype=np.intp)
-    for c in range(0, out.size, _CHUNK):
-        b, hi = base[c : c + _CHUNK], out[c : c + _CHUNK]  # hi is a view: answers land in out
-        lo = np.broadcast_to(lower, out.shape)[c : c + _CHUNK].astype(np.intp)
-        guess = np.searchsorted(P, b + t, side="right" if strict else "left")
-        open_ = slice(None)  # the first probe goes to every start
-        for step in itertools.count():
-            l, h = lo[open_], hi[open_]
-            probe = np.clip(guess[open_], l, h - 1) if step < 4 else (l + h) // 2
-            ok = passes(P[probe] - b[open_], t) & (l < h)
-            hi[open_] = np.where(ok, probe, h)
-            lo[open_] = np.where(ok, l, probe + 1)
-            guess[open_] = probe + np.where(ok, -1, 1)
-            open_ = np.flatnonzero(lo < hi)
-            if open_.size == 0:
-                break
+    side = "right" if strict else "left"
+    out = np.empty(len(base), dtype=np.intp)
+    last = P.size - 1
+    # an overflowed key or difference is +-inf, which still orders monotonically
+    with np.errstate(over="ignore"):
+        for c in range(0, out.size, _CHUNK):
+            b, g = base[c : c + _CHUNK], out[c : c + _CHUNK]  # g is a view: answers land in out
+            low = np.broadcast_to(lower, out.shape)[c : c + _CHUNK]
+            key = b + t
+            s0, s1 = np.searchsorted(P, (key.min(), key.max()), side=side)
+            g[:] = np.searchsorted(P[s0:s1], key, side=side) + s0
+            np.maximum(g, low, out=g)
+            at = (g > last) | passes(P[np.minimum(g, last)] - b, t)
+            bad = np.flatnonzero(~at | ((g > low) & passes(P[g - 1] - b, t)))
+            if bad.size:
+                g[bad] = _repair(P, b[bad], low[bad], g[bad], at[bad], t, passes)
     return out
+
+
+def _repair(P, b, low, g, at, t, passes):
+    """First crossings for starts whose seed g failed :func:`first_crossing`'s check.
+
+    Where ``P[g] - b`` does not pass (``at`` false) the answer is past g;
+    otherwise ``P[g-1] - b`` passed and it is below g.  Each start keeps a
+    bracket [lo, hi] holding its answer, with hi passing or ``P.size``.
+    """
+    lo = np.where(at, low, g + 1)
+    hi = np.where(at, g - 1, P.size)
+    guess = np.where(at, g - 2, g + 1)
+    open_ = np.flatnonzero(lo < hi)
+    for step in itertools.count():
+        if open_.size == 0:
+            return hi
+        l, h = lo[open_], hi[open_]
+        probe = np.clip(guess[open_], l, h - 1) if step < 3 else (l + h) // 2
+        ok = passes(P[probe] - b[open_], t)
+        hi[open_] = np.where(ok, probe, h)
+        lo[open_] = np.where(ok, l, probe + 1)
+        guess[open_] = probe + np.where(ok, -1, 1)
+        open_ = open_[lo[open_] < hi[open_]]
 
 
 def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> CorrelationReport:
@@ -145,6 +176,7 @@ def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> Correlati
     values[j] - values[i] itself, the same expression a brute-force
     enumerator would use, so the count is aggregated without enumerating
     pairs.  The i are taken ``_CHUNK`` at a time, so no temporary is n long.
+    The lower end needs no pass when lo == 0.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -153,9 +185,15 @@ def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> Correlati
 
     values = seq.values[:n]
     count = -n if interval.contains(0.0) else 0  # j = i has the difference 0.0 and is no pair
+    # values strictly increase and a difference of distinct floats is never 0, so with lo == 0
+    # the first j passing lo is i itself when lo is closed and i + 1 when it is open
+    skip = 0 if interval.lo_closed else 1
     for c in range(0, n, _CHUNK):
         base = values[c : c + _CHUNK]
-        first = first_crossing(values, base, 0, interval.lo, not interval.lo_closed)
+        if interval.lo == 0:
+            first = np.arange(c + skip, c + skip + base.size)
+        else:
+            first = first_crossing(values, base, 0, interval.lo, not interval.lo_closed)
         count += int(np.sum(first_crossing(values, base, first, interval.hi, interval.hi_closed) - first))
     return CorrelationReport(interval, n, count, count / n)
 

@@ -57,9 +57,9 @@ class RealSequence:
         if not np.all(np.isfinite(v)):
             raise ValueError("sequence values must be finite")
         if v.size > 1:
-            diffs = np.diff(v)
-            if not np.all(diffs > 0):
-                pos = int(np.argmax(~(diffs > 0)))
+            increasing = v[1:] > v[:-1]  # no subtraction, so no overflow on a wide span
+            if not increasing.all():
+                pos = int(np.argmax(~increasing))
                 raise ValueError(
                     f"sequence not strictly increasing at position {pos + 2} "
                     f"(value {v[pos + 1]!r} after {v[pos]!r})"
@@ -166,7 +166,16 @@ def gaps_of(seq: RealSequence) -> GapSequence:
     """Consecutive differences of ``seq``; requires at least two points."""
     if seq.n < 2:
         raise ValueError("sequence too short: need at least 2 points to form gaps")
+    _check_span(seq)  # a finite span bounds every gap, so np.diff cannot overflow
     return GapSequence(np.diff(seq.values))
+
+
+def _check_span(seq: RealSequence) -> float:
+    """``last - first`` as a Python float; raises when it overflows to inf."""
+    first, last = float(seq.values[0]), float(seq.values[-1])
+    if last - first == math.inf:
+        raise ValueError(f"values span more than the binary64 range: {last!r} - {first!r} overflows")
+    return last - first
 
 
 def mean_gap(seq: RealSequence) -> float:
@@ -184,12 +193,11 @@ def normalize_mean_gap(seq: RealSequence) -> RealSequence:
     """
     if seq.n < 2:
         raise ValueError("sequence too short: cannot normalize fewer than 2 points")
-    shifted = seq.values - seq.values[0]
-    span = float(shifted[-1])
+    span = _check_span(seq)  # before the shift, which it keeps finite
     if span <= 0:
         raise ValueError("degenerate sequence: zero span")
     scale = (seq.n - 1) / span
-    return RealSequence(shifted * scale, metadata=dict(seq.metadata))
+    return RealSequence((seq.values - seq.values[0]) * scale, metadata=dict(seq.metadata))
 
 
 def sequence_from_gaps(gaps, start: float = 0.0) -> RealSequence:

@@ -50,6 +50,27 @@ def brute_pair_count(values, interval, n) -> int:
     return int(np.count_nonzero(mask))
 
 
+def scan_first_crossing(P, base, lower, t, strict) -> list[int]:
+    """``first_crossing`` by a scalar two-pointer scan over Python floats.
+
+    The passing ends of a start form a suffix of ``P``, so its answer is the
+    larger of ``lower`` and the suffix's first index.  That index only moves
+    right while ``base`` does not decrease; the pointer restarts at 0 when it
+    does.
+    """
+    p = P.tolist()
+    out = []
+    e, prev = 0, -math.inf
+    for b, low in zip(base.tolist(), np.broadcast_to(lower, len(base)).tolist()):
+        if b < prev:
+            e = 0
+        while e < len(p) and not (p[e] - b > t if strict else p[e] - b >= t):
+            e += 1
+        out.append(max(e, low))
+        prev = b
+    return out
+
+
 def brute_multi_gap_count(gaps, interval, n, m_min) -> int:
     """Per-start direct summation over every window with m >= m_min."""
     g = np.asarray(gaps, dtype=float)[:n]

@@ -3,10 +3,11 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
@@ -650,6 +651,8 @@ def cli_argv(draw):
 
 
 @given(cli_argv())
+@example(argv=["partition", "--input", ("file", "overflow")])  # its one gap overflows to inf
+@example(argv=["analyze", "--input", ("file", "overflow"), "--interval", "-1,1"])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("PPC_LAB_THREADS", "1")  # the lemma sweep stays in this process
@@ -658,9 +661,35 @@ def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path, monkeypatch, c
         if not path.exists():
             path.write_bytes(content)
     resolved = [str(tmp_path / token[1]) if isinstance(token, tuple) else token for token in argv]
-    try:
-        code = main(resolved)
-    except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
-        code = exc.code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(resolved)
+        except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
+            code = exc.code
     capsys.readouterr()
     assert code in (0, 1, 2), resolved
+    assert [str(w.message) for w in caught] == [], resolved
+
+
+def test_a_file_wider_than_the_float_range_names_the_overflow_and_warns_nowhere(tmp_path, capsys):
+    path = tmp_path / "overflow.txt"
+    path.write_bytes(FUZZ_FILES["overflow"])  # -1.7e308 and 1.7e308: the one gap overflows to inf
+    runs = {
+        ("ingest", "-o", str(tmp_path / "out.txt")): 0,
+        ("analyze", "--interval=0,1"): 0,
+        ("ingest", "-o", str(tmp_path / "normalized.txt"), "--normalize"): 2,
+        ("partition",): 2,
+        ("audit", "--epsilon", "1e-9", "--n", "2"): 2,
+        ("analyze", "--cdf-grid", "0:1:0.5"): 2,
+    }
+    for (command, *rest), expected in runs.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, "--input", str(path), *rest)
+        assert (code, [str(w.message) for w in caught]) == (expected, []), command
+        assert "Warning" not in err, command
+        if command == "analyze" and expected == 0:
+            assert json.loads(out.splitlines()[0])["pair_count"] == 0
+        if expected == 2:
+            assert "values span more than the binary64 range" in err, command

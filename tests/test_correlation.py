@@ -1,5 +1,7 @@
 """Counting statistics against brute-force enumeration and exact identities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from oracles import (
     brute_pair_count,
     brute_ppc_block,
     brute_ppc_cross,
+    scan_first_crossing,
 )
 
 
@@ -181,6 +184,76 @@ def test_multi_gap_count_makes_no_pass_for_a_lower_end_every_sum_passes(monkeypa
     calls.clear()
     pl.multi_gap_count(g, pl.Interval.open(0.0, 0.25), 200, 1)
     assert len(calls) == 2
+
+
+def test_pair_correlation_makes_no_pass_for_the_lower_end_at_lo_zero(monkeypatch):
+    monkeypatch.setattr(correlation, "_CHUNK", 64)
+    calls = []
+    real = correlation.first_crossing
+    monkeypatch.setattr(correlation, "first_crossing", lambda *args: calls.append(1) or real(*args))
+    values = np.cumsum(np.random.default_rng(3).integers(1, 5, 200) / 8)
+    seq = pl.RealSequence(values)
+    chunks = 4  # ceil(200 / 64)
+    for interval, passes in (
+        (pl.Interval.closed(0.0, 0.5), 1),
+        (pl.Interval.open(0.0, 0.5), 1),
+        (pl.Interval(-0.0, 0.375, True, True), 1),
+        (pl.Interval.open(0.0, 0.0), 1),
+        (pl.Interval.half_open(0.125, 0.5), 2),
+        (pl.Interval.closed(-0.5, 0.5), 2),
+    ):
+        calls.clear()
+        assert pl.pair_correlation(seq, interval, 200).pair_count == brute_pair_count(values, interval, 200)
+        assert len(calls) == passes * chunks, interval
+
+
+# fl(b + t) is P[1] itself, but P[1] - b rounds below t: a ">= t" seed lands one index early
+SEED_EARLY = (8.277025938204417, 1.2275974091074837, 9.5046233473119)
+# P[1] is one ulp below fl(b + t), yet P[1] - b == t exactly: a ">= t" seed lands one index late
+SEED_LATE = (0.9299199266222835, 2.889545150219205, 3.8194650768414884)
+
+
+def crossing_cases():
+    """(name, P, base, lower, t) inputs for first_crossing: Poisson, dyadic, zero-run and seed-miss."""
+    rng = np.random.default_rng(11)
+    poisson = np.cumsum(rng.exponential(1.0, 300))
+    dyadic = np.cumsum(rng.integers(1, 5, 200) / 8)
+    zero_run = np.concatenate(([0.0], np.cumsum(np.repeat([0.125, 0.0, 0.25, 0.0, 0.125], [20, 40, 10, 60, 20]))))
+    for name, P, ts in (
+        ("poisson", poisson, [-1.0, 0.0, 0.3, 1.0, 2.5, float(poisson[40] - poisson[37])]),
+        ("dyadic", dyadic, [-0.25, 0.0, 0.125, 0.5, 1.375]),
+        ("zero-run", zero_run, [0.0, 0.125, 0.25, 2.0]),
+    ):
+        for t in ts:
+            yield name, P, P[:-1], 0, t
+            yield name, P, P[:-1], np.arange(1, P.size), t
+    for name, (b, t, x) in (("seed-early", SEED_EARLY), ("seed-late", SEED_LATE)):
+        P = np.array([b - 1.0, b, x, math.nextafter(x, math.inf), x + 1.0])
+        yield name, P, np.repeat(P, 20), 0, t
+        yield name, P, np.full(9, b), np.arange(9) % 5, t
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_first_crossing_matches_the_scalar_scan_at_any_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(correlation, "_CHUNK", chunk)
+    for name, P, base, lower, t in crossing_cases():
+        for strict in (False, True):
+            got = pl.first_crossing(P, base, lower, t, strict).tolist()
+            assert got == scan_first_crossing(P, base, lower, t, strict), (name, t, strict)
+
+
+@pytest.mark.parametrize("case, seed_offset", [(SEED_EARLY, -1), (SEED_LATE, 1)])
+def test_a_seed_that_rounding_puts_one_index_off_is_repaired(monkeypatch, case, seed_offset):
+    b, t, x = case
+    P = np.array([b, x, math.nextafter(x, math.inf), x + 1.0])
+    base = np.array([b])
+    answer = scan_first_crossing(P, base, 0, t, False)
+    assert int(np.searchsorted(P, b + t)) - answer[0] == seed_offset
+    repaired = []
+    real = correlation._repair
+    monkeypatch.setattr(correlation, "_repair", lambda *args: repaired.append(1) or real(*args))
+    assert pl.first_crossing(P, base, 0, t, False).tolist() == answer
+    assert repaired == [1]
 
 
 def test_ppc_block_examples():
