@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -34,6 +33,7 @@ from .sequences import (
 )
 from .verifier import (
     AuditConfig,
+    _final_inequality_negative,
     audit,
     final_inequality,
     lemma512_exhaustive,
@@ -79,21 +79,6 @@ def _manifest(command: str, parameters: dict, seed=None, input_hash=None) -> dic
         "input_hash": input_hash,
         "tool_version": __version__,
     }
-
-
-def _worker_count(l_max: int) -> int:
-    """Lemma sweep workers: os.cpu_count(), or PPC_LAB_THREADS capped at the CPUs and at l_max."""
-    cpus = os.cpu_count() or 1
-    raw = os.environ.get("PPC_LAB_THREADS")
-    if not raw:
-        return cpus
-    try:
-        count = int(raw)
-        if count < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError("PPC_LAB_THREADS must be a positive integer") from None
-    return min(count, cpus, l_max)
 
 
 def _parse_interval(text: str, lo_closed: bool, hi_closed: bool) -> Interval:
@@ -289,8 +274,7 @@ def _partition_documents(table, left, right, check: bool) -> str:
 
 
 def cmd_verify_lemma512(args) -> int:
-    workers = _worker_count(args.lmax)
-    result = lemma512_exhaustive(args.lmax, workers=workers)
+    result = lemma512_exhaustive(args.lmax, workers=1)
     expected = math.comb(args.lmax + 3, 4)
     doc = {
         "lmax": args.lmax,
@@ -299,7 +283,7 @@ def cmd_verify_lemma512(args) -> int:
         "counterexamples": [list(c) for c in result.counterexamples],
     }
     failed = bool(result.counterexamples) or result.checked != expected
-    doc["manifest"] = _manifest("verify lemma512", {"lmax": args.lmax, "workers": workers})
+    doc["manifest"] = _manifest("verify lemma512", {"lmax": args.lmax, "workers": 1})
     print(_dumps(doc))
     return 1 if failed else 0
 
@@ -308,7 +292,7 @@ def cmd_verify_final_ineq(args) -> int:
     value = final_inequality(args.epsilon)
     verdict = (
         "inequality fails; contradiction stands"
-        if value < 0
+        if _final_inequality_negative(args.epsilon)
         else "inequality holds; no contradiction at this epsilon"
     )
     doc = {

@@ -105,14 +105,18 @@ class GreedyPartition:
 
 
 def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
-    """The maximal runs with gaps <= threshold, read off the edges of the run mask."""
+    """The maximal runs with gaps <= threshold, read off the edges of the run mask.
+
+    The mask is padded with False at both ends, so its changes alternate:
+    a run starts after each even-numbered change and ends at each odd one.
+    Both ends are contiguous copies, so the array of changes is not kept.
+    """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     if n < 0 or n > g.length:
         raise ValueError(f"n={n} out of range 0..{g.length}")
-    inside = (g.gaps[:n] <= threshold).astype(np.int8)
-    edges = np.diff(inside, prepend=0, append=0)
-    return BlockSet(np.flatnonzero(edges == 1) + 1, np.flatnonzero(edges == -1), threshold, n)
+    edges = np.flatnonzero(np.diff(g.gaps[:n] <= threshold, prepend=False, append=False))
+    return BlockSet(edges[0::2] + 1, np.ascontiguousarray(edges[1::2]), threshold, n)
 
 
 def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:

@@ -5,7 +5,11 @@ finite-N audit of the whole chain.
 The quadratic bound is proved for all reals by :func:`lemma512_certificate`,
 and the bias bound follows from it (see :func:`bias_check`).
 The integer sweep is exact too: integer tuples are compared via
-12*LHS >= 5L^2 + 2L - 7 in int64, with no floating point anywhere.
+12*LHS >= 5L^2 + 2L - 7 in int64, with no floating point anywhere.  For
+fixed (a, L) the sum splits into a convex part in b plus one in c, so the
+sweep decides each (a, L) at one tuple, in O(l_max^2) time on one core.
+The closing inequality's verdict is decided in rational arithmetic; only
+its printed value is a float.
 """
 
 from __future__ import annotations
@@ -94,82 +98,74 @@ class ExhaustiveResult(NamedTuple):
     counterexamples: list
 
 
-LEMMA512_MAX_L = 2000  # the serial sweep to here takes about 90 s on one core of a 2-core x86 VM
-_PAIR_CHUNK = 1 << 16  # (a, b) pairs per sweep pass: bounded temporaries at every l
+LEMMA512_MAX_L = 10**4  # about 5 s on one core of a 2-core x86 VM; sweep time grows as l_max^2
 
 
-def _convex_in_c() -> bool:
-    """True when 12*LHS has second difference exactly 24 in c, for every tuple.
+def _separable_in_b_and_c() -> bool:
+    """True when 12*LHS is u(b) + v(c) for fixed (a, l), each with second difference 24.
 
-    Checks 12*(LHS(c+2) - 2*LHS(c+1) + LHS(c)) == 24 in exact integer
-    arithmetic at the 81 points of {0, 1, 2}^4.  Each of the seven terms is
-    a product of two affine forms, so LHS, and with it this second
-    difference minus 24, has degree <= 2 in each variable; such a
-    polynomial that vanishes on {0, 1, 2}^4 is zero, as in
-    :func:`lemma512_certificate`.  So True proves the premise the sweep
-    rests on: in c the c^2 coefficient is 1 + 1 - 1 = 1.
+    Checks, exactly at the 81 points of {0, 1, 2}^4, that the mixed
+    difference of 12*LHS in b and c is 0 and that its second differences in
+    b and in c are 24.  Each of the seven terms is a product of two affine
+    forms, so each difference minus its target has degree <= 2 in each
+    variable; such a polynomial that vanishes on {0, 1, 2}^4 is zero, as in
+    :func:`lemma512_certificate`.  So True proves the sweep's premises.
     """
+    t = _seven_terms
     return all(
-        12 * (_seven_terms(a, b, c + 2, l) - 2 * _seven_terms(a, b, c + 1, l) + _seven_terms(a, b, c, l))
-        == 24
+        12 * (t(a, b + 1, c + 1, l) - t(a, b + 1, c, l) - t(a, b, c + 1, l) + t(a, b, c, l)) == 0
+        and 12 * (t(a, b + 2, c, l) - 2 * t(a, b + 1, c, l) + t(a, b, c, l)) == 24
+        and 12 * (t(a, b, c + 2, l) - 2 * t(a, b, c + 1, l) + t(a, b, c, l)) == 24
         for a, b, c, l in itertools.product(range(3), repeat=4)
     )
 
 
-def _violator_runs(a, b, c, l, rhs12):
-    """Every (a, b, c', l) with 12*LHS < rhs12, given violating minima c per (a, b).
-
-    By convexity in c the violators of each (a, b) form one run of
-    consecutive c' in [b, l] around its minimum, so each run is walked
-    outward until 12*LHS >= rhs12 or the end of [b, l].
-    """
-    lo, hi = c.copy(), c.copy()
-    live = np.arange(a.size)
-    while live.size:
-        live = live[lo[live] > b[live]]
-        live = live[12 * _seven_terms(a[live], b[live], lo[live] - 1, l) < rhs12]
-        lo[live] -= 1
-    live = np.arange(a.size)
-    while live.size:
-        live = live[hi[live] < l]
-        live = live[12 * _seven_terms(a[live], b[live], hi[live] + 1, l) < rhs12]
-        hi[live] += 1
-    runs = hi - lo + 1
-    cs = np.arange(int(runs.sum())) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
-    return zip(np.repeat(a, runs).tolist(), np.repeat(b, runs).tolist(), cs.tolist(), itertools.repeat(l))
+def _first_minimizer(start, d0, second, l):
+    """Smallest integer minimizer on [start, l] of a convex h with differences d0 + second*k."""
+    return start + np.clip((second - 1 - d0) // second, 0, l - start)
 
 
 def _scan_l_values(l_values) -> ExhaustiveResult:
-    """Check every tuple 1 <= a <= b <= c <= l for each l, in O(l^3) time per l.
+    """Check every tuple 1 <= a <= b <= c <= l for each l, in O(l) time per l.
 
-    For fixed (a, b, l), f(c) = 12*LHS - (5l^2 + 2l - 7) has forward
-    differences d0 + 24k with d0 = f(b+1) - f(b) (:func:`_convex_in_c`), so
-    its minimum on the integers of [b, l] is at
-    c = b + clip((23 - d0) // 24, 0, l - b).  If f >= 0 there, all l - b + 1
-    values of c pass; otherwise :func:`_violator_runs` lists the failing c.
-    The (a, b) pairs go through in int64 chunks of whole rows of a, at most
-    max(_PAIR_CHUNK, l) pairs each.
+    For fixed (a, l), f(b, c) = 12*LHS - (5l^2 + 2l - 7) is u(b) + v(c) with
+    u and v convex of second difference 24 (:func:`_separable_in_b_and_c`).
+    Let b0 and c0 be the smallest integer minimizers of u and v on [a, l].
+    If b0 <= c0, the pair is admissible and minimizes f on all of [a, l]^2.
+    Otherwise the minimum lies on b = c.  Take an admissible b < c; then
+    b < b0 or c > c0, as b >= b0 > c0 >= c contradicts b < c.  If b < b0, u
+    does not increase from b to b + 1 <= min(b0, c); if c > c0, v does not
+    increase from c to c - 1 >= max(c0, b).  Each move keeps the tuple
+    admissible, never increases f and shortens c - b by one, so a point on
+    b = c is no worse.  There f(x, x) is convex with second difference 48.
+
+    All a = 1..l go through as one int64 array; ``checked`` adds w(w+1)/2
+    per a, w = l - a + 1.  Only an a whose minimum is negative is walked
+    row by row, b = a..l, testing every c in [b, l] directly, so every
+    counterexample is listed and memory stays O(l).
     """
-    if not _convex_in_c():
-        raise RuntimeError("the seven-term sum does not have second difference 2 in c; the sweep needs it")
+    if not _separable_in_b_and_c():
+        raise RuntimeError("the seven-term sum is not u(b) + v(c) of second difference 2; the sweep needs it")
     checked = 0
     counterexamples = []
     for l in l_values:
         rhs12 = 5 * l * l + 2 * l - 7
-        rows = max(1, _PAIR_CHUNK // l)
-        for a0 in range(1, l + 1, rows):
-            first_a = np.arange(a0, min(a0 + rows, l + 1), dtype=np.int64)
-            width = l - first_a + 1  # b runs over [a, l]
-            a = np.repeat(first_a, width)
-            b = a + np.arange(a.size) - np.repeat(np.cumsum(width) - width, width)
-            f_b = 12 * _seven_terms(a, b, b, l) - rhs12
-            d0 = 12 * _seven_terms(a, b, b + 1, l) - rhs12 - f_b
-            k = np.clip((23 - d0) // 24, 0, l - b)
-            c = b + k
-            bad = np.flatnonzero(f_b + k * d0 + 12 * k * (k - 1) < 0)  # f(c), exactly
-            checked += int(np.sum(l - b + 1))
-            if bad.size:
-                counterexamples.extend(_violator_runs(a[bad], b[bad], c[bad], l, rhs12))
+        a = np.arange(1, l + 1, dtype=np.int64)
+        f_aa = 12 * _seven_terms(a, a, a, l)
+        d_b = 12 * _seven_terms(a, a + 1, a, l) - f_aa
+        d_c = 12 * _seven_terms(a, a, a + 1, l) - f_aa
+        b0 = _first_minimizer(a, d_b, 24, l)
+        c0 = _first_minimizer(a, d_c, 24, l)
+        x0 = _first_minimizer(a, d_b + d_c, 48, l)
+        split = b0 <= c0
+        low = 12 * _seven_terms(a, np.where(split, b0, x0), np.where(split, c0, x0), l)
+        w = l - a + 1
+        checked += int(np.sum(w * (w + 1) // 2))
+        for a_row in (np.flatnonzero(low < rhs12) + 1).tolist():
+            for b in range(a_row, l + 1):
+                c = np.arange(b, l + 1, dtype=np.int64)
+                bad = c[12 * _seven_terms(a_row, b, c, l) < rhs12]
+                counterexamples.extend((a_row, b, ci, l) for ci in bad.tolist())
     return ExhaustiveResult(checked, counterexamples)
 
 
@@ -177,13 +173,13 @@ def lemma512_exhaustive(l_max: int, workers: int = 1) -> ExhaustiveResult:
     """Check every integer tuple 1 <= a <= b <= c <= L <= l_max exactly.
 
     The comparison is 12*LHS < 5L^2 + 2L - 7 in int64, so no division
-    occurs; 12*LHS <= 12L(L-1), far inside int64.  Convexity in c lets
-    each (a, b, L) be decided at one c, so the sweep takes O(l_max^3) time
-    (about 90 s on one core at ``LEMMA512_MAX_L``) while still
-    counting every tuple and listing every counterexample; memory is
-    bounded by the chunk, not by l_max.  The L-range is striped across
-    workers and results merged; the outcome is independent of the worker
-    count.
+    occurs; 12*LHS <= 12L(L-1), far inside int64.  For fixed (a, L), 12*LHS
+    splits into a convex part in b plus one in c, so each (a, L) is decided
+    at one tuple and the sweep takes O(l_max^2) time (about 5 s on one core
+    at ``LEMMA512_MAX_L``) and O(l_max) memory, while still counting every
+    tuple and listing every counterexample.  With ``workers`` > 1 the
+    L-range is striped across a process pool and results merged; the
+    outcome is independent of the worker count.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -191,8 +187,8 @@ def lemma512_exhaustive(l_max: int, workers: int = 1) -> ExhaustiveResult:
         raise ValueError("workers must be >= 1")
     if l_max > LEMMA512_MAX_L:
         raise ValueError(
-            f"l_max must be <= {LEMMA512_MAX_L}: sweep time grows as l_max^3, "
-            f"about 90 s on one core at l_max = {LEMMA512_MAX_L}"
+            f"l_max must be <= {LEMMA512_MAX_L}: sweep time grows as l_max^2, "
+            f"about 5 s on one core at l_max = {LEMMA512_MAX_L}"
         )
     stripes = [list(range(1 + r, l_max + 1, workers)) for r in range(workers)]
     stripes = [s for s in stripes if s]
@@ -251,6 +247,23 @@ def final_inequality(epsilon: float) -> float:
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return (10.0 * math.sqrt(2.0) / 3.0) * epsilon**0.25 + (5.0 / 3.0) * math.sqrt(epsilon) - 1.0 / 24.0
+
+
+def _final_inequality_negative(epsilon: float) -> bool:
+    """Whether :func:`final_inequality` is negative at ``epsilon``, decided exactly.
+
+    With v = sqrt(eps), f < 0 iff (5/3)v - 1/24 < -(10 sqrt(2)/3) eps^(1/4) < 0.
+    So eps < 1/1600, and squaring twice (both sides negative, then positive)
+    gives ((25/9)eps + 1/576)^2 > (805/36)^2 eps, in rationals on the
+    binary64's exact value.  The float can read >= 0 just below the sign
+    change at eps* = 6.028047299031073...e-9; this cannot.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if math.isinf(epsilon):
+        return False  # f grows without bound
+    e = Fraction(epsilon)
+    return e < Fraction(1, 1600) and (Fraction(25, 9) * e + Fraction(1, 576)) ** 2 > Fraction(805, 36) ** 2 * e
 
 
 @dataclass(frozen=True)
@@ -372,7 +385,7 @@ def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
             partition_mass >= partition_mass_rhs,
         ),
         AuditStep("bias", bias_lhs, bias_rhs, ">=", bias_lhs >= bias_rhs),
-        AuditStep("final_inequality", final_value, 0.0, ">=", final_value >= 0.0),
+        AuditStep("final_inequality", final_value, 0.0, ">=", not _final_inequality_negative(eps)),
     )
     return AuditReport(
         epsilon=eps,

@@ -283,6 +283,38 @@ def test_verify_lemma512(capsys):
     assert doc["counterexamples"] == []
 
 
+def test_verify_lemma512_runs_in_this_process(monkeypatch, capsys):
+    from ppclab import verifier
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run(capsys, "verify", "lemma512", "--lmax", "30")
+    assert code == 0
+    assert '"workers":1' in out
+    assert json.loads(out)["manifest"]["parameters"] == {"lmax": 30, "workers": 1}
+
+
+def test_verify_final_ineq_is_exact_at_the_sign_change(capsys):
+    for eps, verdict in (
+        ("6.028047299031073e-09", "inequality fails; contradiction stands"),
+        ("6.028047299031074e-09", "inequality holds; no contradiction at this epsilon"),
+        ("6.028047299031072e-09", "inequality fails; contradiction stands"),  # its float value is > 0
+    ):
+        code, out, _ = run(capsys, "verify", "final-ineq", "--epsilon", eps)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == verdict, eps
+        assert doc["value"] == pl.final_inequality(float(eps))
+
+
+def test_verify_final_ineq_rejects_an_infinite_epsilon(capsys):
+    code, out, err = run(capsys, "verify", "final-ineq", "--epsilon", "inf")
+    assert (code, out) == (2, "")
+    assert err == "error: inf has no JSON form: values must be finite\n"
+
+
 def test_verify_final_ineq_both_signs(capsys):
     code, out, _ = run(capsys, "verify", "final-ineq", "--epsilon", "1e-9")
     assert code == 0
@@ -401,28 +433,6 @@ def test_analyze_cdf_grid_matches_gap_cdf_at_every_point(tmp_path, capsys):
         assert f == format(pl.gap_cdf(g, float(x), 7), ".17g"), x  # analyze reads --n 7 as 7 gaps
 
 
-def test_worker_count_is_clamped_without_starting_processes(monkeypatch):
-    from ppclab import cli
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("PPC_LAB_THREADS", raising=False)
-    assert cli._worker_count(2) == 4  # unset: the CPU count, as before
-    for raw, l_max, expected in (("3", 100, 3), ("1000000", 100, 4), ("1000000", 2, 2)):
-        monkeypatch.setenv("PPC_LAB_THREADS", raw)
-        assert cli._worker_count(l_max) == expected
-    for raw in ("abc", "1.5", "0", "-3"):
-        monkeypatch.setenv("PPC_LAB_THREADS", raw)
-        with pytest.raises(ValueError, match="^PPC_LAB_THREADS must be a positive integer$"):
-            cli._worker_count(100)
-
-
-def test_verify_lemma512_rejects_a_non_integer_thread_count(monkeypatch, capsys):
-    monkeypatch.setenv("PPC_LAB_THREADS", "many")
-    code, out, err = run(capsys, "verify", "lemma512", "--lmax", "5")
-    assert (code, out) == (2, "")
-    assert err == "error: PPC_LAB_THREADS must be a positive integer\n"
-
-
 def test_verify_lemma512_rejects_the_retired_fuzz_flags(capsys):
     for extra in (["--real-samples", "10"], ["--seed", "5"]):
         with pytest.raises(SystemExit) as exc:
@@ -467,11 +477,10 @@ def test_verify_lemma512_rejects_an_lmax_above_the_bound_before_any_work(monkeyp
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(verifier, "_scan_l_values", no_sweep)
-    monkeypatch.delenv("PPC_LAB_THREADS", raising=False)
     for lmax in (verifier.LEMMA512_MAX_L + 1, 20000):
         code, out, err = run(capsys, "verify", "lemma512", "--lmax", str(lmax))
         assert (code, out) == (2, "")
-        assert err.startswith("error: l_max must be <= 2000: sweep time grows as l_max^3")
+        assert err.startswith("error: l_max must be <= 10000: sweep time grows as l_max^2")
 
 
 def test_analyze_rejects_an_unbounded_cdf_grid_before_printing(tmp_path, capsys):
@@ -654,8 +663,7 @@ def cli_argv(draw):
 @example(argv=["partition", "--input", ("file", "overflow")])  # its one gap overflows to inf
 @example(argv=["analyze", "--input", ("file", "overflow"), "--interval", "-1,1"])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.setenv("PPC_LAB_THREADS", "1")  # the lemma sweep stays in this process
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path, capsys, argv):
     for name, content in FUZZ_FILES.items():
         path = tmp_path / name
         if not path.exists():

@@ -28,6 +28,38 @@ def test_maximal_blocks_empty_and_full():
     assert [(b.left, b.right) for b in pl.maximal_blocks(g2, 3, 0.5).blocks] == [(1, 3)]
 
 
+def blocks_by_index(gaps, threshold):
+    """Maximal runs of gaps <= threshold, one index at a time (1-based, inclusive)."""
+    runs = []
+    for i, gap in enumerate(gaps, start=1):
+        if gap > threshold:
+            continue
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return [tuple(r) for r in runs]
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [
+        [0.1] * 7,
+        [0.9] * 7,
+        [0.1, 0.9] * 4,
+        [0.9, 0.1] * 4 + [0.9],
+        [0.5, 0.9, 0.5, 0.5, 0.9, 0.9, 0.5],  # gaps equal to the threshold are inside
+        [0.9, 0.5, 0.5000000000000001, 0.5, 0.5],
+    ],
+)
+def test_maximal_blocks_match_a_per_index_oracle(gaps):
+    g = pl.GapSequence(gaps)
+    for n in range(len(gaps) + 1):  # n = 0 included: no gap, no block
+        bs = pl.maximal_blocks(g, n, 0.5)
+        assert list(zip(bs.left.tolist(), bs.right.tolist())) == blocks_by_index(gaps[:n], 0.5)
+        assert bs.left.dtype == bs.right.dtype == np.intp
+
+
 def test_maximal_blocks_count_identity():
     rng = np.random.default_rng(9)
     for _ in range(300):

@@ -244,6 +244,61 @@ def test_final_inequality_monotone_and_limit():
         pl.final_inequality(0.0)
 
 
+EPS_STAR_BELOW = 6.028047299031073e-09  # the largest binary64 epsilon at which the closing inequality fails
+
+
+def test_final_inequality_sign_is_exact_at_the_sign_change():
+    below = math.nextafter(EPS_STAR_BELOW, 0.0)
+    above = math.nextafter(EPS_STAR_BELOW, 1.0)
+    assert above == 6.028047299031074e-09
+    assert verifier._final_inequality_negative(below)
+    assert pl.final_inequality(below) > 0  # rounding: the float value misreads the sign here
+    assert verifier._final_inequality_negative(EPS_STAR_BELOW)
+    assert not verifier._final_inequality_negative(above)
+    assert not verifier._final_inequality_negative(math.inf)
+    with pytest.raises(ValueError):
+        verifier._final_inequality_negative(0.0)
+
+
+def isqrt_sign(eps):
+    """The sign of the closing inequality from integer roots at scale S = 2^200, or None if too close.
+
+    72 S f = 240 (4 eps)^(1/4) S + 120 sqrt(eps) S - 3 S, and floor roots
+    bound each root term within 1, so 72 S f lies in [low, low + 360).
+    """
+    e = Fraction(eps)
+    p, q, scale = e.numerator, e.denominator, 1 << 200
+    fourth = math.isqrt(math.isqrt(4 * p * scale**4 // q))  # floor((4 eps)^(1/4) S)
+    root = math.isqrt(p * scale**2 // q)  # floor(sqrt(eps) S)
+    low = 240 * fourth + 120 * root - 3 * scale
+    if low + 360 <= 0:
+        return -1
+    return 1 if low >= 0 else None
+
+
+def test_final_inequality_sign_matches_an_integer_root_evaluation():
+    near = [EPS_STAR_BELOW]
+    for _ in range(60):
+        near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 1.0)]
+    rng = np.random.default_rng(11)
+    drawn = (10.0 ** rng.uniform(-20, 0, 3000)).tolist()
+    for eps in near + drawn:
+        sign = isqrt_sign(eps)
+        assert sign is not None, eps
+        assert verifier._final_inequality_negative(eps) == (sign < 0), eps
+    assert sum(verifier._final_inequality_negative(eps) for eps in near) == 61
+
+
+def test_audit_final_step_reads_the_exact_sign():
+    seq = pl.RealSequence(np.arange(100, dtype=float))
+    below = math.nextafter(EPS_STAR_BELOW, 0.0)
+    report = pl.audit(seq, pl.AuditConfig(epsilon=below, n=99))
+    assert report.final_ineq_value > 0
+    assert not report.flags["final_inequality"]
+    report = pl.audit(seq, pl.AuditConfig(epsilon=math.nextafter(EPS_STAR_BELOW, 1.0), n=99))
+    assert report.flags["final_inequality"]
+
+
 def test_audit_config_validation():
     with pytest.raises(ValueError):
         pl.AuditConfig(epsilon=0.0, n=10)
@@ -353,7 +408,7 @@ def test_squares_vanish_on_the_critical_line():
 
 
 def test_convex_sweep_matches_the_brute_oracle():
-    assert verifier._convex_in_c() is True
+    assert verifier._separable_in_b_and_c() is True
     assert tuple(pl.lemma512_exhaustive(40)) == lemma512_brute(40) == (math.comb(43, 4), [])
 
 
@@ -382,19 +437,29 @@ def test_convex_sweep_with_the_minimum_moved_to_an_end(monkeypatch, slope):
     assert any(c == end(b, l) for _, b, c, l in result.counterexamples)
 
 
-def test_convex_sweep_is_independent_of_the_chunk_size(monkeypatch):
+def test_convex_sweep_finds_a_negative_minimum_on_the_diagonal(monkeypatch):
+    # 80(c - b) outweighs every first difference of the sum at l <= 40, so u falls and v rises
+    # on all of [a, l]: b0 = l > a = c0 whenever a < l, and the minimum lies on b = c
     seven_terms = verifier._seven_terms
-    monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) - 40)
-    expected = lemma512_brute(30)
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(verifier, "_PAIR_CHUNK", chunk)
-        assert tuple(pl.lemma512_exhaustive(30)) == expected
+    monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) + 80 * (c - b) - 40)
+    result = pl.lemma512_exhaustive(40)
+    assert tuple(result) == lemma512_brute(40)
+    assert result.counterexamples and all(b == c for _, b, c, _ in result.counterexamples)
+    assert any(a < l for a, _, _, l in result.counterexamples)
+
+
+def test_convex_sweep_refuses_a_polynomial_with_a_bc_term(monkeypatch):
+    seven_terms = verifier._seven_terms
+    monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) + b * c)
+    assert verifier._separable_in_b_and_c() is False
+    with pytest.raises(RuntimeError, match="second difference"):
+        pl.lemma512_exhaustive(5)
 
 
 def test_convex_sweep_refuses_a_polynomial_that_is_not_quadratic_in_c(monkeypatch):
     seven_terms = verifier._seven_terms
     monkeypatch.setattr(verifier, "_seven_terms", lambda a, b, c, l: seven_terms(a, b, c, l) + c**3)
-    assert verifier._convex_in_c() is False
+    assert verifier._separable_in_b_and_c() is False
     with pytest.raises(RuntimeError, match="second difference"):
         pl.lemma512_exhaustive(5)
 
@@ -405,5 +470,5 @@ def test_exhaustive_bound_rejects_before_any_work(monkeypatch):
 
     monkeypatch.setattr(verifier, "_scan_l_values", no_sweep)
     for workers in (1, 2):
-        with pytest.raises(ValueError, match=r"l_max must be <= 2000: sweep time grows as l_max\^3"):
+        with pytest.raises(ValueError, match=r"l_max must be <= 10000: sweep time grows as l_max\^2"):
             pl.lemma512_exhaustive(verifier.LEMMA512_MAX_L + 1, workers=workers)
