@@ -127,7 +127,6 @@ def cmd_generate(args) -> int:
         seed=args.seed,
         cap=args.cap,
         alpha=args.alpha,
-        cutoff=args.cutoff,
     )
     seq = generate(cfg)
     params = {
@@ -135,7 +134,6 @@ def cmd_generate(args) -> int:
         "n": args.n,
         "cap": args.cap,
         "alpha": args.alpha,
-        "cutoff": args.cutoff,
         "output": str(args.output),
     }
     manifest = _manifest("generate", params, seed=args.seed)
@@ -306,20 +304,12 @@ def cmd_verify_final_ineq(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = AuditConfig(epsilon=args.epsilon, n=args.n, budget=args.budget)
+    cfg = AuditConfig(epsilon=args.epsilon, n=args.n)
     seq = ingest_and_unfold(args.input, "raw")
     report = audit(seq, cfg)
     doc = report.to_dict()
-    doc["manifest"] = _manifest(
-        "audit",
-        {
-            "input": str(args.input),
-            "epsilon": args.epsilon,
-            "n": args.n,
-            "budget": args.budget,
-        },
-        input_hash=seq.metadata["input_sha256"],
-    )
+    params = {"input": str(args.input), "epsilon": args.epsilon, "n": args.n}
+    doc["manifest"] = _manifest("audit", params, input_hash=seq.metadata["input_sha256"])
     print(_dumps(doc))
     return 0
 
@@ -360,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=float, default=None, help="gap cap for the capped kind")
     p.add_argument("--alpha", type=float, default=math.sqrt(2.0), help="quadratic form coefficient")
-    p.add_argument("--cutoff", type=float, default=None, help="quadratic form enumeration cutoff")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -408,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--epsilon", required=True, type=float)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--budget", type=float, default=0.5)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("ingest", help="read, validate, optionally unfold, and rewrite a sequence file")

@@ -9,7 +9,6 @@ evaluates the same window with the same float.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -122,8 +121,8 @@ def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
     * Repair: a failed check says on which side of g the answer lies.  Only
       those starts (e.g. a key that rounding put at the wrong end of a long
       run of equal prefix values) keep a bracket [lo, hi] holding their
-      answer; a few probes walk on from the seed and any start still open
-      is bisected, so none costs more than O(log P.size) probes.
+      answer, and each bracket is bisected, so none costs more than
+      O(log P.size) probes.
     """
     passes = np.greater if strict else np.greater_equal
     side = "right" if strict else "left"
@@ -150,22 +149,20 @@ def _repair(P, b, low, g, at, t, passes):
 
     Where ``P[g] - b`` does not pass (``at`` false) the answer is past g;
     otherwise ``P[g-1] - b`` passed and it is below g.  Each start keeps a
-    bracket [lo, hi] holding its answer, with hi passing or ``P.size``.
+    bracket [lo, hi] holding its answer, with hi passing or ``P.size``, and
+    is bisected until lo == hi.
     """
     lo = np.where(at, low, g + 1)
     hi = np.where(at, g - 1, P.size)
-    guess = np.where(at, g - 2, g + 1)
     open_ = np.flatnonzero(lo < hi)
-    for step in itertools.count():
-        if open_.size == 0:
-            return hi
+    while open_.size:
         l, h = lo[open_], hi[open_]
-        probe = np.clip(guess[open_], l, h - 1) if step < 3 else (l + h) // 2
+        probe = (l + h) // 2
         ok = passes(P[probe] - b[open_], t)
         hi[open_] = np.where(ok, probe, h)
         lo[open_] = np.where(ok, l, probe + 1)
-        guess[open_] = probe + np.where(ok, -1, 1)
         open_ = open_[lo[open_] < hi[open_]]
+    return hi
 
 
 def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> CorrelationReport:

@@ -6,7 +6,6 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +26,10 @@ GENERATOR_MAX_POINTS = 10**8
 # Ingest parses a file this many bytes at a time (rounded up to a line end),
 # so the line objects of one chunk are alive at once, never the whole file's.
 _INGEST_CHUNK = 1 << 20
+
+# write_sequence formats and writes this many values per write, so the text
+# of one chunk is alive at once, never the whole file's.
+_WRITE_CHUNK = 1 << 15
 
 
 class SequenceFormatError(ValueError):
@@ -128,9 +131,8 @@ class GeneratorConfig:
 
     ``cap`` is required for the capped kind (units of mean gap) and must be at
     least ``CAPPED_MIN_CAP``.  ``alpha`` is the quadratic-form coefficient in
-    x^2 + alpha*y^2.  ``cutoff`` optionally fixes the enumeration cutoff for
-    the quadratic form; by default it grows until at least ``n_points``
-    values are available.
+    x^2 + alpha*y^2; the enumeration cutoff is chosen by
+    :func:`quadratic_form_values` and recorded in ``metadata["cutoff"]``.
     """
 
     kind: str
@@ -138,7 +140,6 @@ class GeneratorConfig:
     seed: int = 0
     cap: float | None = None
     alpha: float = math.sqrt(2.0)
-    cutoff: float | None = None
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -158,8 +159,6 @@ class GeneratorConfig:
         if self.kind == "quadratic_form":
             if not self.alpha > 0:
                 raise ValueError("quadratic_form generator requires alpha > 0")
-            if self.cutoff is not None and not self.cutoff > 0:
-                raise ValueError("cutoff must be positive when given")
 
 
 def gaps_of(seq: RealSequence) -> GapSequence:
@@ -206,24 +205,23 @@ def sequence_from_gaps(gaps, start: float = 0.0) -> RealSequence:
     return RealSequence(start + np.concatenate(([0.0], np.cumsum(g))))
 
 
-def quadratic_form_values(n_points: int, alpha: float = math.sqrt(2.0),
-                          cutoff: float | None = None) -> tuple[np.ndarray, float]:
+def quadratic_form_values(n_points: int, alpha: float = math.sqrt(2.0)) -> tuple[np.ndarray, float]:
     """Smallest ``n_points`` values of {x^2 + alpha*y^2 : x, y >= 1 integers}.
 
     Returns the sorted raw values (duplicates kept, no normalization) and the
-    enumeration cutoff actually used.  With an explicit ``cutoff`` that yields
-    fewer than ``n_points`` values, raises instead of guessing.  Raises before
-    allocating when the ``mx x my`` enumeration grid would exceed
-    16 * n_points + 2^20 cells: a moderate alpha needs at most about
-    3 * n_points, and the floor keeps small requests with an extreme alpha or
-    a generous cutoff working.
+    enumeration cutoff actually used.  The cutoff starts from the density
+    heuristic and doubles until it admits ``n_points`` values; the values
+    returned do not depend on it.  Raises before allocating when the
+    ``mx x my`` enumeration grid would exceed 16 * n_points + 2^20 cells: a
+    moderate alpha needs at most about 3 * n_points, and the floor keeps
+    small requests with an extreme alpha working.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     # Density heuristic: #{(x,y): x^2+alpha*y^2 <= C} ~ (pi/4) C / sqrt(alpha).
-    c = cutoff if cutoff is not None else max(1.0 + alpha, 4.0 * math.sqrt(alpha) * n_points / math.pi) * 1.25
+    c = max(1.0 + alpha, 4.0 * math.sqrt(alpha) * n_points / math.pi) * 1.25
     grid_limit = 16 * n_points + (1 << 20)
     while True:
         fx = math.sqrt(max(c - alpha, 0.0))
@@ -231,7 +229,7 @@ def quadratic_form_values(n_points: int, alpha: float = math.sqrt(2.0),
         if not fx * fy <= grid_limit:  # also rejects the nan and inf of an overflowed cutoff
             raise ValueError(
                 f"quadratic_form enumeration needs about {fx * fy:.3g} grid cells, more than the "
-                f"{grid_limit} allowed for {n_points} points: alpha={alpha!r} or cutoff={c!r} "
+                f"{grid_limit} allowed for {n_points} points at cutoff {c!r}: alpha={alpha!r} "
                 "is too extreme"
             )
         mx, my = math.floor(fx), math.floor(fy)
@@ -243,11 +241,6 @@ def quadratic_form_values(n_points: int, alpha: float = math.sqrt(2.0),
             if vals.size >= n_points:
                 vals.sort(kind="stable")
                 return vals[:n_points], c
-        if cutoff is not None:
-            raise ValueError(
-                f"cutoff {cutoff} yields only {0 if mx < 1 or my < 1 else vals.size} "
-                f"values, need {n_points}"
-            )
         c *= 2.0
 
 
@@ -291,7 +284,7 @@ def generate(cfg: GeneratorConfig) -> RealSequence:
         return normalize_mean_gap(seq)
 
     # quadratic_form; deterministic, seed unused
-    vals, used_cutoff = quadratic_form_values(n, cfg.alpha, cfg.cutoff)
+    vals, used_cutoff = quadratic_form_values(n, cfg.alpha)
     perturbed = 0
     for i in range(1, vals.size):
         if vals[i] <= vals[i - 1]:
@@ -408,11 +401,10 @@ def write_sequence(path, seq: RealSequence, comment: str | None = None) -> None:
     """Write ``seq`` in the text format read by :func:`ingest_and_unfold`.
 
     Values are printed with 17 significant digits, so a read-back round-trips
-    bit-exactly.
+    bit-exactly.  Each line of ``comment`` becomes a ``# `` header line.
     """
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.extend(format(v, ".17g") for v in seq.values.tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write("".join(f"# {part}\n" for part in comment.splitlines()))
+        for start in range(0, seq.n, _WRITE_CHUNK):
+            fh.write("".join(f"{v:.17g}\n" for v in seq.values[start : start + _WRITE_CHUNK].tolist()))

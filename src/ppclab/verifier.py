@@ -8,8 +8,8 @@ The integer sweep is exact too: integer tuples are compared via
 12*LHS >= 5L^2 + 2L - 7 in int64, with no floating point anywhere.  For
 fixed (a, L) the sum splits into a convex part in b plus one in c, so the
 sweep decides each (a, L) at one tuple, in O(l_max^2) time on one core.
-The closing inequality's verdict is decided in rational arithmetic; only
-its printed value is a float.
+Every audit verdict, the closing inequality's included, is decided in
+integer or rational arithmetic; only the printed values are floats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import IndexInterval, Interval, _pairs_within, gap_cdf, multi_gap_count
+from .correlation import IndexInterval, Interval, _pairs_within, multi_gap_count
 from .partition import maximal_blocks, partition_lengths
 from .sequences import GapSequence, RealSequence, gaps_of
 
@@ -266,23 +266,25 @@ def _final_inequality_negative(epsilon: float) -> bool:
     return e < Fraction(1, 1600) and (Fraction(25, 9) * e + Fraction(1, 576)) ** 2 > Fraction(805, 36) ** 2 * e
 
 
+# The audit's block threshold and per-part budget.  Its theoretical sides
+# are derived at 1/2: partition_mass_rhs is 1/2 - 4 sqrt(2) eps^(1/4), and
+# the bias rhs rests on bias_check's per-part bound, which needs part sums
+# <= 1/2 so that the windows at 1/8 and 1/4 cut the parts into four bins.
+AUDIT_BUDGET = 0.5
+
+
 @dataclass(frozen=True)
 class AuditConfig:
-    """Knobs for :func:`audit`: epsilon, the gap-count prefix, and the block budget."""
+    """Knobs for :func:`audit`: epsilon in (0, 1) and the gap-count prefix n >= 2."""
 
     epsilon: float
     n: int
-    budget: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if not self.budget > 0:
-            raise ValueError("budget must be positive")
-        if self.budget > 1.5 + self.epsilon:
-            raise ValueError(f"budget {self.budget} exceeds 3/2 + epsilon = {1.5 + self.epsilon}")
 
 
 class AuditStep(NamedTuple):
@@ -333,63 +335,77 @@ class AuditReport:
         return doc
 
 
+def _at_most_two_root_eps(count: int, n: int, epsilon: float) -> bool:
+    """count/n <= 2 sqrt(eps), decided exactly: both sides are >= 0, so count^2 <= 4 eps n^2."""
+    return count * count <= 4 * Fraction(epsilon) * n * n
+
+
+def _partition_mass_holds(binom: int, n: int, epsilon: float) -> bool:
+    """binom/n >= 1/2 - 4 sqrt(2) eps^(1/4) exactly: r = 1/2 - binom/n <= 0 or r^4 <= 1024 eps."""
+    r = Fraction(1, 2) - Fraction(binom, n)
+    return r <= 0 or r**4 <= 1024 * Fraction(epsilon)
+
+
+def _bias_holds(windows: int, binom: int, parts_len: int) -> bool:
+    """windows/n >= (5/6) binom/n - (5/3) parts_len/n, times 6n: all integers."""
+    return 6 * windows >= 5 * binom - 10 * parts_len
+
+
 def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
     """Evaluate the whole proof chain on the first ``cfg.n`` gaps of ``seq``.
 
-    Measured quantities (per N): the density of gaps <= budget, the density
-    of multi-gap windows landing in (budget, 3/2 + eps), the partition mass
-    sum of C(|J|+1, 2) over greedy parts of all maximal blocks, and the
+    Measured quantities (per N): the density of gaps <= 1/2, the density of
+    multi-gap windows landing in (1/2, 3/2 + eps), the partition mass sum of
+    C(|J|+1, 2) over greedy parts (budget 1/2) of all maximal blocks, and the
     near-zero window counts against their partition-derived lower bound.
-    The report also evaluates the closing epsilon inequality.  Deterministic:
-    equal inputs give bit-identical reports.
+    The report also evaluates the closing epsilon inequality.  Each step's
+    lhs and rhs are floats, but its ``holds`` is decided exactly from the
+    integer counts and the rational value of eps.  Deterministic: equal
+    inputs give bit-identical reports.
     """
     if cfg.n > seq.n:
         raise ValueError(f"cfg.n={cfg.n} exceeds sequence length {seq.n}")
     g = gaps_of(seq)
     n = min(cfg.n, g.length)  # N indexes gaps; a prefix of N points carries N-1 of them
     eps = cfg.epsilon
-    budget = cfg.budget
     gap_bound = 1.5 + eps
 
     max_gap = float(np.max(g.gaps[:n]))
     max_gap_ok = max_gap <= gap_bound
 
-    density_lhs = gap_cdf(g, budget, n)
+    density_count = int(np.count_nonzero(g.gaps[:n] <= AUDIT_BUDGET))
+    density_lhs = density_count / n
     density_rhs = 2.0 * math.sqrt(eps)
 
-    multigap_lhs = multi_gap_count(g, Interval.open(budget, gap_bound), n, 2) / n
+    multigap_count = multi_gap_count(g, Interval.open(AUDIT_BUDGET, gap_bound), n, 2)
+    multigap_lhs = multigap_count / n
     multigap_rhs = 2.0 * math.sqrt(eps)
 
-    blocks = maximal_blocks(g, n, budget)
-    lengths = partition_lengths(g, blocks.left, blocks.right, budget)
+    blocks = maximal_blocks(g, n, AUDIT_BUDGET)
+    lengths = partition_lengths(g, blocks.left, blocks.right, AUDIT_BUDGET)
     parts_binom = int(np.sum(lengths * (lengths + 1) // 2))
     parts_len = int(np.sum(lengths))
     partition_mass = parts_binom / n
     partition_mass_rhs = 0.5 - 4.0 * math.sqrt(2.0) * eps**0.25
 
-    ppc_eighth = multi_gap_count(g, Interval.half_open(0.0, 0.125), n, 1)
-    ppc_quarter = multi_gap_count(g, Interval.half_open(0.0, 0.25), n, 1)
-    bias_lhs = (ppc_eighth + ppc_quarter) / n
+    windows = multi_gap_count(g, Interval.half_open(0.0, 0.125), n, 1)
+    windows += multi_gap_count(g, Interval.half_open(0.0, 0.25), n, 1)
+    bias_lhs = windows / n
     bias_rhs = (5.0 / 6.0) * partition_mass - (5.0 / 3.0) * (parts_len / n)
 
     final_value = final_inequality(eps)
 
     steps = (
-        AuditStep("density", density_lhs, density_rhs, "<=", density_lhs <= density_rhs),
-        AuditStep("multigap", multigap_lhs, multigap_rhs, "<=", multigap_lhs <= multigap_rhs),
-        AuditStep(
-            "partition_mass",
-            partition_mass,
-            partition_mass_rhs,
-            ">=",
-            partition_mass >= partition_mass_rhs,
-        ),
-        AuditStep("bias", bias_lhs, bias_rhs, ">=", bias_lhs >= bias_rhs),
+        AuditStep("density", density_lhs, density_rhs, "<=", _at_most_two_root_eps(density_count, n, eps)),
+        AuditStep("multigap", multigap_lhs, multigap_rhs, "<=", _at_most_two_root_eps(multigap_count, n, eps)),
+        AuditStep("partition_mass", partition_mass, partition_mass_rhs, ">=",
+                  _partition_mass_holds(parts_binom, n, eps)),
+        AuditStep("bias", bias_lhs, bias_rhs, ">=", _bias_holds(windows, parts_binom, parts_len)),
         AuditStep("final_inequality", final_value, 0.0, ">=", not _final_inequality_negative(eps)),
     )
     return AuditReport(
         epsilon=eps,
-        budget=budget,
+        budget=AUDIT_BUDGET,
         n_used=n,
         max_gap=max_gap,
         max_gap_ok=max_gap_ok,

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, JSON schemas, manifests, and replay determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
-from ppclab.cli import main
+from ppclab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -342,16 +343,17 @@ def test_audit_lattice(tmp_path, capsys):
     assert doc["manifest"]["parameters"]["epsilon"] == 1e-9
 
 
-def test_audit_rejects_a_budget_above_the_gap_bound_before_reading_input(tmp_path, capsys):
+def test_the_retired_cutoff_and_audit_budget_flags_are_unrecognized(tmp_path, capsys):
     path = write_lattice(tmp_path, n=50)
-    missing = str(tmp_path / "missing.txt")  # the config is checked first, so this is never opened
-    for source in (path, missing):
-        code, out, err = run(capsys, "audit", "--input", source, "--epsilon", "1e-9", "--n", "49", "--budget", "2")
-        assert (code, out) == (2, "")
-        assert err == "error: budget 2.0 exceeds 3/2 + epsilon = 1.500000001\n"
-    code, out, _ = run(capsys, "audit", "--input", path, "--epsilon", "1e-9", "--n", "49", "--budget", "1.500000001")
-    assert code == 0
-    assert json.loads(out)["multigap_lhs"] == 0.0
+    for argv in (
+        ["generate", "--kind", "quadratic_form", "--n", "10", "--cutoff", "5", "-o", str(tmp_path / "qf.txt")],
+        ["audit", "--input", path, "--epsilon", "1e-9", "--n", "49", "--budget", "0.5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "qf.txt").exists()
 
 
 def test_verify_bias_is_retired(capsys):
@@ -616,37 +618,62 @@ FUZZ_FILES = {
 FUZZ_NUMBERS = ["0", "1", "-1", "0.5", "1.5", "2", "1e-9", "0.01", "1e308", "nan", "inf", "-inf", "x", "", "1_0"]
 
 
+# A value is drawn from in-range, edge, out-of-range, non-finite and non-numeric strings, in-range
+# ones more often; a ("file", name) or ("out", name) pair stands for a path the test fills in.
+_number = st.one_of(st.sampled_from(["1e-9", "0.01", "0.5", "1.5"]), st.sampled_from(FUZZ_NUMBERS))
+_count = st.one_of(st.integers(-2, 60).map(str), st.integers(-2, 10**4).map(str), _number)
+_source = st.one_of(st.sampled_from(["lattice", "equal", "crlf", "cr", "zeta"]),
+                    st.sampled_from([*FUZZ_FILES, "missing", "."])).map(lambda name: ("file", name))
+_target = st.sampled_from(["out.txt", ".", "missing/out.txt"]).map(lambda name: ("out", name))
+FUZZ_COMMANDS = {  # flag -> value strategy, or None for a switch; (required, optional) per subcommand
+    "generate": ({"--kind": st.sampled_from(["poisson", "capped", "quadratic_form", "bogus"]),
+                  "--n": _count, "-o": _target},
+                 {"--seed": st.sampled_from(["0", "7", "-1", str(2**64), "x"]), "--cap": _number,
+                  "--alpha": _number}),
+    "analyze": ({"--input": _source},
+                {"--n": _count, "--interval": st.sampled_from(["0,1", "-1,1", "1,0", "0,nan", "0", "a,b"]),
+                 "--closed": None, "--open": None, "--cdf-out": _target,
+                 "--cdf-grid": st.sampled_from(["0:1:0.25", "1:0:0.5", "0:1:0", "0:inf:1", "0:1e300:1e-300", "a"])}),
+    "partition": ({"--input": _source},
+                  {"--n": _count, "--threshold": _number, "--budget": _number, "--check": None}),
+    "audit": ({"--input": _source, "--epsilon": _number, "--n": _count}, {}),
+    "ingest": ({"--input": _source, "-o": _target},
+               {"--mode": st.sampled_from(["raw", "zeta_unfold", "bogus"]), "--normalize": None}),
+    "verify lemma512": ({"--lmax": st.integers(-2, 30).map(str)}, {}),
+    "verify final-ineq": ({"--epsilon": _number}, {}),
+}
+
+
+def _leaf_parsers(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
+    """Every leaf subcommand's parser, keyed like ``FUZZ_COMMANDS`` ("generate", "verify lemma512")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix.strip(): parser}
+    return {k: v for word, p in subs[0].choices.items() for k, v in _leaf_parsers(p, f"{prefix}{word} ").items()}
+
+
+def test_the_fuzz_table_has_every_subcommand():
+    assert sorted(_leaf_parsers(build_parser())) == sorted(FUZZ_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+def test_the_fuzz_table_names_every_option_of_the_parser(command):
+    required, optional = FUZZ_COMMANDS[command]
+    table = {**required, **optional}
+    parser = _leaf_parsers(build_parser())[command]
+    options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    for action in options:
+        assert set(action.option_strings) & set(table), (command, action.option_strings)
+    known = {flag for action in options for flag in action.option_strings}
+    assert set(table) <= known, (command, set(table) - known)
+
+
 @st.composite
 def cli_argv(draw):
-    """An argv for one subcommand: its required flags (each usually present), then random flags.
-
-    A value is drawn from in-range, edge, out-of-range, non-finite and non-numeric strings, in-range
-    ones more often; a ("file", name) or ("out", name) pair stands for a path the test fills in.
-    """
-    number = st.one_of(st.sampled_from(["1e-9", "0.01", "0.5", "1.5"]), st.sampled_from(FUZZ_NUMBERS))
-    count = st.one_of(st.integers(-2, 60).map(str), st.integers(-2, 10**4).map(str), number)
-    source = st.one_of(st.sampled_from(["lattice", "equal", "crlf", "cr", "zeta"]),
-                       st.sampled_from([*FUZZ_FILES, "missing", "."])).map(lambda name: ("file", name))
-    target = st.sampled_from(["out.txt", ".", "missing/out.txt"]).map(lambda name: ("out", name))
-    commands = {  # flag -> value strategy, or None for a switch; required flags first
-        "generate": ({"--kind": st.sampled_from(["poisson", "capped", "quadratic_form", "bogus"]),
-                      "--n": count, "-o": target},
-                     {"--seed": st.sampled_from(["0", "7", "-1", str(2**64), "x"]), "--cap": number,
-                      "--alpha": number, "--cutoff": number}),
-        "analyze": ({"--input": source},
-                    {"--n": count, "--interval": st.sampled_from(["0,1", "-1,1", "1,0", "0,nan", "0", "a,b"]),
-                     "--closed": None, "--open": None, "--cdf-out": target,
-                     "--cdf-grid": st.sampled_from(["0:1:0.25", "1:0:0.5", "0:1:0", "0:inf:1", "0:1e300:1e-300", "a"])}),
-        "partition": ({"--input": source},
-                      {"--n": count, "--threshold": number, "--budget": number, "--check": None}),
-        "audit": ({"--input": source, "--epsilon": number, "--n": count}, {"--budget": number}),
-        "ingest": ({"--input": source, "-o": target},
-                   {"--mode": st.sampled_from(["raw", "zeta_unfold", "bogus"]), "--normalize": None}),
-        "verify lemma512": ({"--lmax": st.integers(-2, 30).map(str)}, {}),
-        "verify final-ineq": ({"--epsilon": number}, {}),
-    }
-    command = draw(st.sampled_from(sorted(commands)))
-    required, optional = commands[command]
+    """An argv for one subcommand of ``FUZZ_COMMANDS``: its required flags (each usually present),
+    then random flags."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
     flags = [flag for flag in required if draw(st.integers(0, 9))]
     flags += draw(st.lists(st.sampled_from([*optional]), max_size=3)) if optional else []
     flags += ["--bogus"] * (draw(st.integers(0, 9)) == 0)

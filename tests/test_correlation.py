@@ -256,6 +256,23 @@ def test_a_seed_that_rounding_puts_one_index_off_is_repaired(monkeypatch, case, 
     assert repaired == [1]
 
 
+@pytest.mark.parametrize("before, after", [(1, 1), (1, 40), (40, 1), (37, 91), (300, 5)])
+def test_repair_bisects_to_an_answer_anywhere_inside_a_wide_bracket(monkeypatch, before, after):
+    """The seed lands past the whole array; the answer is where the one-ulp step starts."""
+    ulp = 2.0**-52
+    P = np.array([0.0] + [1.0] * before + [1.0 + ulp] * after)
+    t = 0.75 * ulp  # fl(1 + t) is 1 + ulp, but 1 - 1 does not pass t and (1 + ulp) - 1 does
+    base = np.ones(5)
+    lower = np.array([0, 1, before, before + 1, P.size - 1])
+    repaired = []
+    real = correlation._repair
+    monkeypatch.setattr(correlation, "_repair", lambda *args: repaired.append(1) or real(*args))
+    got = pl.first_crossing(P, base, lower, t, True).tolist()
+    assert got == scan_first_crossing(P, base, lower, t, True)
+    assert got[:4] == [before + 1] * 4
+    assert repaired == [1]
+
+
 def test_ppc_block_examples():
     g = pl.GapSequence([0.1, 0.1])
     assert pl.ppc_block(g, pl.IndexInterval(1, 2), 0.15) == 2

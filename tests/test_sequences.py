@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
+from ppclab import sequences
 from ppclab.sequences import GENERATOR_MAX_POINTS
 
 positive_gap_lists = st.lists(
@@ -165,11 +166,6 @@ def test_generate_quadratic_form_perturbs_rational_ties():
     assert np.all(np.diff(seq.values) > 0)
 
 
-def test_generate_quadratic_form_explicit_cutoff_too_small():
-    with pytest.raises(ValueError, match="cutoff"):
-        pl.quadratic_form_values(100, cutoff=5.0)
-
-
 def test_poisson_law_of_large_numbers():
     for seed in (1, 2, 3, 4, 5):
         seq = pl.generate(pl.GeneratorConfig("poisson", 100_000, seed=seed))
@@ -231,6 +227,19 @@ def test_write_then_ingest_round_trips_exactly(tmp_path):
     pl.write_sequence(path, seq, comment="round trip")
     back = pl.ingest_and_unfold(path, "raw")
     assert np.array_equal(back.values, seq.values)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10**6])
+@pytest.mark.parametrize("comment", [None, "two\nlines"])
+def test_write_sequence_in_chunks_matches_a_one_shot_join(tmp_path, monkeypatch, chunk, comment):
+    monkeypatch.setattr(sequences, "_WRITE_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    seq = pl.RealSequence(np.cumsum(rng.exponential(1.0, 100)))
+    path = tmp_path / "seq.txt"
+    pl.write_sequence(path, seq, comment=comment)
+    header = "" if comment is None else "# two\n# lines\n"
+    expected = header + "\n".join(format(v, ".17g") for v in seq.values.tolist()) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_generator_config_bounds_the_point_count():

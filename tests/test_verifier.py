@@ -304,14 +304,55 @@ def test_audit_config_validation():
         pl.AuditConfig(epsilon=0.0, n=10)
     with pytest.raises(ValueError):
         pl.AuditConfig(epsilon=1e-9, n=1)
-    with pytest.raises(ValueError):
-        pl.AuditConfig(epsilon=1e-9, n=10, budget=0.0)
 
 
-def test_audit_config_rejects_a_budget_above_three_halves_plus_epsilon():
-    with pytest.raises(ValueError, match=r"^budget 1.6 exceeds 3/2 \+ epsilon = 1.500000001$"):
-        pl.AuditConfig(epsilon=1e-9, n=10, budget=1.6)
-    pl.AuditConfig(epsilon=1e-9, n=10, budget=1.5 + 1e-9)  # the open multigap interval is then empty
+def test_density_verdict_is_exact_at_its_boundary():
+    # count/n = 2 sqrt(eps) exactly at count 1, n 4, eps 1/64
+    assert verifier._at_most_two_root_eps(1, 4, 1 / 64)
+    assert not verifier._at_most_two_root_eps(2, 4, 1 / 64)
+    assert not verifier._at_most_two_root_eps(1, 4, math.nextafter(1 / 64, 0.0))
+    assert verifier._at_most_two_root_eps(0, 4, 1e-300)
+    # the binary64 nearest 1/36 lies below it, so 1/3 > 2 sqrt(eps) exactly; the floats read equal
+    eps = 1 / 36
+    assert Fraction(eps) < Fraction(1, 36)
+    assert 1 / 3 <= 2.0 * math.sqrt(eps)
+    assert not verifier._at_most_two_root_eps(1, 3, eps)
+
+
+def test_partition_mass_verdict_is_exact_at_its_boundary():
+    # binom/n = 1/4 gives r = 1/4, and r^4 = 1024 eps exactly at eps = 2^-18
+    eps = 2.0**-18
+    assert verifier._partition_mass_holds(1, 4, eps)
+    assert not verifier._partition_mass_holds(1, 4, math.nextafter(eps, 0.0))
+    assert verifier._partition_mass_holds(2, 4, 1e-300)  # r = 0 holds at any epsilon
+    assert verifier._partition_mass_holds(3, 4, 1e-300)
+    # one ulp below 2^-18 the float rhs still rounds to 1/4, so the float test reads holds
+    below = math.nextafter(eps, 0.0)
+    assert 1 / 4 >= 0.5 - 4.0 * math.sqrt(2.0) * below**0.25
+
+
+def test_bias_verdict_is_exact_at_its_boundary():
+    # 6 * 5 = 5 * 18 - 10 * 6: equality holds, one window fewer does not
+    assert verifier._bias_holds(5, 18, 6)
+    assert not verifier._bias_holds(4, 18, 6)
+    assert verifier._bias_holds(0, 2, 1)  # 0 >= 5*2 - 10
+    # the floats at n = 7 put the rhs above the lhs
+    assert 5 / 7 < (5.0 / 6.0) * (18 / 7) - (5.0 / 3.0) * (6 / 7)
+
+
+def test_audit_steps_read_the_exact_verdicts():
+    # 4 gaps: one of 1/4 (a one-gap block, one part) and three of 1; one two-gap window, 1.25,
+    # lands in (1/2, 3/2 + eps).  So density = multigap = 1/4 and partition_mass = 1/4.
+    seq = pl.sequence_from_gaps([0.25, 1.0, 1.0, 1.0])
+    at = pl.audit(seq, pl.AuditConfig(epsilon=1 / 64, n=4))
+    assert (at.density_lhs, at.multigap_lhs, at.density_rhs) == (0.25, 0.25, 0.25)
+    assert at.flags["density"] and at.flags["multigap"]
+    below = pl.audit(seq, pl.AuditConfig(epsilon=math.nextafter(1 / 64, 0.0), n=4)).flags
+    assert not below["density"] and not below["multigap"]
+    assert pl.audit(seq, pl.AuditConfig(epsilon=2.0**-18, n=4)).flags["partition_mass"]
+    report = pl.audit(seq, pl.AuditConfig(epsilon=math.nextafter(2.0**-18, 0.0), n=4))
+    assert report.partition_mass >= report.partition_mass_rhs  # the float verdict
+    assert not report.flags["partition_mass"]
 
 
 def test_audit_unit_lattice_is_all_zero():
