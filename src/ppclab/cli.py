@@ -272,7 +272,7 @@ def _partition_documents(table, left, right, check: bool) -> str:
 
 
 def cmd_verify_lemma512(args) -> int:
-    result = lemma512_exhaustive(args.lmax, workers=1)
+    result = lemma512_exhaustive(args.lmax)
     expected = math.comb(args.lmax + 3, 4)
     doc = {
         "lmax": args.lmax,
@@ -281,6 +281,7 @@ def cmd_verify_lemma512(args) -> int:
         "counterexamples": [list(c) for c in result.counterexamples],
     }
     failed = bool(result.counterexamples) or result.checked != expected
+    # "workers" stays a constant 1: bench/test_bench.py edits it to show the digest skips the manifest
     doc["manifest"] = _manifest("verify lemma512", {"lmax": args.lmax, "workers": 1})
     print(_dumps(doc))
     return 1 if failed else 0

@@ -89,9 +89,6 @@ class IndexInterval:
     def length(self) -> int:
         return self.right - self.left + 1
 
-    def indices(self) -> range:
-        return range(self.left, self.right + 1)
-
 
 @dataclass(frozen=True)
 class CorrelationReport:

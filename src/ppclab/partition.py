@@ -23,7 +23,7 @@ from .sequences import GapSequence
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
-    """The maximal runs of indices whose gaps are all <= threshold.
+    """The maximal runs of indices whose gaps are all <= the threshold of :func:`maximal_blocks`.
 
     A run is maximal: the gap immediately before and after each block (when
     inside 1..n) exceeds the threshold.  Block k spans ``left[k]..right[k]``
@@ -32,8 +32,6 @@ class BlockSet:
 
     left: np.ndarray
     right: np.ndarray
-    threshold: float
-    n: int
 
     @cached_property
     def blocks(self) -> tuple[IndexInterval, ...]:
@@ -116,7 +114,7 @@ def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
     if n < 0 or n > g.length:
         raise ValueError(f"n={n} out of range 0..{g.length}")
     edges = np.flatnonzero(np.diff(g.gaps[:n] <= threshold, prepend=False, append=False))
-    return BlockSet(edges[0::2] + 1, np.ascontiguousarray(edges[1::2]), threshold, n)
+    return BlockSet(edges[0::2] + 1, np.ascontiguousarray(edges[1::2]))
 
 
 def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:

@@ -181,7 +181,7 @@ def mean_gap(seq: RealSequence) -> float:
     """Average consecutive gap, (last - first)/(N - 1)."""
     if seq.n < 2:
         raise ValueError("sequence too short: mean gap needs at least 2 points")
-    return float((seq.values[-1] - seq.values[0]) / (seq.n - 1))
+    return _check_span(seq) / (seq.n - 1)
 
 
 def normalize_mean_gap(seq: RealSequence) -> RealSequence:
@@ -196,6 +196,8 @@ def normalize_mean_gap(seq: RealSequence) -> RealSequence:
     if span <= 0:
         raise ValueError("degenerate sequence: zero span")
     scale = (seq.n - 1) / span
+    if scale == math.inf:
+        raise ValueError(f"span {span!r} is too small to rescale to mean gap 1: {seq.n - 1}/span overflows")
     return RealSequence((seq.values - seq.values[0]) * scale, metadata=dict(seq.metadata))
 
 
@@ -304,7 +306,8 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     ``infinity`` (then rejected as non-finite) and non-ASCII digits parse,
     ``1 2`` does not.  ``zeta_unfold`` maps each value t to t*ln(t)/(2*pi), the
     rescaling under which a sequence counted by ~ T*log(T)/(2*pi) acquires
-    asymptotic mean gap 1; it requires every value > 1.
+    asymptotic mean gap 1; it requires every value > 1 and names the first t
+    whose t*ln(t) overflows.
 
     The file is read once; ``metadata["input_sha256"]`` is the SHA-256 of
     those bytes.  They are parsed by :func:`_parse_fast` and, where that
@@ -321,7 +324,14 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
         arr = _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), mode)
     del data  # RealSequence's checks and copy below hold more n-length arrays at once
     if mode == "zeta_unfold":
-        arr = arr * np.log(arr) / TWO_PI
+        with np.errstate(over="ignore"):
+            unfolded = arr * np.log(arr)
+        overflow = np.isinf(unfolded)
+        if overflow.any():
+            t = float(arr[overflow.argmax()])
+            raise ValueError(f"zeta_unfold overflows: t*ln(t) exceeds the binary64 range at t = {t!r}")
+        unfolded /= TWO_PI  # in place, and the same bytes as arr * np.log(arr) / TWO_PI
+        arr = unfolded
     return RealSequence(arr, metadata={"input_sha256": digest})
 
 

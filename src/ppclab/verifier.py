@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import IndexInterval, Interval, _pairs_within, multi_gap_count
-from .partition import maximal_blocks, partition_lengths
+from .partition import BoundCheck, maximal_blocks, partition_lengths
 from .sequences import GapSequence, RealSequence, gaps_of
 
 
@@ -177,38 +176,24 @@ def lemma512_exhaustive(l_max: int, workers: int = 1) -> ExhaustiveResult:
     splits into a convex part in b plus one in c, so each (a, L) is decided
     at one tuple and the sweep takes O(l_max^2) time (about 5 s on one core
     at ``LEMMA512_MAX_L``) and O(l_max) memory, while still counting every
-    tuple and listing every counterexample.  With ``workers`` > 1 the
-    L-range is striped across a process pool and results merged; the
-    outcome is independent of the worker count.
+    tuple and listing every counterexample.  The sweep runs in the calling
+    process; ``workers`` must be 1.
     """
+    # workers is kept only because bench/replay.py calls fn(l_max, workers=workers)
+    if workers != 1:
+        raise ValueError(f"workers must be 1: the sweep runs in one process, got {workers!r}")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if l_max > LEMMA512_MAX_L:
         raise ValueError(
             f"l_max must be <= {LEMMA512_MAX_L}: sweep time grows as l_max^2, "
             f"about 5 s on one core at l_max = {LEMMA512_MAX_L}"
         )
-    stripes = [list(range(1 + r, l_max + 1, workers)) for r in range(workers)]
-    stripes = [s for s in stripes if s]
-    if len(stripes) == 1:
-        result = _scan_l_values(stripes[0])
-        return ExhaustiveResult(result.checked, sorted(result.counterexamples))
-    with ProcessPoolExecutor(max_workers=len(stripes)) as pool:
-        results = list(pool.map(_scan_l_values, stripes))
-    checked = sum(r.checked for r in results)
-    counterexamples = sorted(x for r in results for x in r.counterexamples)
-    return ExhaustiveResult(checked, counterexamples)
+    result = _scan_l_values(range(1, l_max + 1))
+    return ExhaustiveResult(result.checked, sorted(result.counterexamples))
 
 
-class BiasCheck(NamedTuple):
-    lhs: int
-    rhs: float
-    ok: bool
-
-
-def bias_check(g: GapSequence) -> BiasCheck:
+def bias_check(g: GapSequence) -> BoundCheck:
     """Check the small-window bias bound on one block with total gap <= 1/2.
 
     lhs counts every window (all lengths m >= 1) with sum <= 1/4, plus every
@@ -234,7 +219,7 @@ def bias_check(g: GapSequence) -> BiasCheck:
     whole = IndexInterval(1, length)
     lhs = sum(_pairs_within(g.prefix, whole, whole, t, True) for t in (0.125, 0.25))
     rhs = (5.0 / 6.0) * (length * (length + 1) / 2.0) - (5.0 / 6.0) * length
-    return BiasCheck(lhs, rhs, lhs >= rhs)
+    return BoundCheck(lhs, rhs, lhs >= rhs)
 
 
 def final_inequality(epsilon: float) -> float:

@@ -4,7 +4,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,15 +288,20 @@ def test_verify_lemma512(capsys):
     assert doc["counterexamples"] == []
 
 
-def test_verify_lemma512_runs_in_this_process(monkeypatch, capsys):
-    from ppclab import verifier
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool started")
-
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
-    code, out, _ = run(capsys, "verify", "lemma512", "--lmax", "30")
-    assert code == 0
+def test_verify_lemma512_runs_in_this_process():
+    script = (
+        "import sys\n"
+        "from ppclab.cli import main\n"
+        "code = main(['verify', 'lemma512', '--lmax', '30'])\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(pl.__file__).resolve().parents[1])  # a fresh interpreter, so no test import counts
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out, loaded = proc.stdout.splitlines()
+    assert loaded == "[]"
     assert '"workers":1' in out
     assert json.loads(out)["manifest"]["parameters"] == {"lmax": 30, "workers": 1}
 
@@ -614,6 +623,8 @@ FUZZ_FILES = {
     "binary": b"\x00\xff\xfe\n",
     "bom": "\ufeff1\n2\n".encode(),
     "overflow": b"-1.7e308\n1.7e308\n",
+    "subnormal": b"0\n1e-310\n2e-310\n",  # a span too small for --normalize to rescale
+    "zeta_overflow": b"1e308\n1.7976931348623157e308\n",  # t*ln(t) overflows
 }
 FUZZ_NUMBERS = ["0", "1", "-1", "0.5", "1.5", "2", "1e-9", "0.01", "1e308", "nan", "inf", "-inf", "x", "", "1_0"]
 
@@ -689,6 +700,8 @@ def cli_argv(draw):
 @given(cli_argv())
 @example(argv=["partition", "--input", ("file", "overflow")])  # its one gap overflows to inf
 @example(argv=["analyze", "--input", ("file", "overflow"), "--interval", "-1,1"])
+@example(argv=["ingest", "--input", ("file", "subnormal"), "-o", ("out", "out.txt"), "--normalize"])
+@example(argv=["ingest", "--input", ("file", "zeta_overflow"), "-o", ("out", "out.txt"), "--mode", "zeta_unfold"])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path, capsys, argv):
     for name, content in FUZZ_FILES.items():
@@ -728,3 +741,18 @@ def test_a_file_wider_than_the_float_range_names_the_overflow_and_warns_nowhere(
             assert json.loads(out.splitlines()[0])["pair_count"] == 0
         if expected == 2:
             assert "values span more than the binary64 range" in err, command
+
+
+def test_ingest_edge_files_exit_2_naming_the_cause_and_warn_nowhere(tmp_path, capsys):
+    runs = {
+        ("subnormal", "--normalize"): "error: span 2e-310 is too small to rescale to mean gap 1: 2/span overflows\n",
+        ("zeta_overflow", "--mode", "zeta_unfold"):
+            "error: zeta_unfold overflows: t*ln(t) exceeds the binary64 range at t = 1e+308\n",
+    }
+    for (name, *rest), message in runs.items():
+        path = tmp_path / name
+        path.write_bytes(FUZZ_FILES[name])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "ingest", "--input", str(path), "-o", str(tmp_path / "out.txt"), *rest)
+        assert (code, out, err, [str(w.message) for w in caught]) == (2, "", message, []), name

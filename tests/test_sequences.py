@@ -1,6 +1,8 @@
 """Containers, generators, normalization, and file ingestion."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +90,23 @@ def test_mean_gap_equals_mean_of_gaps():
         lhs = pl.mean_gap(seq)
         rhs = float(np.mean(pl.gaps_of(seq).gaps))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_mean_gap_names_a_span_wider_than_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^values span more than the binary64 range: "
+                                             r"1\.7e\+308 - -1\.7e\+308 overflows$"):
+            pl.mean_gap(pl.RealSequence([-1.7e308, 1.7e308]))
+
+
+def test_normalize_names_a_span_too_small_to_rescale():
+    seq = pl.RealSequence([0.0, 1e-310, 2e-310])  # subnormal span: 2/span overflows, and 0*inf is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^span 2e-310 is too small to rescale to mean gap 1: 2/span overflows$"):
+            pl.normalize_mean_gap(seq)
+    assert pl.normalize_mean_gap(pl.RealSequence([0.0, 2.0**-1000, 2.0**-999])).values.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_normalize_examples():
@@ -218,6 +237,26 @@ def test_ingest_zeta_unfold_rejects_small_values(tmp_path):
     with pytest.raises(pl.SequenceFormatError) as err:
         pl.ingest_and_unfold(path, "zeta_unfold")
     assert err.value.line == 1
+
+
+def test_ingest_zeta_unfold_names_the_first_value_that_overflows(tmp_path):
+    path = tmp_path / "zeros.txt"
+    edge = np.array([14.13, 1e300, 2.5e305])  # 2.5e305 * ln(2.5e305) is just below the binary64 maximum
+    path.write_text("".join(f"{t!r}\n" for t in edge.tolist()))
+    unfolded = pl.ingest_and_unfold(path, "zeta_unfold").values
+    assert unfolded.tobytes() == (edge * np.log(edge) / (2 * np.pi)).tobytes()
+    cases = {  # the last one takes the line-by-line path
+        b"1e308\n1.7976931348623157e308\n": "1e+308",
+        b"14.13\n3e305\n1e308\n": "3e+305",
+        b"# c\n14.13\n\n3e305\n": "3e+305",
+    }
+    for content, first in cases.items():
+        path.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^zeta_unfold overflows: t\*ln\(t\) exceeds the binary64 range "
+                                                 rf"at t = {re.escape(first)}$"):
+                pl.ingest_and_unfold(path, "zeta_unfold")
 
 
 def test_write_then_ingest_round_trips_exactly(tmp_path):
