@@ -211,26 +211,17 @@ def cmd_partition(args) -> int:
     g = gaps_of(seq)
     n = args.n if args.n is not None else g.length
     threshold = args.threshold
-    budget = args.budget if args.budget is not None else threshold
-    params = {
-        "input": str(args.input),
-        "n": n,
-        "threshold": threshold,
-        "budget": budget,
-        "check": bool(args.check),
-    }
+    params = {"input": str(args.input), "n": n, "threshold": threshold, "check": bool(args.check)}
     blocks = maximal_blocks(g, n, threshold)
-    if not budget > 0:
-        raise ValueError("budget must be positive")
     # block gaps no part can hold: a part's sum is canonical, prefix[i] - prefix[i-1] for one gap
-    over = np.flatnonzero((g.gaps[:n] <= threshold) & (np.diff(g.prefix[: n + 1]) > budget))
+    over = np.flatnonzero((g.gaps[:n] <= threshold) & (np.diff(g.prefix[: n + 1]) > threshold))
     if over.size:
-        raise _unpartitionable(int(over[0]) + 1, budget)
+        raise _unpartitionable(int(over[0]) + 1, threshold)
     print(_dumps({"manifest": _manifest("partition", params, input_hash=seq.metadata["input_sha256"])}))
     violation = False
     for first in range(0, blocks.left.size, PARTITION_CHUNK):
         chunk = slice(first, first + PARTITION_CHUNK)
-        table = partition_table(g, blocks.left[chunk], blocks.right[chunk], budget)
+        table = partition_table(g, blocks.left[chunk], blocks.right[chunk], threshold)
         sys.stdout.write(_partition_documents(table, blocks.left[chunk], blocks.right[chunk], args.check))
         violation = violation or not (table.adjacent_ok.all() and table.sandwich_ok.all())
     return 1 if args.check and violation else 0
@@ -378,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="greedy partition of each maximal low-gap block (JSON per block)")
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int, default=None, help="number of gaps to use (default: all)")
-    p.add_argument("--threshold", type=float, default=0.5, help="block membership threshold")
-    p.add_argument("--budget", type=float, default=None, help="per-part sum budget (default: threshold)")
+    p.add_argument("--threshold", type=float, default=0.5, help="block threshold; also caps each part's sum")
     p.add_argument("--check", action="store_true", help="verify cross-pair lower bounds; exit 1 on violation")
     p.set_defaults(func=cmd_partition)
 

@@ -193,8 +193,6 @@ def normalize_mean_gap(seq: RealSequence) -> RealSequence:
     if seq.n < 2:
         raise ValueError("sequence too short: cannot normalize fewer than 2 points")
     span = _check_span(seq)  # before the shift, which it keeps finite
-    if span <= 0:
-        raise ValueError("degenerate sequence: zero span")
     scale = (seq.n - 1) / span
     if scale == math.inf:
         raise ValueError(f"span {span!r} is too small to rescale to mean gap 1: {seq.n - 1}/span overflows")

@@ -181,13 +181,10 @@ def test_partition_no_blocks_is_empty_success(tmp_path, capsys):
 def test_partition_checks_every_block_before_printing(tmp_path, capsys):
     path = tmp_path / "two_blocks.txt"
     path.write_text("0\n0.25\n0.5\n5\n5.25\n6\n")  # blocks [1, 2] and [4, 5]; gap 5 is 0.75
-    code, out, err = run(capsys, "partition", "--input", str(path), "--threshold", "1", "--budget", "0.5")
-    assert (code, out) == (2, "")
-    assert err == "error: unpartitionable singleton: gap at index 5 exceeds budget 0.5\n"
-    for flags in (("--budget", "0"), ("--budget", "nan"), ("--threshold", "inf")):
-        code, out, err = run(capsys, "partition", "--input", str(path), "--threshold", "1", *flags, "--check")
-        assert (code, out) == (2, ""), flags
-        assert err.startswith("error: ") and "Traceback" not in err, flags
+    for threshold, message in (("0", "threshold must be positive"), ("nan", "threshold must be positive"),
+                               ("inf", "inf has no JSON form: values must be finite")):
+        code, out, err = run(capsys, "partition", "--input", str(path), "--threshold", threshold, "--check")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), threshold
 
 
 def test_partition_100_random_capped_sequences_check_passes(tmp_path, capsys):
@@ -210,7 +207,7 @@ def test_partition_check_stream_equals_the_object_api_across_chunks(tmp_path, ca
         code, out, _ = run(capsys, "partition", "--input", str(path), *n_flag, "--threshold", "2", "--check")
         assert code == 0
         n = int(n_flag[1]) if n_flag else g.length
-        params = {"input": str(path), "n": n, "threshold": 2.0, "budget": 2.0, "check": True}
+        params = {"input": str(path), "n": n, "threshold": 2.0, "check": True}
         expected = [cli._dumps({"manifest": cli._manifest("partition", params, input_hash=hashlib.sha256(path.read_bytes()).hexdigest())})]
         blocks = pl.maximal_blocks(g, n, 2.0).blocks
         assert len(blocks) > cli.PARTITION_CHUNK  # at least two tables are written
@@ -247,7 +244,7 @@ def test_partition_check_exits_1_on_a_failed_bound_and_prints_every_block(tmp_pa
     gaps = [g for size in sizes for g in [1.0] + [0.1] * size]
     path = tmp_path / "constant.txt"
     pl.write_sequence(path, pl.sequence_from_gaps(gaps))
-    code, out, _ = run(capsys, "partition", "--input", str(path), "--budget", "0.5", "--check")
+    code, out, _ = run(capsys, "partition", "--input", str(path), "--check")
     assert code == 1
     lines = out.splitlines()[1:]
     parents, gap_of_one = [], 1  # each block follows a gap of 1.0
@@ -288,6 +285,12 @@ def test_verify_lemma512(capsys):
     assert doc["counterexamples"] == []
 
 
+def _subprocess_env() -> dict:
+    """os.environ with the imported ppclab first on PYTHONPATH: a child interpreter runs this code."""
+    src = str(Path(pl.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_verify_lemma512_runs_in_this_process():
     script = (
         "import sys\n"
@@ -296,8 +299,7 @@ def test_verify_lemma512_runs_in_this_process():
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
         "sys.exit(code)\n"
     )
-    src = str(Path(pl.__file__).resolve().parents[1])  # a fresh interpreter, so no test import counts
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _subprocess_env()  # a fresh interpreter, so no test import counts
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out, loaded = proc.stdout.splitlines()
@@ -363,6 +365,15 @@ def test_the_retired_cutoff_and_audit_budget_flags_are_unrecognized(tmp_path, ca
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "qf.txt").exists()
+
+
+def test_partition_rejects_the_retired_budget_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--input", write_lattice(tmp_path, n=50), "--budget", "0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget 0.5" in captured.err
 
 
 def test_verify_bias_is_retired(capsys):
@@ -551,6 +562,8 @@ def test_analyze_checks_all_input_before_printing(tmp_path, capsys):
         (("--interval", "0,1", "--interval", "0,inf"), "interval endpoints must be finite, got '0,inf'"),
         (("--input", str(single), "--interval", "0,1", "--cdf-grid", "0:1:0.5"),
          "--cdf-grid needs at least 2 points to form gaps"),
+        (("--interval", "0,1", "--cdf-grid", "0:1"), "--cdf-grid must be 'lo:hi:step', got '0:1'"),
+        (("--interval", "0,1", "--cdf-grid", "0:1:0"), "--cdf-grid step must be positive"),
     ):
         code, out, err = run(capsys, "analyze", "--input", path, *argv)
         assert (code, out) == (2, ""), argv
@@ -566,7 +579,7 @@ def test_non_finite_floats_never_reach_stdout(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "final-ineq", "--epsilon", "inf")
     assert (code, out) == (2, "")
     assert err == "error: inf has no JSON form: values must be finite\n"
-    code, out, err = run(capsys, "partition", "--input", write_lattice(tmp_path, n=50), "--budget", "inf")
+    code, out, err = run(capsys, "partition", "--input", write_lattice(tmp_path, n=50), "--threshold", "inf")
     assert (code, out) == (2, "")
     assert err == "error: inf has no JSON form: values must be finite\n"
     seq = tmp_path / "capped.txt"
@@ -574,6 +587,28 @@ def test_non_finite_floats_never_reach_stdout(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: inf has no JSON form: values must be finite\n"
     assert not seq.exists()
+
+
+def test_dumps_refuses_a_type_json_cannot_hold():
+    from ppclab.cli import _dumps
+
+    with pytest.raises(TypeError) as exc:
+        _dumps({"x": object()})
+    assert str(exc.value) == "cannot serialize <class 'object'>"
+
+
+def test_a_closed_stdout_pipe_exits_0_with_nothing_on_stderr(tmp_path):
+    path = tmp_path / "poisson.txt"
+    pl.write_sequence(path, pl.generate(pl.GeneratorConfig("poisson", 45_000, seed=11)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ppclab.cli", "partition", "--input", str(path), "--check"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
+    )
+    assert proc.stdout.read(64).startswith(b'{"manifest":')  # the output is over 1 MB, past a pipe's buffer
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_partition_refuses_a_gap_whose_canonical_sum_exceeds_the_budget_before_printing(tmp_path, capsys):
@@ -646,7 +681,7 @@ FUZZ_COMMANDS = {  # flag -> value strategy, or None for a switch; (required, op
                  "--closed": None, "--open": None, "--cdf-out": _target,
                  "--cdf-grid": st.sampled_from(["0:1:0.25", "1:0:0.5", "0:1:0", "0:inf:1", "0:1e300:1e-300", "a"])}),
     "partition": ({"--input": _source},
-                  {"--n": _count, "--threshold": _number, "--budget": _number, "--check": None}),
+                  {"--n": _count, "--threshold": _number, "--check": None}),
     "audit": ({"--input": _source, "--epsilon": _number, "--n": _count}, {}),
     "ingest": ({"--input": _source, "-o": _target},
                {"--mode": st.sampled_from(["raw", "zeta_unfold", "bogus"]), "--normalize": None}),

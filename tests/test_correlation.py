@@ -42,6 +42,28 @@ def test_index_interval_validation():
     assert pl.IndexInterval(2, 5).length == 4
 
 
+THREE_GAPS = pl.GapSequence([0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pl.Interval(math.nan, 1.0), "interval endpoints must not be NaN"),
+    (lambda: pl.Interval(0.0, 1.0).scaled(0.0), "scale factor must be positive"),
+    (lambda: pl.gap_cdf(THREE_GAPS, 0.5, 4), "n=4 exceeds gap count 3"),
+    (lambda: pl.multi_gap_count(THREE_GAPS, pl.Interval(0.0, 1.0), 3, m_min=0), "m_min must be >= 1"),
+    (lambda: pl.multi_gap_count(THREE_GAPS, pl.Interval(0.0, 1.0), 4), "n=4 out of range 0..3"),
+    (lambda: pl.multi_gap_count(THREE_GAPS, pl.Interval(0.0, 1.0), -1), "n=-1 out of range 0..3"),
+    (lambda: pl.ppc_block(THREE_GAPS, pl.IndexInterval(2, 4), 0.5),
+     "block IndexInterval(left=2, right=4) exceeds gap count 3"),
+    (lambda: pl.ppc_cross(THREE_GAPS, pl.IndexInterval(1, 1), pl.IndexInterval(2, 4), 0.5),
+     "block IndexInterval(left=2, right=4) exceeds gap count 3"),
+], ids=["interval_nan", "scaled_0", "gap_cdf_n", "m_min_0", "multi_gap_n_high", "multi_gap_n_low",
+        "ppc_block_past", "ppc_cross_past"])
+def test_bad_arguments_are_refused_by_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_pair_correlation_examples():
     seq = pl.RealSequence([0, 1, 2, 3])
     r = pl.pair_correlation(seq, pl.Interval.closed(0.5, 1.5), 4)

@@ -14,6 +14,39 @@ def flanked_middle_gaps(zero=0.0):
     return pl.GapSequence([2 / 5] + [zero] * 3 + [1 / 3] + [zero] * 3 + [2 / 5])
 
 
+THREE_GAPS = pl.GapSequence([0.1, 0.2, 0.3])
+PARENT = pl.IndexInterval(1, 3)
+ONE, TWO_THREE, THREE = pl.IndexInterval(1, 1), pl.IndexInterval(2, 3), pl.IndexInterval(3, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pl.GreedyPartition(PARENT, (), (), (), 0.5),
+     "parts, selection_rank, and sums must be non-empty and aligned"),
+    (lambda: pl.GreedyPartition(PARENT, (ONE, TWO_THREE), (1,), (0.1, 0.5), 0.5),
+     "parts, selection_rank, and sums must be non-empty and aligned"),
+    (lambda: pl.GreedyPartition(PARENT, (ONE, THREE), (1, 2), (0.1, 0.3), 0.5),
+     "parts do not tile the parent: gap or overlap at 2"),
+    (lambda: pl.GreedyPartition(PARENT, (ONE,), (1,), (0.1,), 0.5), "parts do not cover the parent"),
+    (lambda: pl.GreedyPartition(PARENT, (ONE, TWO_THREE), (1, 1), (0.1, 0.5), 0.5),
+     "selection_rank must be a bijection onto 1..s"),
+    (lambda: pl.greedy_partition(THREE_GAPS, PARENT, 1.0).part_containing(4),
+     "index 4 outside parent IndexInterval(left=1, right=3)"),
+    (lambda: pl.maximal_blocks(THREE_GAPS, 4, 0.5), "n=4 out of range 0..3"),
+    (lambda: pl.greedy_partition(THREE_GAPS, PARENT, 0.0), "budget must be positive"),
+    (lambda: pl.partition_table(THREE_GAPS, [0], [1], 0.5), "blocks must satisfy 1 <= left <= right <= 3"),
+    (lambda: pl.partition_table(THREE_GAPS, [2], [1], 0.5), "blocks must satisfy 1 <= left <= right <= 3"),
+    (lambda: pl.partition_table(THREE_GAPS, [1], [4], 0.5), "blocks must satisfy 1 <= left <= right <= 3"),
+    (lambda: pl.greedy_partition(THREE_GAPS, pl.IndexInterval(1, 4), 0.5),
+     "parent IndexInterval(left=1, right=4) exceeds gap count 3"),
+], ids=["no_parts", "misaligned", "gap_in_tiling", "not_covering", "ranks_not_bijection",
+        "part_containing_outside", "maximal_blocks_n", "budget_0", "table_left_0", "table_left_past_right",
+        "table_right_past", "parent_past"])
+def test_bad_arguments_are_refused_by_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_maximal_blocks_example():
     g = pl.GapSequence([0.6, 0.3, 0.4, 0.7, 0.2])
     bs = pl.maximal_blocks(g, 5, 0.5)

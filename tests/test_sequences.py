@@ -136,6 +136,35 @@ def test_generate_rejects_bad_config():
         pl.GeneratorConfig("nope", 10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pl.RealSequence([0.0, math.inf]), "sequence values must be finite"),
+    (lambda: pl.GapSequence([]), "gap sequence must be a non-empty 1-d array"),
+    (lambda: pl.GapSequence([math.nan]), "gaps must be finite"),
+    (lambda: pl.GapSequence([0.1, 0.2, 0.3]).window_sum(0, 1), "window [0,1] out of range 1..3"),
+    (lambda: pl.GapSequence([0.1, 0.2, 0.3]).window_sum(2, 4), "window [2,4] out of range 1..3"),
+    (lambda: pl.GeneratorConfig("poisson", 10, seed=-1), "seed must fit in 64 unsigned bits"),
+    (lambda: pl.GeneratorConfig("poisson", 10, seed=2**64), "seed must fit in 64 unsigned bits"),
+    (lambda: pl.normalize_mean_gap(pl.RealSequence([1.0])),
+     "sequence too short: cannot normalize fewer than 2 points"),
+    (lambda: pl.quadratic_form_values(0), "n_points must be >= 1"),
+    (lambda: pl.quadratic_form_values(10, 0.0), "alpha must be positive"),
+    (lambda: pl.ingest_and_unfold("missing.txt", "bogus"),  # refused before the file is opened
+     "unknown ingest mode 'bogus'; expected one of ('raw', 'zeta_unfold')"),
+], ids=["real_inf", "gaps_empty", "gaps_nan", "window_low", "window_high", "seed_negative", "seed_2_64",
+        "normalize_one_point", "quadratic_n_0", "quadratic_alpha_0", "ingest_mode"])
+def test_bad_arguments_are_refused_by_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_generate_capped_single_point_is_not_renormalized():
+    seq = pl.generate(pl.GeneratorConfig("capped", 1, seed=7, cap=1.5))
+    assert seq.n == 1 and seq.metadata == {}  # one point has no gap to rescale
+    # the seed-7 draw is below the cap, so it is kept as drawn: the poisson point of the same seed
+    assert seq.values.tolist() == pl.generate(pl.GeneratorConfig("poisson", 1, seed=7)).values.tolist()
+
+
 def test_generate_is_deterministic():
     for cfg in (
         pl.GeneratorConfig("poisson", 500, seed=42),
