@@ -22,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .correlation import Interval, pair_correlation
-from .partition import _unpartitionable, maximal_blocks, partition_table
+from .partition import maximal_blocks, partition_table
 from .sequences import (
     GeneratorConfig,
+    _first_gaps,
     gaps_of,
     generate,
     ingest_and_unfold,
@@ -186,9 +187,9 @@ def cmd_analyze(args) -> int:
         print(_dumps(doc))
     if grid:
         lo, step, end = grid
-        g = gaps_of(seq)
-        m = min(n, g.length)
-        sorted_gaps = np.sort(g.gaps[:m])  # searchsorted "right" counts the gaps <= x
+        m = min(n, seq.n - 1)
+        sorted_gaps = _first_gaps(seq, m)  # no prefix sums: the CDF reads only the gaps
+        sorted_gaps.sort()  # searchsorted "right" counts the gaps <= x
         lines = ["x,F"]
         k = 0
         x = lo
@@ -208,7 +209,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_partition(args) -> int:
     seq = ingest_and_unfold(args.input, "raw")
+    input_hash = seq.metadata["input_sha256"]
     g = gaps_of(seq)
+    del seq  # nothing below reads the values
     n = args.n if args.n is not None else g.length
     threshold = args.threshold
     params = {"input": str(args.input), "n": n, "threshold": threshold, "check": bool(args.check)}
@@ -216,8 +219,9 @@ def cmd_partition(args) -> int:
     # block gaps no part can hold: a part's sum is canonical, prefix[i] - prefix[i-1] for one gap
     over = np.flatnonzero((g.gaps[:n] <= threshold) & (np.diff(g.prefix[: n + 1]) > threshold))
     if over.size:
-        raise _unpartitionable(int(over[0]) + 1, threshold)
-    print(_dumps({"manifest": _manifest("partition", params, input_hash=seq.metadata["input_sha256"])}))
+        index = int(over[0]) + 1
+        raise ValueError(f"unpartitionable singleton: gap at index {index} exceeds --threshold {threshold}")
+    print(_dumps({"manifest": _manifest("partition", params, input_hash=input_hash)}))
     violation = False
     for first in range(0, blocks.left.size, PARTITION_CHUNK):
         chunk = slice(first, first + PARTITION_CHUNK)
@@ -298,10 +302,13 @@ def cmd_verify_final_ineq(args) -> int:
 def cmd_audit(args) -> int:
     cfg = AuditConfig(epsilon=args.epsilon, n=args.n)
     seq = ingest_and_unfold(args.input, "raw")
-    report = audit(seq, cfg)
+    input_hash = seq.metadata["input_sha256"]
+    g = gaps_of(seq)
+    del seq  # the audit reads only the gaps
+    report = audit(g, cfg)
     doc = report.to_dict()
     params = {"input": str(args.input), "epsilon": args.epsilon, "n": args.n}
-    doc["manifest"] = _manifest("audit", params, input_hash=seq.metadata["input_sha256"])
+    doc["manifest"] = _manifest("audit", params, input_hash=input_hash)
     print(_dumps(doc))
     return 0
 

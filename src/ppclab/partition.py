@@ -136,16 +136,18 @@ def _unpartitionable(index: int, budget: float) -> ValueError:
 _POSITION_MASK = (1 << 32) - 1
 
 
-def _greedy_core(g: GapSequence, left, right, budget: float):
-    """``(part_left, part_right, rank, counts)``: the greedy partition of every block ``[left[k], right[k]]``.
+def _greedy_picks(g: GapSequence, left, right, budget: float):
+    """``(multi, firsts, starts, lengths)``: the parts the greedy partition picks in the multi-part blocks.
 
-    Parts are listed block by block, left to right; block k owns ``counts[k]``
-    entries, and ``rank`` is each part's 1-based pick order in its block.  A
-    block whose canonical sum fits the budget is one part, decided for all
-    blocks by one comparison.  The gaps of the other blocks are laid end to
-    end as positions 0..M-1, and each block is split from an explicit stack
-    of fragments.  The first gap that exceeds the budget alone raises the
-    "unpartitionable singleton" error.
+    A block ``[left[k], right[k]]`` whose canonical sum fits the budget is
+    one part, decided for all blocks by one comparison; ``multi`` marks the
+    others.  Their gaps are laid end to end as positions 0..M-1, block by
+    block, and ``firsts`` holds each one's first position.  Each block is
+    split from an explicit stack of fragments.  ``starts`` and ``lengths``
+    give every pick as a first position and a gap count, sorted by start,
+    so they tile the positions.  The first gap that exceeds the budget alone
+    raises the "unpartitionable singleton" error.  ``left`` and ``right``
+    are intp arrays.
 
     *Longest fit of a fragment [a, b].*  ``reach`` is non-decreasing, as IEEE
     subtraction is monotone.  Let s* be the first s with ``reach[s] >= b``,
@@ -156,20 +158,9 @@ def _greedy_core(g: GapSequence, left, right, budget: float):
     wins an equal-length tie.  The range-argmax comes from one sparse table
     of packed keys (Bender & Farach-Colton, "The LCA Problem Revisited",
     2000) with as many levels as the longest block needs: O(log L) per pick.
-
-    *Pick order without a heap.*  Greedy picks the longest fit over all
-    fragments, ties to the smallest start: a heap keyed by (-length, start).
-    A child fragment's longest fit is never longer than the pick that split
-    its parent, whose windows include the child's; a left child cannot tie
-    it either, or that fit (smaller start) would have been the parent's
-    pick.  So keys strictly grow from a pick to every pick below it, and
-    starts differ.  Each pick still to come lies below a fragment in the
-    heap, keyed at least as high as the one popped; the heap therefore pops
-    in sorted order, and the ranks are one lexsort by (block, -length, start).
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
-    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
     if np.any(left < 1) or np.any(left > right) or np.any(right > g.length):
         raise ValueError(f"blocks must satisfy 1 <= left <= right <= {g.length}")
     multi = g.prefix[right] - g.prefix[left - 1] > budget
@@ -217,7 +208,30 @@ def _greedy_core(g: GapSequence, left, right, budget: float):
     del tables, reach_at, start_at, levels, key
 
     starts = np.sort(starts[:picks])  # left to right, block after block; parts tile the positions
-    lengths = np.diff(starts, append=ends.size)
+    return multi, firsts, starts, np.diff(starts, append=ends.size)
+
+
+def _greedy_core(g: GapSequence, left, right, budget: float):
+    """``(part_left, part_right, rank, counts)``: the greedy partition of every block ``[left[k], right[k]]``.
+
+    Parts are listed block by block, left to right; block k owns ``counts[k]``
+    entries, and ``rank`` is each part's 1-based pick order in its block.  The
+    parts are :func:`_greedy_picks`' picks, plus one part for each block that
+    fits the budget whole.
+
+    *Pick order without a heap.*  Greedy picks the longest fit over all
+    fragments, ties to the smallest start: a heap keyed by (-length, start).
+    A child fragment's longest fit is never longer than the pick that split
+    its parent, whose windows include the child's; a left child cannot tie
+    it either, or that fit (smaller start) would have been the parent's
+    pick.  So keys strictly grow from a pick to every pick below it, and
+    starts differ.  Each pick still to come lies below a fragment in the
+    heap, keyed at least as high as the one popped; the heap therefore pops
+    in sorted order, and the ranks are one lexsort by (block, -length, start).
+    """
+    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+    multi, firsts, starts, lengths = _greedy_picks(g, left, right, budget)
+    picks = starts.size
     block = np.searchsorted(firsts, starts, side="right") - 1
     multi_counts = np.bincount(block, minlength=firsts.size)
     by_pick = np.lexsort((starts, -lengths, block))
@@ -264,6 +278,18 @@ def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
     part_left, part_right, _, _ = _greedy_core(g, left, right, budget)
     part_right -= part_left - 1
     return part_right
+
+
+def _greedy_lengths(g: GapSequence, left, right, budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths of :func:`partition_lengths`, in no set order, from its two sources.
+
+    Returns the lengths of the blocks that are one part and the lengths of
+    the picks in the other blocks.  No array over all parts is built.
+    """
+    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+    multi, _, _, picked = _greedy_picks(g, left, right, budget)
+    whole = ~multi
+    return right[whole] - left[whole] + 1, picked
 
 
 class PartitionTable(NamedTuple):

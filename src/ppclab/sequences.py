@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
@@ -54,7 +55,18 @@ class RealSequence:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))  # a copy: the caller keeps its array
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, metadata: dict | None = None) -> RealSequence:
+        """A sequence that takes ``values``, a float64 array no one else holds, without copying it."""
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "metadata", {} if metadata is None else metadata)
+        seq._own(values)
+        return seq
+
+    def _own(self, v: np.ndarray) -> None:
+        """Check ``v`` and store it, read-only, as ``values``."""
         if v.ndim != 1 or v.size < 1:
             raise ValueError("sequence must be a non-empty 1-d array of reals")
         if not np.all(np.isfinite(v)):
@@ -67,7 +79,6 @@ class RealSequence:
                     f"sequence not strictly increasing at position {pos + 2} "
                     f"(value {v[pos + 1]!r} after {v[pos]!r})"
                 )
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -95,7 +106,17 @@ class GapSequence:
     prefix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gaps, dtype=float)
+        self._own(np.array(self.gaps, dtype=float))  # a copy: the caller keeps its array
+
+    @classmethod
+    def _adopt(cls, gaps: np.ndarray) -> GapSequence:
+        """A gap sequence that takes ``gaps``, a float64 array no one else holds, without copying it."""
+        g = cls.__new__(cls)
+        g._own(gaps)
+        return g
+
+    def _own(self, g: np.ndarray) -> None:
+        """Check ``g``, store it read-only as ``gaps``, and add its prefix sums."""
         if g.ndim != 1 or g.size < 1:
             raise ValueError("gap sequence must be a non-empty 1-d array")
         if not np.all(np.isfinite(g)):
@@ -103,7 +124,6 @@ class GapSequence:
         if np.any(g < 0):
             pos = int(np.argmax(g < 0))
             raise ValueError(f"negative gap {g[pos]!r} at position {pos + 1}")
-        g = g.copy()
         g.flags.writeable = False
         prefix = np.empty(g.size + 1)
         prefix[0] = 0.0
@@ -163,10 +183,15 @@ class GeneratorConfig:
 
 def gaps_of(seq: RealSequence) -> GapSequence:
     """Consecutive differences of ``seq``; requires at least two points."""
+    return GapSequence._adopt(_first_gaps(seq, seq.n - 1))
+
+
+def _first_gaps(seq: RealSequence, m: int) -> np.ndarray:
+    """A new array of the first ``m`` gaps of ``seq``, with the checks and errors of :func:`gaps_of`."""
     if seq.n < 2:
         raise ValueError("sequence too short: need at least 2 points to form gaps")
     _check_span(seq)  # a finite span bounds every gap, so np.diff cannot overflow
-    return GapSequence(np.diff(seq.values))
+    return np.diff(seq.values[: m + 1])
 
 
 def _check_span(seq: RealSequence) -> float:
@@ -196,13 +221,15 @@ def normalize_mean_gap(seq: RealSequence) -> RealSequence:
     scale = (seq.n - 1) / span
     if scale == math.inf:
         raise ValueError(f"span {span!r} is too small to rescale to mean gap 1: {seq.n - 1}/span overflows")
-    return RealSequence((seq.values - seq.values[0]) * scale, metadata=dict(seq.metadata))
+    values = seq.values - seq.values[0]
+    values *= scale
+    return RealSequence._adopt(values, dict(seq.metadata))
 
 
 def sequence_from_gaps(gaps, start: float = 0.0) -> RealSequence:
     """Sequence with the given consecutive gaps, beginning at ``start``."""
     g = np.asarray(gaps, dtype=float)
-    return RealSequence(start + np.concatenate(([0.0], np.cumsum(g))))
+    return RealSequence._adopt(start + np.concatenate(([0.0], np.cumsum(g))))
 
 
 def quadratic_form_values(n_points: int, alpha: float = math.sqrt(2.0)) -> tuple[np.ndarray, float]:
@@ -263,7 +290,7 @@ def generate(cfg: GeneratorConfig) -> RealSequence:
     n = cfg.n_points
     if cfg.kind == "poisson":
         rng = np.random.default_rng(cfg.seed)
-        return RealSequence(np.cumsum(rng.exponential(1.0, n)))
+        return RealSequence._adopt(np.cumsum(rng.exponential(1.0, n)))
 
     if cfg.kind == "capped":
         rng = np.random.default_rng(cfg.seed)
@@ -276,11 +303,11 @@ def generate(cfg: GeneratorConfig) -> RealSequence:
             gaps[oversized] = rng.exponential(1.0, k)
         values = np.cumsum(gaps)
         if n == 1:
-            return RealSequence(values)
+            return RealSequence._adopt(values)
         # after renormalization the gaps are raw*factor, so raw <= cap bounds
         # every output gap by cap*factor; record the factor for callers
         span = float(values[-1] - values[0])
-        seq = RealSequence(values, metadata={"renorm_factor": (n - 1) / span})
+        seq = RealSequence._adopt(values, {"renorm_factor": (n - 1) / span})
         return normalize_mean_gap(seq)
 
     # quadratic_form; deterministic, seed unused
@@ -291,7 +318,7 @@ def generate(cfg: GeneratorConfig) -> RealSequence:
             vals[i] = np.nextafter(vals[i - 1], math.inf)
             perturbed += 1
     meta = {"perturbed_ties": perturbed, "cutoff": used_cutoff}
-    seq = RealSequence(vals, metadata=meta)
+    seq = RealSequence._adopt(vals, meta)
     return normalize_mean_gap(seq) if n >= 2 else seq
 
 
@@ -307,73 +334,120 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     asymptotic mean gap 1; it requires every value > 1 and names the first t
     whose t*ln(t) overflows.
 
-    The file is read once; ``metadata["input_sha256"]`` is the SHA-256 of
-    those bytes.  They are parsed by :func:`_parse_fast` and, where that
-    declines, line by line by :func:`_parse_lines`, which names the first bad
-    line.
+    The file is streamed ``_INGEST_CHUNK`` bytes at a time; each piece is
+    hashed and parsed by :func:`_parse_fast`, so the whole file's bytes are
+    never held.  Where that declines, the file is read again, line by line,
+    by :func:`_parse_lines`, which names the first bad line.
+    ``metadata["input_sha256"]`` is the SHA-256 of the bytes of the read the
+    values came from.
     """
     if mode not in INGEST_MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
-    arr = _parse_fast(data, mode)
-    if arr is None:
-        arr = _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), mode)
-    del data  # RealSequence's checks and copy below hold more n-length arrays at once
+    with open(path, "rb", buffering=0) as fh:
+        reader = _Sha256Reader(fh)
+        arr = _parse_fast(iter(functools.partial(reader.read, _INGEST_CHUNK), b""), mode)
+    if arr is None:  # read again, and hash the bytes the values now come from
+        with open(path, "rb", buffering=0) as fh:
+            reader = _Sha256Reader(fh)
+            arr = _parse_lines(io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8"), mode)
     if mode == "zeta_unfold":
         with np.errstate(over="ignore"):
-            unfolded = arr * np.log(arr)
+            unfolded = np.log(arr)
+            unfolded *= arr
         overflow = np.isinf(unfolded)
         if overflow.any():
             t = float(arr[overflow.argmax()])
             raise ValueError(f"zeta_unfold overflows: t*ln(t) exceeds the binary64 range at t = {t!r}")
         unfolded /= TWO_PI  # in place, and the same bytes as arr * np.log(arr) / TWO_PI
         arr = unfolded
-    return RealSequence(arr, metadata={"input_sha256": digest})
+    return RealSequence._adopt(arr, {"input_sha256": reader.sha256.hexdigest()})
 
 
-def _parse_fast(data: bytes, mode: str) -> np.ndarray | None:
+class _Sha256Reader(io.RawIOBase):
+    """Reads the binary file ``file`` and feeds each byte read to ``self.sha256``."""
+
+    def __init__(self, file):
+        self._file = file
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self._file.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:size])
+        return size
+
+
+def _parse_fast(chunks, mode: str) -> np.ndarray | None:
     """The values of a file with no blank, comment or bad line after its leading comments, or None.
 
-    Leading lines that begin with ``#`` (the header :func:`write_sequence`
-    writes) are skipped; a header holding a ``\\r`` outside a ``\\r\\n`` pair
-    declines, since the text reader ends a line there.  The remaining ASCII
-    bytes are split on ``\\n`` only, ``_INGEST_CHUNK`` bytes at a time,
-    and each line goes to ``float`` as bytes.  On an ASCII line, ``float``
-    either rejects the bytes or gives ``float(line.strip())``, and a ``\\r``
-    (a line end to the text reader) can only sit in the whitespace around the
-    number, so every line accepted here has the value :func:`_parse_lines`
-    gives it.  Finiteness, strict increase and the ``zeta_unfold`` bound are
-    then tested on the whole array.
+    ``chunks`` yields the file's bytes in order, in pieces of any size.  The
+    file's lines are its bytes split on ``\\n`` only, where a final ``\\n``
+    ends the last line; a line is parsed once the piece holding its end
+    arrives.  Leading lines that begin with ``#`` (the header
+    :func:`write_sequence` writes) are skipped; a header line holding a
+    ``\\r`` before its last byte declines, since the text reader ends a line
+    there.  A piece that is not ASCII declines.  Each other line goes to
+    ``float`` as bytes.  On an ASCII line, ``float`` either rejects the bytes
+    or gives ``float(line.strip())``, and a ``\\r`` (a line end to the text
+    reader) can only sit in the whitespace around the number, so every line
+    accepted here has the value :func:`_parse_lines` gives it.  The values
+    go into one array that grows in place (no other reference to it exists,
+    so ``refcheck`` is off), so no second copy of them is ever held.
+    Finiteness, strict increase and the ``zeta_unfold`` bound are then
+    tested on the whole array.
     """
-    stop = len(data) - data.endswith(b"\n")  # a final newline ends the last line
-    if not data.isascii():
-        return None
-    pos = 0
-    while data.startswith(b"#", pos):
-        pos = data.find(b"\n", pos, stop) + 1
-        if pos == 0:  # no data line follows
-            return None
-    if pos >= stop or data.count(b"\r", 0, pos) != data.count(b"\r\n", 0, pos):
-        return None
-    out = np.empty(data.count(b"\n", pos, stop) + 1)
+    out = np.empty(1 << 10)
     filled = 0
+    header = True  # no data line yet
     try:
-        while pos <= stop:  # a chunk ending at data[stop - 1] leaves an empty last line
-            end = data.find(b"\n", pos + _INGEST_CHUNK, stop)
-            end = stop if end < 0 else end
-            lines = data[pos:end].split(b"\n")
-            out[filled : filled + len(lines)] = list(map(float, lines))
+        for lines in _ascii_lines(chunks):
+            if header:
+                skip = 0
+                while skip < len(lines) and lines[skip].startswith(b"#"):
+                    if b"\r" in lines[skip][:-1]:
+                        return None  # the text reader ends this line at the \r
+                    skip += 1
+                header = skip == len(lines)
+                lines = lines[skip:]
+            if filled + len(lines) > out.size:  # grow by at least 1/8, so the resizes cost O(n) in all
+                out.resize(max(filled + len(lines), out.size + (out.size >> 3)), refcheck=False)
+            out[filled : filled + len(lines)] = np.fromiter(map(float, lines), float, len(lines))
             filled += len(lines)
-            pos = end + 1
-    except ValueError:  # a blank, comment or malformed line
+    except ValueError:  # a blank, comment, malformed or non-ASCII line
         return None
+    if header:  # no data line
+        return None
+    out.resize(filled, refcheck=False)
     if not (np.isfinite(out).all() and (out[1:] > out[:-1]).all()):
         return None
     if mode == "zeta_unfold" and not out[0] > 1.0:
         return None
     return out
+
+
+def _ascii_lines(chunks):
+    """The lines of the bytes ``chunks`` yields: one list for each piece in which a line ends.
+
+    Lines are split on ``\\n`` only, and a final ``\\n`` ends the last line
+    rather than starting an empty one.  A piece that is not ASCII raises
+    ``ValueError``.
+    """
+    pending = []  # the pieces of the line not yet ended
+    for chunk in chunks:
+        if not chunk.isascii():
+            raise ValueError("the file is not ASCII")
+        cut = chunk.rfind(b"\n")
+        if cut < 0:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        yield b"".join(pending).split(b"\n")
+        pending = [chunk[cut + 1 :]]
+    last = b"".join(pending)
+    if last:
+        yield [last]
 
 
 def _parse_lines(lines, mode: str) -> np.ndarray:

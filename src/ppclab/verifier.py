@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import IndexInterval, Interval, _pairs_within, multi_gap_count
-from .partition import BoundCheck, maximal_blocks, partition_lengths
+from .partition import BoundCheck, _greedy_lengths, maximal_blocks
 from .sequences import GapSequence, RealSequence, gaps_of
 
 
@@ -336,8 +336,11 @@ def _bias_holds(windows: int, binom: int, parts_len: int) -> bool:
     return 6 * windows >= 5 * binom - 10 * parts_len
 
 
-def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
+def audit(seq: RealSequence | GapSequence, cfg: AuditConfig) -> AuditReport:
     """Evaluate the whole proof chain on the first ``cfg.n`` gaps of ``seq``.
+
+    ``seq`` is a sequence or its :func:`gaps_of`; both give the same report
+    and the same errors, and from the gaps no values need be kept.
 
     Measured quantities (per N): the density of gaps <= 1/2, the density of
     multi-gap windows landing in (1/2, 3/2 + eps), the partition mass sum of
@@ -348,9 +351,10 @@ def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
     integer counts and the rational value of eps.  Deterministic: equal
     inputs give bit-identical reports.
     """
-    if cfg.n > seq.n:
-        raise ValueError(f"cfg.n={cfg.n} exceeds sequence length {seq.n}")
-    g = gaps_of(seq)
+    points = seq.n if isinstance(seq, RealSequence) else seq.length + 1
+    if cfg.n > points:
+        raise ValueError(f"cfg.n={cfg.n} exceeds sequence length {points}")
+    g = gaps_of(seq) if isinstance(seq, RealSequence) else seq
     n = min(cfg.n, g.length)  # N indexes gaps; a prefix of N points carries N-1 of them
     eps = cfg.epsilon
     gap_bound = 1.5 + eps
@@ -367,9 +371,9 @@ def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
     multigap_rhs = 2.0 * math.sqrt(eps)
 
     blocks = maximal_blocks(g, n, AUDIT_BUDGET)
-    lengths = partition_lengths(g, blocks.left, blocks.right, AUDIT_BUDGET)
-    parts_binom = int(np.sum(lengths * (lengths + 1) // 2))
-    parts_len = int(np.sum(lengths))
+    whole, picked = _greedy_lengths(g, blocks.left, blocks.right, AUDIT_BUDGET)
+    parts_binom = sum(int(np.sum(lengths * (lengths + 1) // 2)) for lengths in (whole, picked))
+    parts_len = int(np.sum(whole)) + int(np.sum(picked))
     partition_mass = parts_binom / n
     partition_mass_rhs = 0.5 - 4.0 * math.sqrt(2.0) * eps**0.25
 
@@ -404,7 +408,7 @@ def audit(seq: RealSequence, cfg: AuditConfig) -> AuditReport:
         bias_rhs=bias_rhs,
         final_ineq_value=final_value,
         block_count=int(blocks.left.size),
-        part_count=int(lengths.size),
+        part_count=whole.size + picked.size,
         total_block_length=parts_len,
         steps=steps,
     )

@@ -619,7 +619,7 @@ def test_partition_refuses_a_gap_whose_canonical_sum_exceeds_the_budget_before_p
     for flags in ((), ("--check",)):
         code, out, err = run(capsys, "partition", "--input", str(path), *flags)
         assert (code, out) == (2, ""), flags
-        assert err == "error: unpartitionable singleton: gap at index 3 exceeds budget 0.5\n"
+        assert err == "error: unpartitionable singleton: gap at index 3 exceeds --threshold 0.5\n"
 
 
 def test_manifest_input_hash_is_the_sha256_of_the_file_bytes(tmp_path, capsys):

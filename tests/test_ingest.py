@@ -1,6 +1,7 @@
 """Ingest's whole-file parse against the line-by-line oracle: the same values or the same error."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,12 +90,12 @@ def test_float_accept_set_is_kept(tmp_path):
 
 
 def test_clean_files_take_the_fast_path_and_others_fall_back():
-    assert sequences._parse_fast(b"1\n2.5\n3e2\n", "raw").tolist() == [1.0, 2.5, 300.0]
-    assert sequences._parse_fast(b"# c\n#\n1\n2\n", "raw").tolist() == [1.0, 2.0]  # leading comments
+    assert sequences._parse_fast([b"1\n2.5\n3e2\n"], "raw").tolist() == [1.0, 2.5, 300.0]
+    assert sequences._parse_fast([b"# c\n#\n1\n2\n"], "raw").tolist() == [1.0, 2.0]  # leading comments
     for content in (b"1\n\n2\n", b"1\n# c\n2\n", b"# c\r1\n", b"# c\n", b"# c", b"1\n1\n", b"1\nnan\n",
                     "١\n".encode(), b"0.5\n", b""):
         mode = "zeta_unfold" if content == b"0.5\n" else "raw"
-        assert sequences._parse_fast(content, mode) is None, content
+        assert sequences._parse_fast([content], mode) is None, content
 
 
 def test_a_written_comment_header_keeps_the_fast_path(tmp_path, monkeypatch):
@@ -124,6 +125,34 @@ def many_lines(count, bad_line=None, bad=b""):
     if bad_line is not None:
         lines[bad_line - 1] = bad
     return b"\n".join(lines) + b"\n"
+
+
+def test_the_hash_covers_every_chunk_of_the_read_the_values_came_from(tmp_path, monkeypatch):
+    monkeypatch.setattr(sequences, "_INGEST_CHUNK", 4096)
+    parse_lines, reread = sequences._parse_lines, []
+    monkeypatch.setattr(sequences, "_parse_lines", lambda lines, mode: reread.append(1) or parse_lines(lines, mode))
+    path = tmp_path / "seq.txt"
+    for content, fallback in ((many_lines(3000), False), (many_lines(3000, 2000, b""), True)):  # 2000: blank
+        path.write_bytes(content)
+        seq = pl.ingest_and_unfold(path)
+        assert (seq.n, bool(reread)) == (3000 - fallback, fallback)
+        assert seq.metadata["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_ingest_holds_neither_the_file_nor_a_copy_of_the_values(tmp_path, monkeypatch):
+    monkeypatch.setattr(sequences, "_INGEST_CHUNK", 4096)
+    n = 200_000
+    path = tmp_path / "seq.txt"
+    path.write_bytes(many_lines(n))
+    assert path.stat().st_size > 2 * 8 * n  # the file's bytes alone outweigh two copies of the values
+    tracemalloc.start()
+    try:
+        seq = pl.ingest_and_unfold(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.n == n
+    assert peak < 3 * 8 * n
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 64])

@@ -184,6 +184,28 @@ def test_partition_table_matches_the_object_api_and_the_oracles(case):
     assert (part, adjacent, sandwich) == (table.left.size, table.adjacent_lhs.size, table.sandwich_lhs.size)
 
 
+@given(table_cases())
+@example(([[0.1, 0.1], [0.1] * 6, [0.5, 0.5]], 0.5, 13))  # the unpartitionable gap 13 above
+@example(([[0.3] * 200, [0.5 - EPS] * 150, [0.0] * 70 + [0.3] * 70 + [0.0] * 60], 0.5, 554))
+@settings(max_examples=200, deadline=None)
+def test_audit_partition_sums_match_partition_lengths(case):
+    blocks, _, n = case  # the audit's budget is always 1/2
+    g = pl.GapSequence(table_gaps(blocks))
+    cfg = pl.AuditConfig(epsilon=1e-9, n=max(n, 2))
+    bs = pl.maximal_blocks(g, cfg.n, 0.5)
+    try:
+        lengths = pl.partition_lengths(g, bs.left, bs.right, 0.5)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
+            pl.audit(g, cfg)
+        assert str(caught.value) == str(exc)
+        return
+    report = pl.audit(g, cfg)
+    binom = int(np.sum(lengths * (lengths + 1) // 2))
+    assert (report.part_count, report.total_block_length) == (lengths.size, int(np.sum(lengths)))
+    assert report.partition_mass == binom / cfg.n
+
+
 @given(runs, st.data())
 @settings(max_examples=300, deadline=None)
 def test_ppc_block_and_cross_on_realized_window_sums(run_list, data):

@@ -35,6 +35,35 @@ def test_real_sequence_is_immutable():
         seq.values[0] = 5.0
 
 
+def test_the_public_constructors_copy_their_input():
+    values, gaps = np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.25])
+    seq, g = pl.RealSequence(values), pl.GapSequence(gaps)
+    values[1], gaps[0] = 2.0, 9.0
+    assert seq.values.tolist() == [0.0, 1.0, 3.0]
+    assert (g.gaps.tolist(), g.prefix.tolist()) == ([0.5, 0.25], [0.0, 0.5, 0.75])
+    assert values.flags.writeable and gaps.flags.writeable  # the caller's arrays stay theirs
+
+
+def test_every_array_the_library_makes_is_read_only(tmp_path):
+    made = []
+    for name, text in (("fast.txt", "1.5\n2.5\n4\n"), ("blank.txt", "1.5\n\n2.5\n")):  # the line loop reads blank.txt
+        (tmp_path / name).write_text(text)
+        made += [pl.ingest_and_unfold(tmp_path / name, mode) for mode in sequences.INGEST_MODES]
+    made += [pl.generate(pl.GeneratorConfig(kind, n, seed=2, cap=1.5)) for kind in sequences.GENERATOR_KINDS
+             for n in (1, 50)]
+    made.append(pl.normalize_mean_gap(made[0]))
+    made.append(pl.sequence_from_gaps([0.5, 0.25], start=1.0))
+    arrays = [seq.values for seq in made]
+    for seq in made:
+        if seq.n > 1:
+            g = pl.gaps_of(seq)
+            arrays += [g.gaps, g.prefix]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+
+
 def test_gap_sequence_rejects_negative():
     with pytest.raises(ValueError, match="negative gap"):
         pl.GapSequence([0.1, -0.2])

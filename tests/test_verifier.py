@@ -391,6 +391,20 @@ def test_audit_clamps_n_to_gap_count():
         pl.audit(seq, pl.AuditConfig(epsilon=1e-9, n=101))
 
 
+def test_audit_of_the_gaps_matches_audit_of_the_sequence():
+    seq = pl.generate(pl.GeneratorConfig("capped", 3000, seed=5, cap=1.5))
+    g = pl.gaps_of(seq)
+    for n in (2, 1500, 2999, 3000):
+        cfg = pl.AuditConfig(epsilon=1e-9, n=n)
+        assert pl.audit(g, cfg).to_dict() == pl.audit(seq, cfg).to_dict()
+    errors = []
+    for source in (seq, g):
+        with pytest.raises(ValueError) as caught:
+            pl.audit(source, pl.AuditConfig(epsilon=1e-9, n=3001))
+        errors.append(str(caught.value))
+    assert errors == ["cfg.n=3001 exceeds sequence length 3000"] * 2
+
+
 def test_audit_report_structure():
     seq = pl.generate(pl.GeneratorConfig("capped", 500, seed=4, cap=1.5))
     report = pl.audit(seq, pl.AuditConfig(epsilon=1e-9, n=499))
