@@ -217,10 +217,15 @@ def cmd_partition(args) -> int:
     params = {"input": str(args.input), "n": n, "threshold": threshold, "check": bool(args.check)}
     blocks = maximal_blocks(g, n, threshold)
     # block gaps no part can hold: a part's sum is canonical, prefix[i] - prefix[i-1] for one gap
-    over = np.flatnonzero((g.gaps[:n] <= threshold) & (np.diff(g.prefix[: n + 1]) > threshold))
+    canonical = np.diff(g.prefix[: n + 1])
+    over = np.flatnonzero((g.gaps[:n] <= threshold) & (canonical > threshold))
     if over.size:
-        index = int(over[0]) + 1
-        raise ValueError(f"unpartitionable singleton: gap at index {index} exceeds --threshold {threshold}")
+        index, total = int(over[0]) + 1, float(canonical[over[0]])
+        raise ValueError(
+            f"unpartitionable singleton: gap at index {index} has canonical sum {total!r}, "
+            f"which exceeds --threshold {threshold}"
+        )
+    del canonical
     print(_dumps({"manifest": _manifest("partition", params, input_hash=input_hash)}))
     violation = False
     for first in range(0, blocks.left.size, PARTITION_CHUNK):
@@ -234,35 +239,57 @@ def cmd_partition(args) -> int:
 def _partition_documents(table, left, right, check: bool) -> str:
     """One partition table's block documents, byte for byte as ``_dumps`` writes them.
 
-    Each document is one fixed-shape f-string; ``check`` adds the per-block
-    bound verdicts.  A non-finite sum raises ``ValueError``, as in ``_dumps``.
+    Every value goes into one list in print order, integers as ints and sums
+    as floats, and one ``%`` formats them all.  Its template is joined from
+    one piece per block, built once for each block shape in the table: the
+    part count, the sandwiched count and, with ``check``, the two bound
+    verdicts.  A non-finite sum raises ``ValueError``, as in ``_dumps``.
     """
     finite = np.isfinite(table.sums)
     if not finite.all():
         raise ValueError(f"{float(table.sums[~finite][0])!r} has no JSON form: values must be finite")
-    parts = [f"[{a},{b}]" for a, b in zip(table.left.tolist(), table.right.tolist())]
-    ranks = list(map(str, table.rank.tolist()))
-    sums = list(map(_fmt, table.sums.tolist()))
-    ends = np.cumsum(table.counts)
-    starts = ends - table.counts
-    block = np.repeat(np.arange(left.size), table.counts)
-    position = np.arange(block.size) - np.repeat(starts, table.counts) + 1
+    counts = table.counts
+    ends = np.cumsum(counts)
+    starts = ends - counts
     middle = np.flatnonzero(table.sandwiched)
-    sandwiched = [[] for _ in range(left.size)]
-    for k, j in zip(block[middle].tolist(), position[middle].tolist()):
-        sandwiched[k].append(str(j))
-    verdicts = [""] * left.size
+    middle_block = np.searchsorted(ends, middle, side="right")
+    widths = np.bincount(middle_block, minlength=left.size)  # sandwiched parts per block
+    sizes = 2 + 4 * counts + widths  # parent, parts, ranks, sums, sandwiched
+    offset = np.cumsum(sizes) - sizes  # each block's first value
+    values = np.empty(int(sizes.sum()), dtype=object)
+    values[offset] = left
+    values[offset + 1] = right
+    part = np.arange(table.left.size) - np.repeat(starts, counts)  # 0-based within its block
+    base = np.repeat(offset + 2, counts)  # the first value after its block's parent
+    size = np.repeat(counts, counts)
+    values[base + 2 * part] = table.left
+    values[base + 2 * part + 1] = table.right
+    values[base + 2 * size + part] = table.rank
+    values[base + 3 * size + part] = table.sums
+    listed = np.arange(middle.size) - np.repeat(np.cumsum(widths) - widths, widths)  # 0-based within its block
+    values[(offset + 2 + 4 * counts)[middle_block] + listed] = part[middle] + 1
+
+    shape = (counts.astype(np.int64) << 33) | (widths.astype(np.int64) << 2)
     if check:
-        verdicts = [
-            f',"check":{{"adjacent_ok":{_dumps(a)},"sandwich_ok":{_dumps(b)}}}'
-            for a, b in zip(table.adjacent_ok.tolist(), table.sandwich_ok.tolist())
-        ]
-    return "".join(
-        f'{{"parent":[{a},{b}],"parts":[{",".join(parts[i:j])}],"ranks":[{",".join(ranks[i:j])}],'
-        f'"sums":[{",".join(sums[i:j])}],"sandwiched":[{",".join(sw)}]{verdict}}}\n'
-        for a, b, i, j, sw, verdict in zip(
-            left.tolist(), right.tolist(), starts.tolist(), ends.tolist(), sandwiched, verdicts
-        )
+        shape |= table.adjacent_ok.astype(np.int64) << 1
+        shape |= table.sandwich_ok.astype(np.int64)
+    shapes, block_shape = np.unique(shape, return_inverse=True)
+    pieces = np.array([_document_piece(code, check) for code in shapes.tolist()], dtype=object)
+    return "".join(pieces[block_shape].tolist()) % tuple(values.tolist())
+
+
+def _document_piece(shape: int, check: bool) -> str:
+    """The ``%`` template of one block document of the shape ``_partition_documents`` packs."""
+    parts, sandwiched = shape >> 33, (shape >> 2) & ((1 << 31) - 1)
+    verdict = ""
+    if check:
+        verdict = f',"check":{{"adjacent_ok":{_dumps(bool(shape & 2))},"sandwich_ok":{_dumps(bool(shape & 1))}}}'
+    return (
+        '{"parent":[%d,%d],"parts":[' + ",".join(["[%d,%d]"] * parts)
+        + '],"ranks":[' + ",".join(["%d"] * parts)
+        + '],"sums":[' + ",".join(["%.17g"] * parts)
+        + '],"sandwiched":[' + ",".join(["%d"] * sandwiched)
+        + "]" + verdict + "}\n"
     )
 
 

@@ -127,13 +127,19 @@ def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:
     return first_crossing(g.prefix, g.prefix[starts - 1], 0, budget, True) - 1
 
 
-def _unpartitionable(index: int, budget: float) -> ValueError:
-    return ValueError(f"unpartitionable singleton: gap at index {index} exceeds budget {budget}")
+def _unpartitionable(index: int, total: float, budget: float) -> ValueError:
+    return ValueError(
+        f"unpartitionable singleton: gap at index {index} has canonical sum {total!r}, which exceeds budget {budget}"
+    )
 
 
 # A packed key is ``(fit << 32) - position``: the larger of two keys has the longer fit, then the
 # smaller position, and ``-key & _POSITION_MASK`` is its position (positions stay below 2^32).
 _POSITION_MASK = (1 << 32) - 1
+# Fragments go through the greedy in rounds, a pick in each at once, while this many or more are
+# left; a round's fixed numpy cost beats the scalar loop's per-fragment cost from about here on.
+_FRONTIER_MIN = 64
+_ROUND_BATCH = 4096  # multi-part blocks whose fragments share the rounds; bounds their arrays
 
 
 def _greedy_picks(g: GapSequence, left, right, budget: float):
@@ -143,11 +149,11 @@ def _greedy_picks(g: GapSequence, left, right, budget: float):
     one part, decided for all blocks by one comparison; ``multi`` marks the
     others.  Their gaps are laid end to end as positions 0..M-1, block by
     block, and ``firsts`` holds each one's first position.  Each block is
-    split from an explicit stack of fragments.  ``starts`` and ``lengths``
-    give every pick as a first position and a gap count, sorted by start,
-    so they tile the positions.  The first gap that exceeds the budget alone
-    raises the "unpartitionable singleton" error.  ``left`` and ``right``
-    are intp arrays.
+    split into fragments, each fragment by its longest fit.  ``starts`` and
+    ``lengths`` give every pick as a first position and a gap count, sorted
+    by start, so they tile the positions.  The first gap that exceeds the
+    budget alone raises the "unpartitionable singleton" error.  ``left`` and
+    ``right`` are intp arrays.
 
     *Longest fit of a fragment [a, b].*  ``reach`` is non-decreasing, as IEEE
     subtraction is monotone.  Let s* be the first s with ``reach[s] >= b``,
@@ -158,6 +164,13 @@ def _greedy_picks(g: GapSequence, left, right, budget: float):
     wins an equal-length tie.  The range-argmax comes from one sparse table
     of packed keys (Bender & Farach-Colton, "The LCA Problem Revisited",
     2000) with as many levels as the longest block needs: O(log L) per pick.
+
+    *Order.*  A fragment's pick depends on the fragment alone, so fragments
+    may be split in any order.  Up to ``_ROUND_BATCH`` blocks at a time go
+    through :func:`_greedy_round`, which splits every fragment of the
+    frontier at once; once fewer than ``_FRONTIER_MIN`` fragments are left
+    (one long block is a chain of one fragment per round), a scalar loop
+    splits the rest one at a time, each from an explicit stack.
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
@@ -172,7 +185,8 @@ def _greedy_picks(g: GapSequence, left, right, budget: float):
     ends -= shift  # reach, as a position
     bad = np.flatnonzero(ends < position)
     if bad.size:
-        raise _unpartitionable(int(position[bad[0]] + shift[bad[0]]), budget)
+        index = int(position[bad[0]] + shift[bad[0]])
+        raise _unpartitionable(index, float(g.prefix[index] - g.prefix[index - 1]), budget)
     del shift
     key = ends - position + 1  # the fit at each position
     key <<= 32
@@ -182,33 +196,84 @@ def _greedy_picks(g: GapSequence, left, right, budget: float):
     while 1 << len(levels) < multi_sizes.max(initial=0):  # level k spans 2^k; a query is shorter than its block
         span = 1 << (len(levels) - 1)
         levels.append(np.maximum(levels[-1][:-span], levels[-1][span:]))
-    tables, reach_at = [memoryview(level) for level in levels], memoryview(ends)
+    del key
 
     starts = np.empty_like(ends)
-    start_at = memoryview(starts)
     picks = 0
-    for first, last in zip(memoryview(firsts), memoryview(firsts + multi_sizes - 1)):
-        stack = [(first, last, first)]  # fragment [a, b], and a position at or before its s*
-        while stack:
-            a, b, lo = stack.pop()
-            s = star = bisect_left(reach_at, b, lo, b)
-            if s > a:
-                k = (s - a).bit_length() - 1
-                level = tables[k]
-                x, y = level[a], level[s - (1 << k)]
-                t = -(x if x > y else y) & _POSITION_MASK
-                e = reach_at[t]
-                if e - t >= b - s:
-                    s = t
-                    stack.append((e + 1, b, star if star > e else e + 1))
+    lasts = firsts + multi_sizes - 1
+    for batch in range(0, firsts.size, _ROUND_BATCH):
+        a = firsts[batch : batch + _ROUND_BATCH]
+        b, lo = lasts[batch : batch + _ROUND_BATCH], a
+        while a.size >= _FRONTIER_MIN:
+            picked, a, b, lo = _greedy_round(levels, ends, a, b, lo)
+            starts[picks : picks + picked.size] = picked
+            picks += picked.size
+        tables, reach_at, start_at = [memoryview(level) for level in levels], memoryview(ends), memoryview(starts)
+        for fragment in zip(a.tolist(), b.tolist(), lo.tolist()):  # the scalar loop takes the rest
+            stack = [fragment]
+            while stack:
+                a, b, lo = stack.pop()
+                s = star = bisect_left(reach_at, b, lo, b)
                 if s > a:
-                    stack.append((a, s - 1, a))
-            start_at[picks] = s
-            picks += 1
-    del tables, reach_at, start_at, levels, key
+                    k = (s - a).bit_length() - 1
+                    level = tables[k]
+                    x, y = level[a], level[s - (1 << k)]
+                    t = -(x if x > y else y) & _POSITION_MASK
+                    e = reach_at[t]
+                    if e - t >= b - s:
+                        s = t
+                        stack.append((e + 1, b, star if star > e else e + 1))
+                    if s > a:
+                        stack.append((a, s - 1, a))
+                start_at[picks] = s
+                picks += 1
+        del tables, reach_at, start_at
+    del levels
 
     starts = np.sort(starts[:picks])  # left to right, block after block; parts tile the positions
     return multi, firsts, starts, np.diff(starts, append=ends.size)
+
+
+def _greedy_round(levels, reach, a, b, lo):
+    """``(picked, a, b, lo)``: the pick start of every fragment [a[i], b[i]] at once, and their pieces.
+
+    ``lo[i]`` is at or before the fragment's s*; the pieces come back in
+    the same form.  Each step of the bisection halves every bracket.
+    """
+    star, hi = lo.copy(), b.copy()
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (star + hi) >> 1
+        below = reach[mid] < b
+        below &= star < hi
+        np.copyto(star, mid + 1, where=below)
+        np.copyto(hi, mid, where=~below)
+    del hi
+    picked = star.copy()
+    split = np.flatnonzero(star > a)  # fragments with starts before s*
+    width = star[split] - a[split]
+    level_of = np.frexp(width.astype(float))[1] - 1  # floor(log2(width)), exact below 2^53
+    by_level = np.argsort(level_of, kind="stable")
+    bounds = np.searchsorted(level_of[by_level], np.arange(len(levels) + 1))
+    best = np.empty_like(width)
+    for k in range(len(levels)):
+        at = by_level[bounds[k] : bounds[k + 1]]
+        if at.size:
+            fragment = split[at]
+            best[at] = np.maximum(levels[k][a[fragment]], levels[k][star[fragment] - (1 << k)])
+    t = -best & _POSITION_MASK
+    e = reach[t]
+    win = e - t >= b[split] - star[split]
+    split = split[win]
+    t, e = t[win], e[win]
+    picked[split] = t
+    right_lo = np.maximum(star[split], e + 1)
+    left = np.flatnonzero(picked > a)
+    return (
+        picked,
+        np.concatenate((e + 1, a[left])),
+        np.concatenate((b[split], picked[left] - 1)),
+        np.concatenate((right_lo, a[left])),
+    )
 
 
 def _greedy_core(g: GapSequence, left, right, budget: float):

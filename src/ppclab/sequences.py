@@ -28,6 +28,10 @@ GENERATOR_MAX_POINTS = 10**8
 # so the line objects of one chunk are alive at once, never the whole file's.
 _INGEST_CHUNK = 1 << 20
 
+# An ingest error quotes at most this many characters of a bad line, so its
+# message stays short however long the line is.
+_ECHO_MAX = 80
+
 # write_sequence formats and writes this many values per write, so the text
 # of one chunk is alive at once, never the whole file's.
 _WRITE_CHUNK = 1 << 15
@@ -461,9 +465,9 @@ def _parse_lines(lines, mode: str) -> np.ndarray:
         try:
             val = float(line)
         except ValueError:
-            raise SequenceFormatError(f"could not parse {line!r} as a number", lineno) from None
+            raise SequenceFormatError(f"could not parse {_echo(line)} as a number", lineno) from None
         if not math.isfinite(val):
-            raise SequenceFormatError(f"non-finite value {line!r}", lineno)
+            raise SequenceFormatError(f"non-finite value {_echo(line)}", lineno)
         if prev is not None and val <= prev:
             raise SequenceFormatError(
                 f"not strictly increasing: {val!r} after {prev!r}", lineno
@@ -477,6 +481,13 @@ def _parse_lines(lines, mode: str) -> np.ndarray:
     if not values:
         raise SequenceFormatError("file contains no data lines", 1)
     return np.asarray(values, dtype=float)
+
+
+def _echo(line: str) -> str:
+    """``repr(line)``, or for a line over ``_ECHO_MAX`` characters the repr of its start and its length."""
+    if len(line) <= _ECHO_MAX:
+        return repr(line)
+    return f"{line[:_ECHO_MAX]!r}... ({len(line)} characters)"
 
 
 def write_sequence(path, seq: RealSequence, comment: str | None = None) -> None:

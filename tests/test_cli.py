@@ -619,7 +619,20 @@ def test_partition_refuses_a_gap_whose_canonical_sum_exceeds_the_budget_before_p
     for flags in ((), ("--check",)):
         code, out, err = run(capsys, "partition", "--input", str(path), *flags)
         assert (code, out) == (2, ""), flags
-        assert err == "error: unpartitionable singleton: gap at index 3 exceeds --threshold 0.5\n"
+        assert err == (
+            "error: unpartitionable singleton: gap at index 3 has canonical sum 0.5000000000000001, "
+            "which exceeds --threshold 0.5\n"
+        )
+
+
+def test_a_one_megabyte_bad_line_is_quoted_by_its_start_and_length(tmp_path, capsys):
+    for name, line, problem in (("junk", b"x" * 10**6, "could not parse"), ("digits", b"1" * 10**6, "non-finite value")):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(b"0.5\n" + line + b"\n")
+        code, out, err = run(capsys, "analyze", "--input", str(path), "--interval", "0,1")
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1024
+        assert err.startswith(f"error: line 2: {problem} '{line[:80].decode()}'... (1000000 characters)")
 
 
 def test_manifest_input_hash_is_the_sha256_of_the_file_bytes(tmp_path, capsys):

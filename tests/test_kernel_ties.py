@@ -17,7 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
-from ppclab.partition import _cross_bound
+from ppclab.cli import _dumps, _partition_documents
+from ppclab.partition import _FRONTIER_MIN, _cross_bound
 from oracles import (
     GreedyOracle,
     brute_cross_pairs_above,
@@ -182,6 +183,80 @@ def test_partition_table_matches_the_object_api_and_the_oracles(case):
         assert (table.adjacent_ok[k], table.sandwich_ok[k]) == (adjacent_ok, sandwich_ok)
         part += size
     assert (part, adjacent, sandwich) == (table.left.size, table.adjacent_lhs.size, table.sandwich_lhs.size)
+
+
+# At least twice _FRONTIER_MIN blocks that need more than one part (two gaps of 0.3 at one end see to
+# that), so their fragments are split in rounds, all at once, before the scalar loop takes the rest;
+# greedy_partition splits one block at a time, always in the scalar loop.
+multi_part_gaps = st.tuples(block_gaps, st.booleans()).map(lambda t: t[0] + [0.3, 0.3] if t[1] else [0.3, 0.3] + t[0])
+
+
+@given(st.lists(multi_part_gaps, min_size=2 * _FRONTIER_MIN, max_size=2 * _FRONTIER_MIN + 32))
+# one pick per block and round for 200 rounds, every pick an equal-length tie won by the smaller start
+@example([[0.3] * 200] * 128)
+# fits of two gaps that tie at every pick: the smaller start wins, so each block of 201 gaps ends
+# in a one-gap part, and a round that let the larger start win would put that part first
+@example([[0.25] * 201] * 128)
+@settings(max_examples=10, deadline=None)
+def test_a_wide_frontier_picks_what_block_by_block_greedy_and_the_oracle_pick(blocks):
+    g = pl.GapSequence(table_gaps(blocks))
+    bs = pl.maximal_blocks(g, g.length, 0.5)
+    assert bs.left.size == len(blocks)
+    try:
+        partitions = [pl.greedy_partition(g, block, 0.5) for block in bs.blocks]
+    except ValueError as exc:  # a block gap whose canonical sum exceeds the budget
+        for call in (pl.partition_table, pl.partition_lengths):
+            with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
+                call(g, bs.left, bs.right, 0.5)
+            assert str(caught.value) == str(exc)
+        return
+    table = pl.partition_table(g, bs.left, bs.right, 0.5)
+    assert np.count_nonzero(table.counts > 1) >= 2 * _FRONTIER_MIN
+    parts = [part for partition in partitions for part in partition.parts]
+    assert table.left.tolist() == [part.left for part in parts]
+    assert table.right.tolist() == [part.right for part in parts]
+    assert table.rank.tolist() == [r for partition in partitions for r in partition.selection_rank]
+    assert pl.partition_lengths(g, bs.left, bs.right, 0.5).tolist() == [part.length for part in parts]
+    replayed = set()
+    for gaps, block, partition in zip(blocks, bs.blocks, partitions):
+        if tuple(gaps) not in replayed:  # equal gap lists are equal blocks
+            replayed.add(tuple(gaps))
+            GreedyOracle(g, block, 0.5).replay_check(partition)
+
+
+@given(table_cases(), st.booleans(), st.data())
+# parts [1, 2], [3], [4, 5] of the first block, picked in the order 1, 3, 2: the middle one is
+# sandwiched; a block of zero gaps is one part of sum 0
+@example(([[0.125, 0.375, 0.4375, 0.375, 0.125], [0.0] * 4, [0.3] * 3], 0.5, 16), True, None)
+@settings(max_examples=200, deadline=None)
+def test_partition_documents_are_the_dumps_of_each_block(case, check, data):
+    blocks, budget, n = case
+    g = pl.GapSequence(table_gaps(blocks))
+    bs = pl.maximal_blocks(g, n, budget)
+    try:
+        table = pl.partition_table(g, bs.left, bs.right, budget)
+    except ValueError:  # an unpartitionable gap: no table to write
+        return
+    if data is not None:  # verdicts of either kind, so every shape of the check object is written
+        table = table._replace(
+            adjacent_ok=np.array(data.draw(st.lists(st.booleans(), min_size=bs.left.size, max_size=bs.left.size)), dtype=bool),
+            sandwich_ok=np.array(data.draw(st.lists(st.booleans(), min_size=bs.left.size, max_size=bs.left.size)), dtype=bool),
+        )
+    expected, part = [], 0
+    for k, (a, b) in enumerate(zip(bs.left.tolist(), bs.right.tolist())):
+        rows = range(part, part + int(table.counts[k]))
+        doc = {
+            "parent": [a, b],
+            "parts": [[int(table.left[i]), int(table.right[i])] for i in rows],
+            "ranks": [int(table.rank[i]) for i in rows],
+            "sums": [float(table.sums[i]) for i in rows],
+            "sandwiched": [i - part + 1 for i in rows if table.sandwiched[i]],
+        }
+        if check:
+            doc["check"] = {"adjacent_ok": bool(table.adjacent_ok[k]), "sandwich_ok": bool(table.sandwich_ok[k])}
+        expected.append(_dumps(doc) + "\n")
+        part = rows.stop
+    assert _partition_documents(table, bs.left, bs.right, check) == "".join(expected)
 
 
 @given(table_cases())
