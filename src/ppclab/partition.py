@@ -129,7 +129,8 @@ def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:
 
 def _unpartitionable(index: int, total: float, budget: float) -> ValueError:
     return ValueError(
-        f"unpartitionable singleton: gap at index {index} has canonical sum {total!r}, which exceeds budget {budget}"
+        f"unpartitionable singleton: gap at index {index} has canonical sum {total!r}, "
+        f"which exceeds budget {budget}"
     )
 
 

@@ -626,7 +626,8 @@ def test_partition_refuses_a_gap_whose_canonical_sum_exceeds_the_budget_before_p
 
 
 def test_a_one_megabyte_bad_line_is_quoted_by_its_start_and_length(tmp_path, capsys):
-    for name, line, problem in (("junk", b"x" * 10**6, "could not parse"), ("digits", b"1" * 10**6, "non-finite value")):
+    for name, line, problem in (("junk", b"x" * 10**6, "could not parse"),
+                                ("digits", b"1" * 10**6, "non-finite value")):
         path = tmp_path / f"{name}.txt"
         path.write_bytes(b"0.5\n" + line + b"\n")
         code, out, err = run(capsys, "analyze", "--input", str(path), "--interval", "0,1")

@@ -188,7 +188,9 @@ def test_partition_table_matches_the_object_api_and_the_oracles(case):
 # At least twice _FRONTIER_MIN blocks that need more than one part (two gaps of 0.3 at one end see to
 # that), so their fragments are split in rounds, all at once, before the scalar loop takes the rest;
 # greedy_partition splits one block at a time, always in the scalar loop.
-multi_part_gaps = st.tuples(block_gaps, st.booleans()).map(lambda t: t[0] + [0.3, 0.3] if t[1] else [0.3, 0.3] + t[0])
+multi_part_gaps = st.tuples(block_gaps, st.booleans()).map(
+    lambda t: t[0] + [0.3, 0.3] if t[1] else [0.3, 0.3] + t[0]
+)
 
 
 @given(st.lists(multi_part_gaps, min_size=2 * _FRONTIER_MIN, max_size=2 * _FRONTIER_MIN + 32))
@@ -226,7 +228,7 @@ def test_a_wide_frontier_picks_what_block_by_block_greedy_and_the_oracle_pick(bl
 
 @given(table_cases(), st.booleans(), st.data())
 # parts [1, 2], [3], [4, 5] of the first block, picked in the order 1, 3, 2: the middle one is
-# sandwiched; a block of zero gaps is one part of sum 0
+# sandwiched; a block of zero gaps is one part of sum 0; no data keeps the table's own verdicts
 @example(([[0.125, 0.375, 0.4375, 0.375, 0.125], [0.0] * 4, [0.3] * 3], 0.5, 16), True, None)
 @settings(max_examples=200, deadline=None)
 def test_partition_documents_are_the_dumps_of_each_block(case, check, data):
@@ -238,10 +240,9 @@ def test_partition_documents_are_the_dumps_of_each_block(case, check, data):
     except ValueError:  # an unpartitionable gap: no table to write
         return
     if data is not None:  # verdicts of either kind, so every shape of the check object is written
-        table = table._replace(
-            adjacent_ok=np.array(data.draw(st.lists(st.booleans(), min_size=bs.left.size, max_size=bs.left.size)), dtype=bool),
-            sandwich_ok=np.array(data.draw(st.lists(st.booleans(), min_size=bs.left.size, max_size=bs.left.size)), dtype=bool),
-        )
+        size = bs.left.size
+        verdicts = st.lists(st.booleans(), min_size=size, max_size=size).map(lambda v: np.array(v, dtype=bool))
+        table = table._replace(adjacent_ok=data.draw(verdicts), sandwich_ok=data.draw(verdicts))
     expected, part = [], 0
     for k, (a, b) in enumerate(zip(bs.left.tolist(), bs.right.tolist())):
         rows = range(part, part + int(table.counts[k]))

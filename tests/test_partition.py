@@ -132,7 +132,8 @@ def test_greedy_rejects_oversized_singleton():
 def test_an_unpartitionable_gap_is_named_with_its_canonical_sum():
     g = pl.gaps_of(pl.RealSequence([0.1, 0.2, 0.95, 1.45, 2.2]))  # gap 3 is 0.5 raw
     assert g.gaps[2] == 0.5 < g.window_sum(3, 3) == 0.5000000000000001
-    message = "unpartitionable singleton: gap at index 3 has canonical sum 0.5000000000000001, which exceeds budget 0.5"
+    message = ("unpartitionable singleton: gap at index 3 has canonical sum 0.5000000000000001, "
+               "which exceeds budget 0.5")
     with pytest.raises(ValueError, match=f"^{message}$"):
         pl.greedy_partition(g, pl.IndexInterval(3, 4), 0.5)
 
