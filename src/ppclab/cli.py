@@ -269,6 +269,8 @@ def _partition_documents(table, left, right, check: bool) -> str:
     listed = np.arange(middle.size) - np.repeat(np.cumsum(widths) - widths, widths)  # 0-based within its block
     values[(offset + 2 + 4 * counts)[middle_block] + listed] = part[middle] + 1
 
+    # a block's shape packed in one int: parts from bit 33, sandwiched parts from bit 2, then the two
+    # verdicts; np.unique of ints costs far less than np.unique of rows
     shape = (counts.astype(np.int64) << 33) | (widths.astype(np.int64) << 2)
     if check:
         shape |= table.adjacent_ok.astype(np.int64) << 1
