@@ -17,6 +17,11 @@ import numpy as np
 from .sequences import GapSequence, RealSequence
 
 _CHUNK = 1 << 16  # starts per pass of the count functions and first_crossing: cache-sized temporaries
+# first_crossing tests every start at lower, and the misses at up to _PROBE_ROUNDS next positions,
+# before any search; a chunk where more than _MISS_CUTOFF of the starts miss at lower is searched
+# whole.  Both values come from measurements on Poisson input (see README).
+_PROBE_ROUNDS = 2
+_MISS_CUTOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -103,18 +108,29 @@ class CorrelationReport:
 def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
     """For each start k, the first index e >= lower[k] where P[e] - base[k] passes t.
 
-    "Passes" means ``> t`` when ``strict`` and ``>= t`` otherwise; starts
-    that never pass get ``P.size``.  ``P`` must be non-decreasing, so the
-    true difference ``fl(P[e] - base)`` is non-decreasing in e (IEEE
-    subtraction is monotone) and the answer equals a two-pointer scan's bit
-    for bit.  Each chunk of starts is answered in three steps:
+    "Passes" means ``> t`` when ``strict`` and ``>= t`` otherwise.  The
+    answer is the larger of ``lower[k]`` and the first passing index, or
+    ``P.size`` when none passes; a negative ``lower`` counts as 0.  ``P``
+    must be non-decreasing, so the true difference ``fl(P[e] - base)`` is
+    non-decreasing in e (IEEE subtraction is monotone) and the answer equals
+    a two-pointer scan's bit for bit.  Each chunk of starts is answered in
+    four steps:
 
+    * Probe: g = ``lower`` is the answer exactly when ``P[g] - base`` passes
+      or g is past the end of ``P``.  The starts that miss move on by one
+      position, and are probed again, for ``_PROBE_ROUNDS`` more rounds.
+      Guard: when more than ``_MISS_CUTOFF`` of the chunk misses at
+      ``lower``, the probe rounds are skipped and the next three steps run
+      on the whole chunk, so a caller whose answers lie far from ``lower``
+      pays one gather and compare per chunk.  Otherwise they run only on
+      the starts still unresolved, each raised to its last missed position
+      plus one, a lower bound of its answer.
     * Seed: ``searchsorted`` on the rounded key ``base + t``, run over the
-      slice of ``P`` between the seeds of the chunk's smallest and largest
-      key (the same integers a whole-array search gives), raised to ``lower``.
+      slice of ``P`` between the seeds of the smallest and largest key (the
+      same integers a whole-array search gives), raised to the lower bound.
     * Check: a seed g is the answer exactly when ``P[g] - base`` passes (or
-      g is ``P.size``) and ``P[g-1] - base`` does not (or g is ``lower``).
-      Both are tested on the true difference, for all starts at once.
+      g is past the end) and ``P[g-1] - base`` does not (or g is the lower
+      bound).  Both are tested on the true difference, for all starts at once.
     * Repair: a failed check says on which side of g the answer lies.  Only
       those starts (e.g. a key that rounding put at the wrong end of a long
       run of equal prefix values) keep a bracket [lo, hi] holding their
@@ -122,23 +138,53 @@ def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
       O(log P.size) probes.
     """
     passes = np.greater if strict else np.greater_equal
-    side = "right" if strict else "left"
     out = np.empty(len(base), dtype=np.intp)
+    lower = np.broadcast_to(lower, out.shape)
+    if not P.size:
+        return np.maximum(lower, 0, out=out)
     last = P.size - 1
     # an overflowed key or difference is +-inf, which still orders monotonically
     with np.errstate(over="ignore"):
         for c in range(0, out.size, _CHUNK):
             b, g = base[c : c + _CHUNK], out[c : c + _CHUNK]  # g is a view: answers land in out
-            low = np.broadcast_to(lower, out.shape)[c : c + _CHUNK]
-            key = b + t
-            s0, s1 = np.searchsorted(P, (key.min(), key.max()), side=side)
-            g[:] = np.searchsorted(P[s0:s1], key, side=side) + s0
-            np.maximum(g, low, out=g)
-            at = (g > last) | passes(P[np.minimum(g, last)] - b, t)
-            bad = np.flatnonzero(~at | ((g > low) & passes(P[g - 1] - b, t)))
-            if bad.size:
-                g[bad] = _repair(P, b[bad], low[bad], g[bad], at[bad], t, passes)
+            np.maximum(lower[c : c + _CHUNK], 0, out=g)
+            hit = passes(P.take(g, mode="clip") - b, t)
+            hit |= g > last
+            miss = np.flatnonzero(~hit)
+            if miss.size > _MISS_CUTOFF * g.size:
+                g[:] = _search(P, b, g, t, strict)
+                continue
+            probed, b = g[miss], b[miss]
+            open_ = np.ones(miss.size, dtype=bool)  # the starts that missed at probed
+            for _ in range(_PROBE_ROUNDS):
+                probed += open_
+                open_ = passes(P.take(probed, mode="clip") - b, t)
+                open_ |= probed > last
+                np.logical_not(open_, out=open_)
+            g[miss] = probed
+            rest = np.flatnonzero(open_)
+            if rest.size:
+                miss = miss[rest]
+                g[miss] = _search(P, b[rest], probed[rest] + 1, t, strict)
     return out
+
+
+def _search(P, b, low, t, strict):
+    """The seed, check and repair steps of :func:`first_crossing` for starts whose answers are >= ``low``."""
+    passes = np.greater if strict else np.greater_equal
+    side = "right" if strict else "left"
+    key = b + t
+    s0, s1 = np.searchsorted(P, (key.min(), key.max()), side=side)
+    g = np.searchsorted(P[s0:s1], key, side=side)
+    g += s0
+    np.maximum(g, low, out=g)
+    at = passes(P.take(g, mode="clip") - b, t)
+    at |= g > P.size - 1
+    # g - 1 is read only where g > low >= 0, so it lies inside P
+    bad = np.flatnonzero(~at | ((g > low) & passes(P.take(g - 1, mode="clip") - b, t)))
+    if bad.size:
+        g[bad] = _repair(P, b[bad], low[bad], g[bad], at[bad], t, passes)
+    return g
 
 
 def _repair(P, b, low, g, at, t, passes):
@@ -170,7 +216,9 @@ def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> Correlati
     values[j] - values[i] itself, the same expression a brute-force
     enumerator would use, so the count is aggregated without enumerating
     pairs.  The i are taken ``_CHUNK`` at a time, so no temporary is n long.
-    The lower end needs no pass when lo == 0.
+    The lower end needs no pass when lo == 0.  When lo > 0 its pass starts
+    at j = i + 1: the difference at j = i is 0.0 and never passes lo, and
+    every j < i gives a negative one.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -187,7 +235,8 @@ def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> Correlati
         if interval.lo == 0:
             first = np.arange(c + skip, c + skip + base.size)
         else:
-            first = first_crossing(values, base, 0, interval.lo, not interval.lo_closed)
+            lower = np.arange(c + 1, c + 1 + base.size) if interval.lo > 0 else 0
+            first = first_crossing(values, base, lower, interval.lo, not interval.lo_closed)
         count += int(np.sum(first_crossing(values, base, first, interval.hi, interval.hi_closed) - first))
     return CorrelationReport(interval, n, count, count / n)
 

@@ -120,11 +120,12 @@ def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
 def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:
     """``reach[s]``, the last end e with canonical sum of gaps s..e <= budget, for each s in ``starts``.
 
-    ``reach[s] = s - 1`` when gap s alone exceeds the budget.  The lower
-    bound 0 of :func:`first_crossing` suffices: fl(prefix[e] - prefix[s-1])
-    <= 0 < budget for every e < s.
+    ``reach[s] = s - 1`` when gap s alone exceeds the budget.  ``starts``
+    is a valid lower bound for :func:`first_crossing`: prefix is
+    non-decreasing, so fl(prefix[e] - prefix[s-1]) <= 0 < budget for every
+    e < s, and no end before s can exceed the budget.
     """
-    return first_crossing(g.prefix, g.prefix[starts - 1], 0, budget, True) - 1
+    return first_crossing(g.prefix, g.prefix[starts - 1], starts, budget, True) - 1
 
 
 def _unpartitionable(index: int, total: float, budget: float) -> ValueError:
@@ -144,7 +145,7 @@ _ROUND_BATCH = 4096  # multi-part blocks whose fragments share the rounds; bound
 
 
 def _greedy_picks(g: GapSequence, left, right, budget: float):
-    """``(multi, firsts, starts, lengths)``: the parts the greedy partition picks in the multi-part blocks.
+    """``(multi, firsts, starts, lengths, reach)``: the greedy's picks in the multi-part blocks.
 
     A block ``[left[k], right[k]]`` whose canonical sum fits the budget is
     one part, decided for all blocks by one comparison; ``multi`` marks the
@@ -152,8 +153,9 @@ def _greedy_picks(g: GapSequence, left, right, budget: float):
     block, and ``firsts`` holds each one's first position.  Each block is
     split into fragments, each fragment by its longest fit.  ``starts`` and
     ``lengths`` give every pick as a first position and a gap count, sorted
-    by start, so they tile the positions.  The first gap that exceeds the
-    budget alone raises the "unpartitionable singleton" error.  ``left`` and
+    by start, so they tile the positions, and ``reach`` is :func:`_reach` at
+    every position, as a position.  The first gap that exceeds the budget
+    alone raises the "unpartitionable singleton" error.  ``left`` and
     ``right`` are intp arrays.
 
     *Longest fit of a fragment [a, b].*  ``reach`` is non-decreasing, as IEEE
@@ -232,7 +234,7 @@ def _greedy_picks(g: GapSequence, left, right, budget: float):
     del levels
 
     starts = np.sort(starts[:picks])  # left to right, block after block; parts tile the positions
-    return multi, firsts, starts, np.diff(starts, append=ends.size)
+    return multi, firsts, starts, np.diff(starts, append=ends.size), ends
 
 
 def _greedy_round(levels, reach, a, b, lo):
@@ -278,12 +280,14 @@ def _greedy_round(levels, reach, a, b, lo):
 
 
 def _greedy_core(g: GapSequence, left, right, budget: float):
-    """``(part_left, part_right, rank, counts)``: the greedy partition of every block ``[left[k], right[k]]``.
+    """``(part_left, part_right, rank, counts, reach, shift)``: the greedy partition of every block.
 
-    Parts are listed block by block, left to right; block k owns ``counts[k]``
-    entries, and ``rank`` is each part's 1-based pick order in its block.  The
-    parts are :func:`_greedy_picks`' picks, plus one part for each block that
-    fits the budget whole.
+    Block k is ``[left[k], right[k]]``.  Parts are listed block by block,
+    left to right; block k owns ``counts[k]`` entries, and ``rank`` is each
+    part's 1-based pick order in its block.  The parts are
+    :func:`_greedy_picks`' picks, plus one part for each block that fits the
+    budget whole.  ``reach`` is the picks' ``reach`` by position; the gaps of
+    a multi-part block k sit at positions ``left[k] - shift[k]`` on.
 
     *Pick order without a heap.*  Greedy picks the longest fit over all
     fragments, ties to the smallest start: a heap keyed by (-length, start).
@@ -296,14 +300,16 @@ def _greedy_core(g: GapSequence, left, right, budget: float):
     in sorted order, and the ranks are one lexsort by (block, -length, start).
     """
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
-    multi, firsts, starts, lengths = _greedy_picks(g, left, right, budget)
+    multi, firsts, starts, lengths, reach = _greedy_picks(g, left, right, budget)
     picks = starts.size
     block = np.searchsorted(firsts, starts, side="right") - 1
     multi_counts = np.bincount(block, minlength=firsts.size)
     by_pick = np.lexsort((starts, -lengths, block))
     multi_rank = np.empty_like(by_pick)
     multi_rank[by_pick] = np.arange(picks) - np.repeat(np.cumsum(multi_counts) - multi_counts, multi_counts) + 1
-    starts += (left[multi] - firsts)[block]
+    shift = np.zeros_like(left)
+    shift[multi] = left[multi] - firsts
+    starts += shift[multi][block]
     del by_pick, block
 
     counts = np.ones(left.size, dtype=np.intp)
@@ -314,7 +320,7 @@ def _greedy_core(g: GapSequence, left, right, budget: float):
     part_right[in_multi] = starts + lengths - 1
     rank = np.ones(part_left.size, dtype=np.intp)
     rank[in_multi] = multi_rank
-    return part_left, part_right, rank, counts
+    return part_left, part_right, rank, counts, reach, shift
 
 
 def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> GreedyPartition:
@@ -328,7 +334,7 @@ def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> Gr
     """
     if parent.right > g.length:
         raise ValueError(f"parent {parent} exceeds gap count {g.length}")
-    part_left, part_right, rank, _ = _greedy_core(g, [parent.left], [parent.right], budget)
+    part_left, part_right, rank, *_ = _greedy_core(g, [parent.left], [parent.right], budget)
     parts = tuple(map(IndexInterval, part_left.tolist(), part_right.tolist()))
     sums = tuple((g.prefix[part_right] - g.prefix[part_left - 1]).tolist())
     return GreedyPartition(parent, parts, tuple(rank.tolist()), sums, budget)
@@ -341,7 +347,7 @@ def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
     No :class:`GreedyPartition` is built, and the same "unpartitionable
     singleton" error is raised.
     """
-    part_left, part_right, _, _ = _greedy_core(g, left, right, budget)
+    part_left, part_right, *_ = _greedy_core(g, left, right, budget)
     part_right -= part_left - 1
     return part_right
 
@@ -353,7 +359,7 @@ def _greedy_lengths(g: GapSequence, left, right, budget: float) -> tuple[np.ndar
     the picks in the other blocks.  No array over all parts is built.
     """
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
-    multi, _, _, picked = _greedy_picks(g, left, right, budget)
+    multi, _, _, picked, _ = _greedy_picks(g, left, right, budget)
     whole = ~multi
     return right[whole] - left[whole] + 1, picked
 
@@ -385,20 +391,23 @@ class PartitionTable(NamedTuple):
     sandwich_ok: np.ndarray
 
 
-def _cross_lhs(g: GapSequence, budget: float, left, right, j1: np.ndarray, j2: np.ndarray):
+def _cross_lhs(reach, shift, left, right, j1: np.ndarray, j2: np.ndarray):
     """The :func:`_cross_bound` lhs of every part pair (j1[i], j2[i]), J_j1 left of J_j2, in one pass.
 
     The canonical sum of s..e grows with e, so the ends of J_j2 within
     budget from s are ``J_j2.left .. min(reach[s], J_j2.right)``: the same
     ``<= budget`` test on the same float that :func:`_pairs_within` makes.
+    Both parts of pair i lie in one multi-part block, whose gaps sit in the
+    greedy's ``reach`` at their index minus ``shift[i]``; the count is made
+    on those positions.
     """
     n1, n2 = right[j1] - left[j1] + 1, right[j2] - left[j2] + 1
     if not j1.size:
         return n1 * n2
     first = np.cumsum(n1) - n1  # where each pair's starts begin in the flat list below
-    starts = np.repeat(left[j1] - first, n1) + np.arange(first[-1] + n1[-1])
-    lo = np.repeat(left[j2], n1)
-    within = np.minimum(_reach(g, starts, budget), np.repeat(right[j2], n1)) - lo + 1
+    starts = np.repeat(left[j1] - shift - first, n1) + np.arange(first[-1] + n1[-1])
+    lo = np.repeat(left[j2] - shift, n1)
+    within = np.minimum(reach[starts], np.repeat(right[j2] - shift, n1)) - lo + 1
     return n1 * n2 - np.add.reduceat(np.maximum(within, 0), first)
 
 
@@ -408,10 +417,10 @@ def partition_table(g: GapSequence, left, right, budget: float) -> PartitionTabl
     The parts and ranks come from the core that :func:`greedy_partition`
     runs, and the sums are the same binary64 subtraction
     ``prefix[right] - prefix[left - 1]``.  Every bound check of every block
-    is made in one numpy pass (see :func:`_cross_lhs`).  No
-    :class:`GreedyPartition` is built.
+    is made in one numpy pass over the greedy's ``reach`` (see
+    :func:`_cross_lhs`).  No :class:`GreedyPartition` is built.
     """
-    part_left, part_right, rank, counts = _greedy_core(g, left, right, budget)
+    part_left, part_right, rank, counts, reach, shift = _greedy_core(g, left, right, budget)
     sums = g.prefix[part_right] - g.prefix[part_left - 1]
 
     block_of = np.repeat(np.arange(counts.size), counts)
@@ -422,7 +431,7 @@ def partition_table(g: GapSequence, left, right, budget: float) -> PartitionTabl
     sandwiched[1:-1] = inner[1:-1] & (rank[1:-1] > np.maximum(rank[:-2], rank[2:]))
 
     def checks(j1, j2):
-        lhs = _cross_lhs(g, budget, part_left, part_right, j1, j2)
+        lhs = _cross_lhs(reach, shift[block_of[j1]], part_left, part_right, j1, j2)
         later = np.where(rank[j1] > rank[j2], j1, j2)
         length = part_right[later] - part_left[later] + 1
         ok = 2 * lhs >= length * length  # lhs >= |later part|^2 / 2, in integers

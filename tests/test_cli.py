@@ -237,7 +237,9 @@ def test_partition_check_exits_1_on_a_failed_bound_and_prints_every_block(tmp_pa
                   for a, b in zip(left.tolist(), right.tolist())]
         parts = np.array([part for block in blocks for part in block])
         rank = np.concatenate([np.arange(1, len(block) + 1) for block in blocks])
-        return parts[:, 0], parts[:, 1], rank, np.array([len(block) for block in blocks])
+        reach = partition._reach(g, np.arange(1, g.length + 1), budget) - 1  # gap s at position s - 1
+        shift = np.ones(left.size, dtype=np.intp)
+        return parts[:, 0], parts[:, 1], rank, np.array([len(block) for block in blocks]), reach, shift
 
     monkeypatch.setattr(partition, "_greedy_core", one_gap_parts)
     sizes = (1, 3, 8, 12, 20)

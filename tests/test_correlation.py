@@ -253,6 +253,27 @@ def crossing_cases():
         P = np.array([b - 1.0, b, x, math.nextafter(x, math.inf), x + 1.0])
         yield name, P, np.repeat(P, 20), 0, t
         yield name, P, np.full(9, b), np.arange(9) % 5, t
+        # one start in 7 misses at lower 0, 1 and 2, and its seed is one index off: it reaches
+        # the search and the repair through the probe path wherever a chunk holds more than one start
+        P = np.array([b - 3.0, b - 2.0, b - 1.0, b, x, math.nextafter(x, math.inf), x + 1.0])
+        answer = scan_first_crossing(P, P[3:4], 0, t, False)[0]
+        yield name + "-past-the-probes", P, np.full(70, b), np.resize([0] + [answer] * 6, 70), t
+    # each start's lower sits d positions before its first passing index e0 (d < 0: past it), with
+    # d running through a period of 7 starts, so each chunk of 7, and each of 64 nearly, holds the
+    # same mix; a chunk of 1 start that misses at lower is more than half missing
+    t = 1.0
+    e0 = np.array(scan_first_crossing(poisson, poisson[:-1], 0, t, False))
+    for name, d in (
+        ("all-at-lower", [0, -1, -3, 0, 0, -2, 0]),
+        ("lower+1-and-+2", [0, 1, 2, 0, 0, 1, 0]),  # 3 of 7 miss: the probe rounds answer them
+        ("past-the-probes", [0, 3, 0, 9, 0, 1, -2]),  # 3 of 7 miss, 2 past the rounds
+        ("mostly-missing", [5, 1, -2, 40, 2, 3, -1]),  # 5 of 7 miss: the whole chunk is searched
+    ):
+        yield name, poisson, poisson[:-1], np.maximum(e0 - np.resize(d, e0.size), 0), t
+    yield "empty", np.array([]), np.array([1.0]), 0, 0.5
+    yield "empty", np.array([]), np.array([1.0, 2.0]), np.array([3, 0]), 0.5
+    yield "lower-past-the-end", np.array([0.0, 1.0]), np.array([0.0, 0.5, -1.0]), 5, 0.5
+    yield "lower-past-the-end", np.array([0.0, 1.0]), np.array([0.0, 0.5, -1.0]), np.array([5, 2, -1]), 0.5
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -276,6 +297,25 @@ def test_a_seed_that_rounding_puts_one_index_off_is_repaired(monkeypatch, case, 
     monkeypatch.setattr(correlation, "_repair", lambda *args: repaired.append(1) or real(*args))
     assert pl.first_crossing(P, base, 0, t, False).tolist() == answer
     assert repaired == [1]
+
+
+@pytest.mark.parametrize("case", [SEED_EARLY, SEED_LATE])
+@pytest.mark.parametrize("misses, searched", [(1, [1]), (3, [3]), (4, [7])])
+def test_only_starts_past_the_probe_rounds_are_searched_unless_most_miss(monkeypatch, case, misses, searched):
+    """A chunk of 7 starts whose first ``misses`` miss at lower 0, 1 and 2, each with a seed one index off."""
+    monkeypatch.setattr(correlation, "_CHUNK", 7)
+    b, t, x = case
+    P = np.array([b - 3.0, b - 2.0, b - 1.0, b, x, math.nextafter(x, math.inf), x + 1.0])
+    base = np.full(7, b)
+    answer = scan_first_crossing(P, base[:1], 0, t, False)[0]
+    lower = np.array([0] * misses + [answer] * (7 - misses))
+    sizes, repaired = [], []
+    search, repair = correlation._search, correlation._repair
+    monkeypatch.setattr(correlation, "_search", lambda P, b, *a: sizes.append(b.size) or search(P, b, *a))
+    monkeypatch.setattr(correlation, "_repair", lambda P, b, *a: repaired.append(b.size) or repair(P, b, *a))
+    assert pl.first_crossing(P, base, lower, t, False).tolist() == [answer] * 7
+    assert sizes == searched
+    assert len(repaired) == 1 and repaired[0] >= misses  # a late seed of a start hit at lower is repaired too
 
 
 @pytest.mark.parametrize("before, after", [(1, 1), (1, 40), (40, 1), (37, 91), (300, 5)])
