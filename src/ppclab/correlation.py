@@ -150,10 +150,10 @@ def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
             np.maximum(lower[c : c + _CHUNK], 0, out=g)
             hit = passes(P.take(g, mode="clip") - b, t)
             hit |= g > last
-            miss = np.flatnonzero(~hit)
-            if miss.size > _MISS_CUTOFF * g.size:
+            if g.size - np.count_nonzero(hit) > _MISS_CUTOFF * g.size:
                 g[:] = _search(P, b, g, t, strict)
                 continue
+            miss = np.flatnonzero(~hit)
             probed, b = g[miss], b[miss]
             open_ = np.ones(miss.size, dtype=bool)  # the starts that missed at probed
             for _ in range(_PROBE_ROUNDS):
@@ -176,6 +176,7 @@ def _search(P, b, low, t, strict):
     key = b + t
     s0, s1 = np.searchsorted(P, (key.min(), key.max()), side=side)
     g = np.searchsorted(P[s0:s1], key, side=side)
+    del key  # one chunk-sized array fewer held through the check
     g += s0
     np.maximum(g, low, out=g)
     at = passes(P.take(g, mode="clip") - b, t)
