@@ -170,7 +170,7 @@ def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
 
 
 def _search(P, b, low, t, strict):
-    """The seed, check and repair steps of :func:`first_crossing` for starts whose answers are >= ``low``."""
+    """:func:`first_crossing`'s seed, check and repair steps for starts whose answers are >= ``low``."""
     passes = np.greater if strict else np.greater_equal
     side = "right" if strict else "left"
     key = b + t

@@ -367,7 +367,7 @@ def test_seed_past_a_long_run_of_equal_prefix_values():
     interval = pl.Interval.open(t, 1.0)
     p = g.prefix
     seed = int(np.searchsorted(p, p[1] + t, side="right"))
-    answer = int(pl.first_crossing(p, p[1:2], 2, t, True)[0])
+    answer = int(pl.first_crossing(p, p[1:2], 0, t, True)[0])  # lower 0 misses, so the seed is searched
     assert (answer, seed) == (2, g.length + 1)  # the seed misses by the whole run
 
     started = time.perf_counter()
