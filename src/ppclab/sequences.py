@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import math
@@ -24,9 +23,32 @@ CAPPED_MIN_CAP = 0.01
 # and writes one 17-digit line per point, so larger n is rejected up front.
 GENERATOR_MAX_POINTS = 10**8
 
-# Ingest parses a file this many bytes at a time (rounded up to a line end),
-# so the line objects of one chunk are alive at once, never the whole file's.
+# Ingest reads a file this many bytes at a time, into one buffer that holds
+# the unfinished line too, so no more of the file's bytes are held than that.
 _INGEST_CHUNK = 1 << 20
+
+# A line of more characters than this is an error on both paths, so that
+# buffer, and the text reader's line, stay bounded however long a line is.
+_LINE_MAX = 1 << 20
+
+# The decimal kernel reads the last _WIDTH bytes of each line: 19 digits and
+# a dot fill them.  It parses at once the lines that end in each
+# _KERNEL_BLOCK bytes read: enough lines that numpy's cost per call is
+# small, while its temporaries, about 100 bytes a line, stay under 1 MB.
+_WIDTH = 20
+_KERNEL_BLOCK = 1 << 17
+
+# The kernel's division is exact enough only in an IEEE longdouble with at
+# least 64 significant bits (x87 extended, binary128).  IBM double-double
+# reports 106 bits but only the exponent range of binary64, and its division
+# is not correctly rounded.  Without such a type no line is decided by the
+# kernel.  _SPLIT is Veltkamp's constant that rounds a longdouble to 54
+# bits.  The kernel makes its small arrays per call: making them at import
+# would cost every command, ingesting or not, about 0.2 MB of resident
+# memory for the numpy loops they touch.
+_LONGDOUBLE = np.finfo(np.longdouble)
+_LONGDOUBLE_EXACT = _LONGDOUBLE.nmant >= 63 and _LONGDOUBLE.nexp > 11
+_SPLIT = 2 ** max(_LONGDOUBLE.nmant - 53, 0) + 1
 
 # An ingest error quotes at most this many characters of a bad line, so its
 # message stays short however long the line is.
@@ -333,15 +355,16 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     blank lines ignored) and must be strictly increasing.  A line's value is
     ``float(line.strip())``, so ``float``'s accept set holds: ``1_000``,
     ``infinity`` (then rejected as non-finite) and non-ASCII digits parse,
-    ``1 2`` does not.  ``zeta_unfold`` maps each value t to t*ln(t)/(2*pi), the
-    rescaling under which a sequence counted by ~ T*log(T)/(2*pi) acquires
-    asymptotic mean gap 1; it requires every value > 1 and names the first t
-    whose t*ln(t) overflows.
+    ``1 2`` does not.  A line of more than ``_LINE_MAX`` characters is an
+    error, whatever it holds.  ``zeta_unfold`` maps each value t to
+    t*ln(t)/(2*pi), the rescaling under which a sequence counted by
+    ~ T*log(T)/(2*pi) acquires asymptotic mean gap 1; it requires every
+    value > 1 and names the first t whose t*ln(t) overflows.
 
-    The file is streamed ``_INGEST_CHUNK`` bytes at a time; each piece is
-    hashed and parsed by :func:`_parse_fast`, so the whole file's bytes are
-    never held.  Where that declines, the file is read again, line by line,
-    by :func:`_parse_lines`, which names the first bad line.
+    The file is read ``_INGEST_CHUNK`` bytes at a time; each piece is hashed
+    and parsed by :func:`_parse_fast`, so the whole file's bytes are never
+    held.  Where that declines, the file is read again, line by line, by
+    :func:`_parse_lines`, which names the first bad line.
     ``metadata["input_sha256"]`` is the SHA-256 of the bytes of the read the
     values came from.
     """
@@ -349,7 +372,7 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
     with open(path, "rb", buffering=0) as fh:
         reader = _Sha256Reader(fh)
-        arr = _parse_fast(iter(functools.partial(reader.read, _INGEST_CHUNK), b""), mode)
+        arr = _parse_fast(reader, mode)
     if arr is None:  # read again, and hash the bytes the values now come from
         with open(path, "rb", buffering=0) as fh:
             reader = _Sha256Reader(fh)
@@ -383,44 +406,93 @@ class _Sha256Reader(io.RawIOBase):
         return size
 
 
-def _parse_fast(chunks, mode: str) -> np.ndarray | None:
+def _parse_fast(file, mode: str) -> np.ndarray | None:
     """The values of a file with no blank, comment or bad line after its leading comments, or None.
 
-    ``chunks`` yields the file's bytes in order, in pieces of any size.  The
+    ``file`` is a binary file read with ``readinto``, ``_INGEST_CHUNK`` bytes
+    at a time, into one buffer that also holds the line not yet ended.  The
     file's lines are its bytes split on ``\\n`` only, where a final ``\\n``
-    ends the last line; a line is parsed once the piece holding its end
-    arrives.  Leading lines that begin with ``#`` (the header
-    :func:`write_sequence` writes) are skipped; a header line holding a
-    ``\\r`` before its last byte declines, since the text reader ends a line
-    there.  A piece that is not ASCII declines.  Each other line goes to
-    ``float`` as bytes.  On an ASCII line, ``float`` either rejects the bytes
-    or gives ``float(line.strip())``, and a ``\\r`` (a line end to the text
-    reader) can only sit in the whitespace around the number, so every line
-    accepted here has the value :func:`_parse_lines` gives it.  The values
-    go into one array that grows in place (no other reference to it exists,
-    so ``refcheck`` is off), so no second copy of them is ever held.
-    Finiteness, strict increase and the ``zeta_unfold`` bound are then
-    tested on the whole array.
+    ends the last line, and a ``\\r`` before a ``\\n`` is left out of its
+    line, as the text reader leaves it (``float`` would strip it).  A line
+    of more than ``_LINE_MAX`` bytes declines.  Leading lines that begin
+    with ``#`` (the header :func:`write_sequence` writes) are skipped; a
+    header line that is not ASCII, or holds any other ``\\r``, declines,
+    since the text reader would fail on it or end the line there.
+
+    The lines that end in each ``_KERNEL_BLOCK`` bytes read go to
+    :func:`_decimal_values` at once, which decides every line of the form
+    ``[0-9]*.?[0-9]*`` with 1 to 19 digits, except where its quotient sits
+    on a binary64 midpoint: on ``write_sequence`` output it leaves only
+    exponent forms and lines of 20 or more digits (values below 0.01).  Every line
+    it leaves goes to ``float`` as bytes, and a line that is not ASCII
+    declines.  On an ASCII line, ``float`` either rejects the bytes or gives
+    ``float(line.strip())``, and a ``\\r`` (a line end to the text reader)
+    can only sit in the whitespace around the number, so every line
+    accepted here has the value :func:`_parse_lines` gives it.
+
+    The values go into one array that grows in place (no other reference to
+    it exists, so ``refcheck`` is off), so no second copy of them is ever
+    held.  Finiteness, strict increase and the ``zeta_unfold`` bound are
+    then tested on the whole array.
     """
+    size = _LINE_MAX + 1  # a longest line and its newline
+    buf = np.zeros(_WIDTH + size, np.uint8)  # the kernel reads _WIDTH bytes before a line's end
+    view = memoryview(buf)
+    windows = np.lib.stride_tricks.sliding_window_view(buf, _WIDTH)  # row e - _WIDTH ends before byte e
     out = np.empty(1 << 10)
     filled = 0
     header = True  # no data line yet
-    try:
-        for lines in _ascii_lines(chunks):
+    held = 0  # bytes of the line not yet ended, at buf[_WIDTH:]
+    while True:
+        lo = _WIDTH + held
+        got = file.readinto(view[lo : lo + min(_INGEST_CHUNK, size - held)])
+        if not got:
+            if not held:
+                break
+            buf[lo] = 10  # end the last line
+            got = 1
+        start = _WIDTH  # where the next line begins
+        for a in range(lo, lo + got, _KERNEL_BLOCK):
+            ends = np.flatnonzero(buf[a : min(a + _KERNEL_BLOCK, lo + got)] == 10)  # "\n"
+            if not ends.size:
+                continue
+            ends += a
+            lens = np.empty_like(ends)
+            lens[0] = ends[0] - start
+            np.subtract(ends[1:], ends[:-1], out=lens[1:])
+            lens[1:] -= 1
+            start = int(ends[-1]) + 1
+            crlf = buf[ends - 1] == 13  # the text reader ends such a line at its \r
+            ends -= crlf
+            lens -= crlf
             if header:
                 skip = 0
-                while skip < len(lines) and lines[skip].startswith(b"#"):
-                    if b"\r" in lines[skip][:-1]:
-                        return None  # the text reader ends this line at the \r
+                while skip < ends.size and buf[ends[skip] - lens[skip]] == 35:  # "#"
+                    line = bytes(view[ends[skip] - lens[skip] : ends[skip]])
+                    if not line.isascii() or b"\r" in line:
+                        return None  # the text reader fails on it, or ends the line at the \r
                     skip += 1
-                header = skip == len(lines)
-                lines = lines[skip:]
-            if filled + len(lines) > out.size:  # grow by at least 1/8, so the resizes cost O(n) in all
-                out.resize(max(filled + len(lines), out.size + (out.size >> 3)), refcheck=False)
-            out[filled : filled + len(lines)] = np.fromiter(map(float, lines), float, len(lines))
-            filled += len(lines)
-    except ValueError:  # a blank, comment, malformed or non-ASCII line
-        return None
+                header = skip == ends.size
+                ends, lens = ends[skip:], lens[skip:]
+            if filled + ends.size > out.size:  # grow by at least 1/8, so the resizes cost O(n) in all
+                out.resize(max(filled + ends.size, out.size + (out.size >> 3)), refcheck=False)
+            undecided = np.flatnonzero(~_decimal_values(windows, ends, lens, out[filled : filled + ends.size]))
+            if undecided.size:
+                block = bytes(view[ends[0] - lens[0] : ends[-1]])
+                if not block.isascii():  # decided lines are digits, so the byte is an undecided line's
+                    return None
+                lines = block.split(b"\n")
+                if undecided.size < len(lines):
+                    lines = map(lines.__getitem__, undecided.tolist())
+                try:
+                    out[filled + undecided] = np.fromiter(map(float, lines), float, undecided.size)
+                except ValueError:  # a blank, comment or malformed line
+                    return None
+            filled += ends.size
+        held = lo + got - start
+        if held > _LINE_MAX:
+            return None
+        buf[_WIDTH : _WIDTH + held] = buf[start : lo + got]
     if header:  # no data line
         return None
     out.resize(filled, refcheck=False)
@@ -431,34 +503,96 @@ def _parse_fast(chunks, mode: str) -> np.ndarray | None:
     return out
 
 
-def _ascii_lines(chunks):
-    """The lines of the bytes ``chunks`` yields: one list for each piece in which a line ends.
+def _decimal_values(windows: np.ndarray, ends: np.ndarray, lens: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the value of each line the kernel decides, and say which it decided.
 
-    Lines are split on ``\\n`` only, and a final ``\\n`` ends the last line
-    rather than starting an empty one.  A piece that is not ASCII raises
-    ``ValueError``.
+    ``windows`` is the ``_WIDTH``-byte sliding window view of a buffer, and
+    the i-th line is the ``lens[i]`` bytes before byte ``ends[i]`` of that
+    buffer, where ``ends[i] >= _WIDTH``.  The kernel decides a line of the form
+    ``[0-9]*.?[0-9]*`` with 1 to 19 digits, and writes ``float(line)``
+    for it; every other entry of ``out`` is left to the caller.
+
+    Each line's last ``_WIDTH`` bytes are gathered into one column of a
+    ``_WIDTH`` x n array, so every step below runs over all lines at once.
+    The digits form an integer M < 10^19 < 2^64, built by Horner's rule on
+    pairs of columns in uint8, on pairs of pairs in uint16 and on the five
+    groups left in uint64; a dot or a byte before the line multiplies by 1
+    where a digit multiplies by 10.  The value is M / 10^k, where k is the
+    number of digits after the dot.
+
+    Why the result is exact: M and 10^k (k <= 19) are exact in a longdouble
+    of at least 64 significant bits, and IEEE division gives q, the
+    quotient correctly rounded to that precision.  Rounding is monotone,
+    and every midpoint between adjacent binary64 values has 54 significant
+    bits, so it is itself a longdouble.  So unless q lands exactly on such a
+    midpoint, q and M / 10^k round to the same binary64, and the cast of q
+    is ``float(line)``.  A q with at most 54 significant bits (Veltkamp's
+    split leaves it whole) that is not a binary64 is a midpoint; those lines
+    are left undecided, as is every line when longdouble is not such a type
+    (``_LONGDOUBLE_EXACT``).  The kernel makes no BLAS call.
     """
-    pending = []  # the pieces of the line not yet ended
-    for chunk in chunks:
-        if not chunk.isascii():
-            raise ValueError("the file is not ASCII")
-        cut = chunk.rfind(b"\n")
-        if cut < 0:
-            pending.append(chunk)
-            continue
-        pending.append(chunk[:cut])
-        yield b"".join(pending).split(b"\n")
-        pending = [chunk[cut + 1 :]]
-    last = b"".join(pending)
-    if last:
-        yield [last]
+    if not _LONGDOUBLE_EXACT:
+        return np.zeros(ends.size, dtype=bool)
+    # Each temporary is deleted once used: the ones alive together set the
+    # kernel's peak memory, about 100 bytes a line.
+    rows = windows[ends - _WIDTH]
+    digits = np.ascontiguousarray(rows.T)  # column c of line i is digits[c, i]
+    del rows
+    digits -= 48  # "0".."9" become 0..9, and "." becomes 254
+    column = np.arange(_WIDTH, dtype=np.uint8)[:, None]
+    inside = column >= (_WIDTH - np.minimum(lens, _WIDTH)).astype(np.uint8)  # the byte is the line's
+    is_digit = digits < 10
+    is_digit &= inside
+    is_dot = digits == 254
+    is_dot &= inside
+    del inside
+    n_digits = is_digit.sum(0, dtype=np.uint8)
+    n_dots = is_dot.sum(0, dtype=np.uint8)
+    decided = (lens == n_digits + n_dots) & (n_dots <= 1) & (n_digits >= 1) & (n_digits <= 19)
+    k = (is_dot * (_WIDTH - 1 - column)).sum(0, dtype=np.uint8)  # the bytes after the dot, if one
+    np.minimum(k, _WIDTH - 1, out=k)  # and a power of 10 below 2^64 on any line
+    del is_dot
+    digits *= is_digit
+    factor = is_digit * np.uint8(9)
+    factor += 1
+    del is_digit
+    pair = digits[0::2] * factor[1::2]  # <= 99, and its factor <= 100, both uint8
+    pair += digits[1::2]
+    pair_factor = factor[0::2] * factor[1::2]
+    del digits, factor
+    quad = pair[0::2].astype(np.uint16) * pair_factor[1::2]  # <= 9999, and its factor <= 10^4
+    quad += pair[1::2]
+    quad_factor = pair_factor[0::2].astype(np.uint16) * pair_factor[1::2]
+    del pair, pair_factor
+    m = quad[0].astype(np.uint64)
+    for g in range(1, _WIDTH // 4):
+        m *= quad_factor[g]
+        m += quad[g]
+    del quad, quad_factor
+    q = m.astype(np.longdouble)
+    del m
+    q /= (10 ** np.arange(_WIDTH, dtype=np.uint64))[k]  # exact in longdouble
+    out[...] = q
+    t = q * _SPLIT
+    t -= t - q  # q rounded to 54 significant bits
+    whole = np.flatnonzero(t == q)
+    decided[whole[q[whole] != out[whole]]] = False
+    return decided
 
 
-def _parse_lines(lines, mode: str) -> np.ndarray:
-    """Values of ``lines`` one at a time; the first bad line raises :class:`SequenceFormatError`."""
+def _parse_lines(text, mode: str) -> np.ndarray:
+    """Values of the lines of ``text`` one at a time; the first bad line raises :class:`SequenceFormatError`.
+
+    Each line is read with ``readline(_LINE_MAX + 1)``, so a longer line is
+    refused without being held whole.
+    """
     values = []
     prev = None
-    for lineno, raw in enumerate(lines, start=1):
+    lineno = 0
+    while raw := text.readline(_LINE_MAX + 1):
+        lineno += 1
+        if len(raw) > _LINE_MAX and not raw.endswith("\n"):
+            raise SequenceFormatError(f"longer than the limit of {_LINE_MAX} characters", lineno)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,6 +1,7 @@
 """Ingest's whole-file parse against the line-by-line oracle: the same values or the same error."""
 
 import hashlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -90,12 +91,12 @@ def test_float_accept_set_is_kept(tmp_path):
 
 
 def test_clean_files_take_the_fast_path_and_others_fall_back():
-    assert sequences._parse_fast([b"1\n2.5\n3e2\n"], "raw").tolist() == [1.0, 2.5, 300.0]
-    assert sequences._parse_fast([b"# c\n#\n1\n2\n"], "raw").tolist() == [1.0, 2.0]  # leading comments
+    assert sequences._parse_fast(io.BytesIO(b"1\n2.5\n3e2\n"), "raw").tolist() == [1.0, 2.5, 300.0]
+    assert sequences._parse_fast(io.BytesIO(b"# c\n#\n1\n2\n"), "raw").tolist() == [1.0, 2.0]  # leading comments
     for content in (b"1\n\n2\n", b"1\n# c\n2\n", b"# c\r1\n", b"# c\n", b"# c", b"1\n1\n", b"1\nnan\n",
                     "١\n".encode(), b"0.5\n", b""):
         mode = "zeta_unfold" if content == b"0.5\n" else "raw"
-        assert sequences._parse_fast([content], mode) is None, content
+        assert sequences._parse_fast(io.BytesIO(content), mode) is None, content
 
 
 def test_a_written_comment_header_keeps_the_fast_path(tmp_path, monkeypatch):
