@@ -18,10 +18,8 @@ from .sequences import GapSequence, RealSequence
 
 _CHUNK = 1 << 16  # starts per pass of the count functions and first_crossing: cache-sized temporaries
 # first_crossing tests every start at lower, and the misses at up to _PROBE_ROUNDS next positions,
-# before any search; a chunk where more than _MISS_CUTOFF of the starts miss at lower is searched
-# whole.  Both values come from measurements on Poisson input (see README).
+# before any search.  The value comes from measurements on Poisson input (see README).
 _PROBE_ROUNDS = 2
-_MISS_CUTOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -119,12 +117,10 @@ def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
     * Probe: g = ``lower`` is the answer exactly when ``P[g] - base`` passes
       or g is past the end of ``P``.  The starts that miss move on by one
       position, and are probed again, for ``_PROBE_ROUNDS`` more rounds.
-      Guard: when more than ``_MISS_CUTOFF`` of the chunk misses at
-      ``lower``, the probe rounds are skipped and the next three steps run
-      on the whole chunk, so a caller whose answers lie far from ``lower``
-      pays one gather and compare per chunk.  Otherwise they run only on
-      the starts still unresolved, each raised to its last missed position
-      plus one, a lower bound of its answer.
+      The next three steps run only on the starts still unresolved, each
+      raised to its last missed position plus one, a lower bound of its
+      answer.  So the kernel pays most when answers lie far from ``lower``,
+      and its callers pass tight lower bounds.
     * Seed: ``searchsorted`` on the rounded key ``base + t``, run over the
       slice of ``P`` between the seeds of the smallest and largest key (the
       same integers a whole-array search gives), raised to the lower bound.
@@ -150,9 +146,6 @@ def first_crossing(P, base, lower, t: float, strict: bool) -> np.ndarray:
             np.maximum(lower[c : c + _CHUNK], 0, out=g)
             hit = passes(P.take(g, mode="clip") - b, t)
             hit |= g > last
-            if g.size - np.count_nonzero(hit) > _MISS_CUTOFF * g.size:
-                g[:] = _search(P, b, g, t, strict)
-                continue
             miss = np.flatnonzero(~hit)
             probed, b = g[miss], b[miss]
             open_ = np.ones(miss.size, dtype=bool)  # the starts that missed at probed
@@ -209,17 +202,36 @@ def _repair(P, b, low, g, at, t, passes):
     return hi
 
 
+def _forward_pairs(P, starts: int, offset: int, interval: Interval) -> int:
+    """#{(i, j) : i < starts, i + offset <= j < P.size, P[j] - P[i] in I}, for non-decreasing ``P``.
+
+    The differences of one i do not decrease in j, so its admissible j form
+    one contiguous run; :func:`first_crossing` finds both of its ends on the
+    difference ``P[j] - P[i]`` itself, from the lower bound ``i + offset``,
+    ``_CHUNK`` starts at a time, so no temporary is ``P.size`` long.  The
+    lower end needs no pass when every difference passes lo.
+    """
+    # the differences are >= 0, so with lo < 0, or lo == 0 closed, every j passes lo
+    lo_trivial = interval.lo < 0 or (interval.lo == 0 and interval.lo_closed)
+    total = 0
+    for c in range(0, starts, _CHUNK):
+        base = P[c : min(c + _CHUNK, starts)]
+        lower = np.arange(c + offset, c + offset + base.size)
+        first = lower if lo_trivial else first_crossing(P, base, lower, interval.lo, not interval.lo_closed)
+        total += int(np.sum(first_crossing(P, base, first, interval.hi, interval.hi_closed) - first))
+    return total
+
+
 def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> CorrelationReport:
     """Count ordered pairs (i, j), i != j, i,j <= n with values[j] - values[i] in I.
 
-    For each i the admissible j form a contiguous run of the sorted values;
-    its ends are found by :func:`first_crossing` on the difference
-    values[j] - values[i] itself, the same expression a brute-force
-    enumerator would use, so the count is aggregated without enumerating
-    pairs.  The i are taken ``_CHUNK`` at a time, so no temporary is n long.
-    The lower end needs no pass when lo == 0.  When lo > 0 its pass starts
-    at j = i + 1: the difference at j = i is 0.0 and never passes lo, and
-    every j < i gives a negative one.
+    Since fl(a - b) = -fl(b - a), the pairs with j < i and a difference in I
+    are the pairs with i < j and a difference in -I.  So the count is two
+    forward counts, :func:`_forward_pairs` on I and on -I, each on the
+    difference values[j] - values[i] itself, the same expression a
+    brute-force enumerator would use.  The values strictly increase, so every
+    forward difference is > 0: a half with hi <= 0 holds none and is not
+    counted, and a lo <= 0 is a closed 0, whose lower end needs no pass.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -227,18 +239,12 @@ def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> Correlati
         raise ValueError(f"n={n} exceeds sequence length {seq.n}")
 
     values = seq.values[:n]
-    count = -n if interval.contains(0.0) else 0  # j = i has the difference 0.0 and is no pair
-    # values strictly increase and a difference of distinct floats is never 0, so with lo == 0
-    # the first j passing lo is i itself when lo is closed and i + 1 when it is open
-    skip = 0 if interval.lo_closed else 1
-    for c in range(0, n, _CHUNK):
-        base = values[c : c + _CHUNK]
-        if interval.lo == 0:
-            first = np.arange(c + skip, c + skip + base.size)
-        else:
-            lower = np.arange(c + 1, c + 1 + base.size) if interval.lo > 0 else 0
-            first = first_crossing(values, base, lower, interval.lo, not interval.lo_closed)
-        count += int(np.sum(first_crossing(values, base, first, interval.hi, interval.hi_closed) - first))
+    count = 0
+    for half in (interval, interval.reflected()):
+        if half.hi > 0:
+            if half.lo <= 0:
+                half = Interval(0.0, half.hi, True, half.hi_closed)
+            count += _forward_pairs(values, n - 1, 1, half)
     return CorrelationReport(interval, n, count, count / n)
 
 
@@ -254,30 +260,15 @@ def gap_cdf(g: GapSequence, x: float, n: int) -> float:
 def multi_gap_count(g: GapSequence, interval: Interval, n: int, m_min: int = 1) -> int:
     """Count windows (start, m) with m >= m_min, start+m-1 <= n, and gap-sum in I.
 
-    Because gaps are non-negative, the admissible window ends of each start
-    form one contiguous run; :func:`first_crossing` finds both of its ends
-    on the canonical sums ``prefix[e] - prefix[s-1]``, ``_CHUNK`` starts at
-    a time, so no temporary is n long.  The lower end needs no pass when
-    every sum passes lo.
+    The windows are the forward pairs of the canonical prefix sums, counted
+    by :func:`_forward_pairs` on ``prefix[e] - prefix[s-1]``.
     """
     if m_min < 1:
         raise ValueError("m_min must be >= 1")
     if n < 0 or n > g.length:
         raise ValueError(f"n={n} out of range 0..{g.length}")
-    if n == 0 or m_min > n:
-        return 0
-
-    prefix = g.prefix[: n + 1]
-    # canonical sums are >= 0, so with lo < 0, or lo == 0 closed, every end passes lo
-    lo_trivial = interval.lo < 0 or (interval.lo == 0 and interval.lo_closed)
-    starts = n - m_min + 1  # s = 1..starts
-    total = 0
-    for c in range(0, starts, _CHUNK):
-        base = prefix[c : min(c + _CHUNK, starts)]  # prefix[s-1] for the starts s = c+1, ...
-        lower = np.arange(c + m_min, c + m_min + base.size)  # each start's first end, s + m_min - 1
-        first = lower if lo_trivial else first_crossing(prefix, base, lower, interval.lo, not interval.lo_closed)
-        total += int(np.sum(first_crossing(prefix, base, first, interval.hi, interval.hi_closed) - first))
-    return total
+    # start s is the pair (s - 1, e) with e >= s + m_min - 1
+    return _forward_pairs(g.prefix[: n + 1], n - m_min + 1, m_min, interval)
 
 
 def _pairs_within(prefix, starts: IndexInterval, ends: IndexInterval, t: float, strict: bool) -> int:

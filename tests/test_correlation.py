@@ -105,7 +105,7 @@ def test_pair_correlation_reflection_symmetry():
     for _ in range(100):
         n = int(rng.integers(2, 80))
         seq = pl.sequence_from_gaps(rng.uniform(0.02, 1.2, n - 1))
-        lo, hi = sorted(rng.uniform(0.0, 3.0, 2).tolist())
+        lo, hi = sorted(rng.uniform(-3.0, 3.0, 2).tolist())  # above, straddling and below 0
         interval = pl.Interval(lo, hi, bool(rng.integers(0, 2)), bool(rng.integers(0, 2)))
         direct = pl.pair_correlation(seq, interval, n).pair_count
         mirrored = pl.pair_correlation(seq, interval.reflected(), n).pair_count
@@ -209,24 +209,33 @@ def test_multi_gap_count_makes_no_pass_for_a_lower_end_every_sum_passes(monkeypa
 
 
 def test_pair_correlation_makes_no_pass_for_the_lower_end_at_lo_zero(monkeypatch):
+    """Passes per chunk of starts; every pass searches from lower >= start + 1, never from 0."""
     monkeypatch.setattr(correlation, "_CHUNK", 64)
     calls = []
     real = correlation.first_crossing
-    monkeypatch.setattr(correlation, "first_crossing", lambda *args: calls.append(1) or real(*args))
+
+    def record(P, base, lower, *args):
+        calls.append(np.broadcast_to(lower, base.shape) - np.searchsorted(P, base))
+        return real(P, base, lower, *args)
+
+    monkeypatch.setattr(correlation, "first_crossing", record)
     values = np.cumsum(np.random.default_rng(3).integers(1, 5, 200) / 8)
     seq = pl.RealSequence(values)
-    chunks = 4  # ceil(200 / 64)
+    chunks = 4  # ceil(199 / 64): the last value starts no pair
     for interval, passes in (
         (pl.Interval.closed(0.0, 0.5), 1),
         (pl.Interval.open(0.0, 0.5), 1),
         (pl.Interval(-0.0, 0.375, True, True), 1),
-        (pl.Interval.open(0.0, 0.0), 1),
+        (pl.Interval.open(0.0, 0.0), 0),
         (pl.Interval.half_open(0.125, 0.5), 2),
         (pl.Interval.closed(-0.5, 0.5), 2),
+        (pl.Interval.closed(-0.5, -0.125), 2),
+        (pl.Interval(-2.0, 0.5, False, True), 2),
     ):
         calls.clear()
         assert pl.pair_correlation(seq, interval, 200).pair_count == brute_pair_count(values, interval, 200)
         assert len(calls) == passes * chunks, interval
+        assert all(d.min() >= 1 for d in calls), interval
 
 
 # fl(b + t) is P[1] itself, but P[1] - b rounds below t: a ">= t" seed lands one index early
@@ -254,20 +263,20 @@ def crossing_cases():
         yield name, P, np.repeat(P, 20), 0, t
         yield name, P, np.full(9, b), np.arange(9) % 5, t
         # one start in 7 misses at lower 0, 1 and 2, and its seed is one index off: it reaches
-        # the search and the repair through the probe path wherever a chunk holds more than one start
+        # the search and the repair after the probe rounds
         P = np.array([b - 3.0, b - 2.0, b - 1.0, b, x, math.nextafter(x, math.inf), x + 1.0])
         answer = scan_first_crossing(P, P[3:4], 0, t, False)[0]
         yield name + "-past-the-probes", P, np.full(70, b), np.resize([0] + [answer] * 6, 70), t
     # each start's lower sits d positions before its first passing index e0 (d < 0: past it), with
     # d running through a period of 7 starts, so each chunk of 7, and each of 64 nearly, holds the
-    # same mix; a chunk of 1 start that misses at lower is more than half missing
+    # same mix
     t = 1.0
     e0 = np.array(scan_first_crossing(poisson, poisson[:-1], 0, t, False))
     for name, d in (
         ("all-at-lower", [0, -1, -3, 0, 0, -2, 0]),
         ("lower+1-and-+2", [0, 1, 2, 0, 0, 1, 0]),  # 3 of 7 miss: the probe rounds answer them
         ("past-the-probes", [0, 3, 0, 9, 0, 1, -2]),  # 3 of 7 miss, 2 past the rounds
-        ("mostly-missing", [5, 1, -2, 40, 2, 3, -1]),  # 5 of 7 miss: the whole chunk is searched
+        ("mostly-missing", [5, 1, -2, 40, 2, 3, -1]),  # 5 of 7 miss, 3 past the rounds
     ):
         yield name, poisson, poisson[:-1], np.maximum(e0 - np.resize(d, e0.size), 0), t
     yield "empty", np.array([]), np.array([1.0]), 0, 0.5
@@ -288,7 +297,8 @@ def test_first_crossing_matches_the_scalar_scan_at_any_chunk_size(monkeypatch, c
 @pytest.mark.parametrize("case, seed_offset", [(SEED_EARLY, -1), (SEED_LATE, 1)])
 def test_a_seed_that_rounding_puts_one_index_off_is_repaired(monkeypatch, case, seed_offset):
     b, t, x = case
-    P = np.array([b, x, math.nextafter(x, math.inf), x + 1.0])
+    # three values below b keep the answer past lower 0's probe rounds, so it is searched
+    P = np.array([b - 3.0, b - 2.0, b - 1.0, b, x, math.nextafter(x, math.inf), x + 1.0])
     base = np.array([b])
     answer = scan_first_crossing(P, base, 0, t, False)
     assert int(np.searchsorted(P, b + t)) - answer[0] == seed_offset
@@ -300,8 +310,8 @@ def test_a_seed_that_rounding_puts_one_index_off_is_repaired(monkeypatch, case, 
 
 
 @pytest.mark.parametrize("case", [SEED_EARLY, SEED_LATE])
-@pytest.mark.parametrize("misses, searched", [(1, [1]), (3, [3]), (4, [7])])
-def test_only_starts_past_the_probe_rounds_are_searched_unless_most_miss(monkeypatch, case, misses, searched):
+@pytest.mark.parametrize("misses, searched", [(1, [1]), (3, [3]), (4, [4])])
+def test_only_starts_past_the_probe_rounds_are_searched(monkeypatch, case, misses, searched):
     """A chunk of 7 starts whose first ``misses`` miss at lower 0, 1 and 2, each with a seed one index off."""
     monkeypatch.setattr(correlation, "_CHUNK", 7)
     b, t, x = case
@@ -322,16 +332,18 @@ def test_only_starts_past_the_probe_rounds_are_searched_unless_most_miss(monkeyp
 def test_repair_bisects_to_an_answer_anywhere_inside_a_wide_bracket(monkeypatch, before, after):
     """The seed lands past the whole array; the answer is where the one-ulp step starts."""
     ulp = 2.0**-52
-    P = np.array([0.0] + [1.0] * before + [1.0 + ulp] * after)
+    lead = correlation._PROBE_ROUNDS + 1  # zeros that keep the answer past lower 0's probe rounds
+    P = np.array([0.0] * lead + [1.0] * before + [1.0 + ulp] * after)
     t = 0.75 * ulp  # fl(1 + t) is 1 + ulp, but 1 - 1 does not pass t and (1 + ulp) - 1 does
     base = np.ones(5)
-    lower = np.array([0, 1, before, before + 1, P.size - 1])
+    answer = lead + before
+    lower = np.array([0, 1, answer - 1, answer, P.size - 1])
     repaired = []
     real = correlation._repair
     monkeypatch.setattr(correlation, "_repair", lambda *args: repaired.append(1) or real(*args))
     got = pl.first_crossing(P, base, lower, t, True).tolist()
     assert got == scan_first_crossing(P, base, lower, t, True)
-    assert got[:4] == [before + 1] * 4
+    assert got[:4] == [answer] * 4
     assert repaired == [1]
 
 
