@@ -38,14 +38,17 @@ _LINE_MAX = 1 << 20
 _WIDTH = 20
 _KERNEL_BLOCK = 1 << 17
 
-# The kernel's division is exact enough only in an IEEE longdouble with at
-# least 64 significant bits (x87 extended, binary128).  IBM double-double
-# reports 106 bits but only the exponent range of binary64, and its division
-# is not correctly rounded.  Without such a type no line is decided by the
-# kernel.  _SPLIT is Veltkamp's constant that rounds a longdouble to 54
-# bits.  The kernel makes its small arrays per call: making them at import
-# would cost every command, ingesting or not, about 0.2 MB of resident
-# memory for the numpy loops they touch.
+# Both decimal kernels, ingest's and the writer's, are exact only in an
+# IEEE longdouble with at least 64 significant bits (x87 extended,
+# binary128): ingest's division must be correctly rounded, and the writer's
+# product must hold every half-integer below 2^57.  IBM double-double
+# reports 106 bits but only the exponent range of binary64, and its
+# arithmetic is not correctly rounded.  Without such a type every line goes
+# to float, and every value to format, one at a time.  _SPLIT is Veltkamp's
+# constant that rounds a longdouble to 54 bits.  The kernels make their
+# small arrays per call: making them at import would cost every command,
+# reading or writing a file or not, about 0.2 MB of resident memory for the
+# numpy loops they touch.
 _LONGDOUBLE = np.finfo(np.longdouble)
 _LONGDOUBLE_EXACT = _LONGDOUBLE.nmant >= 63 and _LONGDOUBLE.nexp > 11
 _SPLIT = 2 ** max(_LONGDOUBLE.nmant - 53, 0) + 1
@@ -55,8 +58,14 @@ _SPLIT = 2 ** max(_LONGDOUBLE.nmant - 53, 0) + 1
 _ECHO_MAX = 80
 
 # write_sequence formats and writes this many values per write, so the text
-# of one chunk is alive at once, never the whole file's.
+# of one chunk is alive at once, never the whole file's.  With _format17's
+# temporaries that is about 80 bytes a value (2.6 MB), and about 160 where
+# every value goes to format one at a time.
 _WRITE_CHUNK = 1 << 15
+
+# The longest line format(v, ".17g") gives, "-2.2250738585072014e-308",
+# and its newline.
+_LINE = 25
 
 
 class SequenceFormatError(ValueError):
@@ -627,11 +636,127 @@ def _echo(line: str) -> str:
 def write_sequence(path, seq: RealSequence, comment: str | None = None) -> None:
     """Write ``seq`` in the text format read by :func:`ingest_and_unfold`.
 
-    Values are printed with 17 significant digits, so a read-back round-trips
-    bit-exactly.  Each line of ``comment`` becomes a ``# `` header line.
+    Each value's line is ``format(v, ".17g")``: 17 significant digits, so a
+    read-back round-trips bit-exactly.  Each line of ``comment`` becomes a
+    ``# `` header line, encoded as UTF-8.  The file is written in binary
+    mode, ``_WRITE_CHUNK`` values at a time, each chunk's lines made at once
+    by :func:`_format17`; its temporaries and the chunk's text come to about
+    80 bytes a value of one chunk (160 where every value goes to ``format``),
+    so the whole file's text is never held.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         if comment:
-            fh.write("".join(f"# {part}\n" for part in comment.splitlines()))
+            fh.write("".join(f"# {part}\n" for part in comment.splitlines()).encode("utf-8"))
         for start in range(0, seq.n, _WRITE_CHUNK):
-            fh.write("".join(f"{v:.17g}\n" for v in seq.values[start : start + _WRITE_CHUNK].tolist()))
+            fh.write(_format17(seq.values[start : start + _WRITE_CHUNK]))
+
+
+def _format17(values: np.ndarray) -> bytes:
+    """The lines ``format(v, ".17g") + "\\n"`` of the float64 ``values``, joined, as ASCII bytes.
+
+    The kernel decides a value x > 0 whose 17-digit decimal exponent E lies
+    in [-4, 16], where ``g`` prints it without an exponent; every other
+    value, and every value when longdouble is not exact enough
+    (``_LONGDOUBLE_EXACT``), goes to ``format`` one at a time.  Each line is
+    laid out in a row of a ``_LINE``-byte-wide array, so every step below
+    runs over all values at once, and the rows' lines are joined at the end.
+
+    Why the result is exact: with k = 16 - E <= 20, 10^k = 5^k * 2^k is
+    exact in a longdouble of at least 64 significant bits, so y = x * 10^k
+    is the exact product z rounded once, and rounding is monotone.  E comes
+    from ``log10`` and is kept only if 10^16 <= y < 10^17; both bounds are
+    longdoubles, so y < 10^17 implies z < 10^17, and when y lands on 10^16
+    with z a little below it, the digits at exponent E - 1 carry to the
+    same line.  Otherwise E steps by one and y is made again.  The digits
+    are D = rint(y), half to even.  Every half-integer below 2^57 is a
+    longdouble, so z and y lie on the same side of each one, and D is z
+    rounded to the nearest integer, unless y is itself a half-integer: those
+    values are left undecided.  A D of 10^17, which would carry to the next
+    E, is left undecided too; it needs x within a relative 5e-18 of
+    10^(E + 1), as near as no binary64 comes in this range (10^0 .. 10^17
+    are exact, and the doubles nearest 10^-3 .. 10^-1 lie above them).  The
+    line is then D's digits with the dot placed by E and its trailing
+    zeros, and a bare dot, stripped.  The kernel makes no BLAS call.
+    """
+    n = values.size
+    lines = np.empty((n, _LINE), np.uint8)  # line i is the first lens[i] bytes of row i, then "\n"
+    lens = np.empty(n, np.uint8)
+    decided = np.zeros(n, bool)
+    if _LONGDOUBLE_EXACT:
+        decided[...] = (values > 0) & (values < 1e17)  # false on nan
+        x = np.where(decided, values, 1.0)  # nothing below casts a nan or an inf
+        e = np.floor(np.log10(x)).astype(np.int8)
+        np.clip(e, -4, 16, out=e)
+        x = x.astype(np.longdouble)
+        powers = np.cumprod(np.full(21, 10.0)).astype(np.longdouble) / 10  # 10^0 .. 10^20, all exact
+        y = x * powers[16 - e]
+        off = np.flatnonzero((y < 1e16) | (y >= 1e17))  # log10 was one off, or E is out of range
+        if off.size:
+            e[off] += np.where(y[off] < 1e16, -1, 1).astype(np.int8)
+            np.clip(e, -4, 16, out=e)
+            y[off] = x[off] * powers[16 - e[off]]
+            decided[off] &= (y[off] >= 1e16) & (y[off] < 1e17)
+        del x
+        digits = np.rint(y)
+        y -= digits
+        decided &= (y != 0.5) & (y != -0.5)
+        del y
+        d = digits.astype(np.uint64)  # below 2^64 on every row, decided or not
+        del digits
+        decided &= d < 10**17  # a carry to 10^(E + 1): no binary64 in range makes one
+        # D = first digit and four groups of four digits; each group becomes
+        # one 4-byte row of a table of the ASCII digits of 0 .. 9999.
+        i = np.arange(10**4, dtype=np.uint16)
+        table = np.empty((10**4, 4), np.uint8)
+        for j in range(4):
+            table[:, 3 - j] = i // 10**j % 10
+        table += 48
+        trailing = sum((i % 10**j == 0).astype(np.uint8) for j in range(1, 5))  # zeros ending the group
+        high = (d // 10**8).astype(np.uint32)  # D's first 9 digits
+        low = (d - high * np.uint64(10**8)).astype(np.uint32)  # and its last 8
+        del d
+        groups = np.empty((5, n), np.uint32)  # x - 10 * (x // 10) is much faster than x % 10
+        top = high // 10**4  # D's first 5 digits
+        groups[0] = top // 10**4
+        groups[1] = top - groups[0] * 10**4
+        groups[2] = high - top * 10**4
+        groups[3] = low // 10**4
+        groups[4] = low - groups[3] * 10**4
+        del high, low, top
+        table = table.view(np.uint32).ravel()
+        chars = np.empty((n, 5), np.uint32)
+        for g in range(5):
+            chars[:, g] = table[groups[g]]  # the first digit's row is "000d"
+        chars = chars.view(np.uint8)[:, 3:]  # D's 17 digits, one row per value
+        kept = 17 - trailing[groups[4]]  # D's digits before its trailing zeros
+        zero = np.flatnonzero(groups[4] == 0)  # the rows whose groups after g are all zero
+        for g in (3, 2, 1):
+            kept[zero] -= trailing[groups[g, zero]]
+            zero = zero[groups[g, zero] == 0]
+        del groups
+        # the kept digits, and the dot when a digit follows it
+        lens[...] = np.where(e >= 0, np.maximum(kept, e + 1) + (kept > e + 1), kept - e + 1)
+        del kept
+        exponents = np.unique(e).tolist()
+        for ev in exponents:
+            rows = slice(None) if len(exponents) == 1 else np.flatnonzero(e == ev)
+            c = chars[rows]
+            if ev >= 0:  # the dot after the first E + 1 digits
+                lines[rows, : ev + 1] = c[:, : ev + 1]
+                lines[rows, ev + 1] = 46
+                lines[rows, ev + 2 : 18] = c[:, ev + 1 :]
+            else:  # "0." and -E - 1 zeros before the digits
+                lines[rows, : 1 - ev] = 48
+                lines[rows, 1] = 46
+                lines[rows, 1 - ev : 18 - ev] = c
+            del c
+        del chars
+    left = np.flatnonzero(~decided)
+    if left.size:
+        spec = f"<{_LINE - 1}.17g"  # padded to one width with blanks
+        text = "".join([format(v, spec) for v in values[left].tolist()]).encode()
+        block = np.frombuffer(text, np.uint8).reshape(-1, _LINE - 1)
+        lines[left, :-1] = block
+        lens[left] = (block != 32).sum(1)  # format's own lines hold no blank
+    lines[np.arange(n), lens] = 10  # "\n"
+    return lines[np.arange(_LINE, dtype=np.uint8) <= lens[:, None]].tobytes()

@@ -2,8 +2,9 @@
 
 Everything here enumerates directly: pair counts by materializing all ordered
 differences, window counts by fresh per-start summation, the greedy oracle
-by exhaustively scanning every subwindow before each pick, and ingest by
-reading a text file one line at a time.  None of it
+by exhaustively scanning every subwindow before each pick, ingest by
+reading a text file one line at a time, and the writer by one ``format``
+per value.  None of it
 shares a code path with the library implementations it checks.
 """
 
@@ -39,6 +40,11 @@ def ingest_loop(path, mode="raw") -> np.ndarray:
         raise SequenceFormatError("file contains no data lines", 1)
     arr = np.asarray(values, dtype=float)
     return arr * np.log(arr) / (2.0 * math.pi) if mode == "zeta_unfold" else arr
+
+
+def format_loop(values) -> bytes:
+    """The lines ``write_sequence`` writes for ``values``: one ``format(v, ".17g")`` per value."""
+    return "".join(format(v, ".17g") + "\n" for v in np.asarray(values, dtype=float).tolist()).encode()
 
 
 def brute_pair_count(values, interval, n) -> int:

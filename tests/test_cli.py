@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import ppclab as pl
 from ppclab.cli import build_parser, main
+from oracles import format_loop
 
 
 def run(capsys, *argv):
@@ -409,6 +410,17 @@ def test_ingest_zeta_unfold(tmp_path, capsys):
     assert seq.values[0] == pytest.approx(expected, abs=1e-12)
     doc = json.loads(out)
     assert doc["n_points"] == 3
+
+
+def test_ingest_normalize_writes_the_format_loop_bytes(tmp_path, capsys):
+    src = tmp_path / "seq.txt"
+    pl.write_sequence(src, pl.generate(pl.GeneratorConfig("poisson", 40_000, seed=12)))
+    out_path = tmp_path / "normalized.txt"
+    code, _, _ = run(capsys, "ingest", "--input", str(src), "--normalize", "-o", str(out_path))
+    assert code == 0
+    expected = pl.normalize_mean_gap(pl.ingest_and_unfold(src)).values
+    assert expected[0] == 0.0  # a line the writer's kernel leaves to format
+    assert out_path.read_bytes() == format_loop(expected)
 
 
 def test_ingest_rejects_small_zeta_values(tmp_path, capsys):

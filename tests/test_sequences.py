@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ppclab as pl
 from ppclab import sequences
 from ppclab.sequences import GENERATOR_MAX_POINTS
+from oracles import format_loop
 
 positive_gap_lists = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -337,6 +338,35 @@ def test_write_sequence_in_chunks_matches_a_one_shot_join(tmp_path, monkeypatch,
     header = "" if comment is None else "# two\n# lines\n"
     expected = header + "\n".join(format(v, ".17g") for v in seq.values.tolist()) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("kind", sequences.GENERATOR_KINDS)
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_generated_files_match_the_format_loop_across_a_chunk_boundary(tmp_path, kind, offset):
+    seq = pl.generate(pl.GeneratorConfig(kind, sequences._WRITE_CHUNK + offset, seed=3,
+                                         cap=1.5 if kind == "capped" else None))
+    path = tmp_path / "seq.txt"
+    pl.write_sequence(path, seq)
+    assert path.read_bytes() == format_loop(seq.values)
+    assert pl.ingest_and_unfold(path).values.tobytes() == seq.values.tobytes()
+
+
+@pytest.mark.parametrize("seq", [
+    pl.sequence_from_gaps(np.random.default_rng(2).exponential(0.7, 300), start=-5.0),  # negatives, then positives
+    pl.RealSequence(np.cumsum(np.random.default_rng(2).exponential(3e-7, 300))),  # exponent forms below 1e-4
+], ids=["negative", "tiny"])
+def test_negative_and_tiny_values_match_the_format_loop(tmp_path, seq):
+    path = tmp_path / "seq.txt"
+    pl.write_sequence(path, seq)
+    assert path.read_bytes() == format_loop(seq.values)
+    assert pl.ingest_and_unfold(path).values.tobytes() == seq.values.tobytes()
+
+
+def test_a_non_ascii_comment_is_written_as_utf8(tmp_path):
+    path = tmp_path / "seq.txt"
+    pl.write_sequence(path, pl.RealSequence([0.5, 2.0]), comment="ζ(½ + it), Ø\nzweite Zeile")
+    assert path.read_bytes() == "# ζ(½ + it), Ø\n# zweite Zeile\n0.5\n2\n".encode("utf-8")
+    assert pl.ingest_and_unfold(path).values.tolist() == [0.5, 2.0]
 
 
 def test_generator_config_bounds_the_point_count():
