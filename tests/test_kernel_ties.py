@@ -138,7 +138,7 @@ def table_cases(draw):
 
 
 @given(table_cases())
-# gap 13 is raw 0.5 but its canonical sum is 0.5000000000000004: a block gap no part can hold
+# gap 13 is raw 0.5 but its canonical sum is 0.5000000000000004, so it ends its block
 @example(([[0.1, 0.1], [0.1] * 6, [0.5, 0.5]], 0.5, 13))
 # long blocks: every part one gap, picked left to right; one gap under the budget each; zero runs
 @example(([[0.3] * 200, [0.5 - EPS] * 150, [0.0] * 70 + [0.3] * 70 + [0.0] * 60], 0.5, 554))
@@ -148,13 +148,7 @@ def test_partition_table_matches_the_object_api_and_the_oracles(case):
     gaps = table_gaps(blocks)
     g = pl.GapSequence(gaps)
     bs = pl.maximal_blocks(g, n, budget)
-    try:
-        partitions = [pl.greedy_partition(g, block, budget) for block in bs.blocks]
-    except ValueError as exc:  # a block gap whose canonical sum exceeds the budget
-        with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
-            pl.partition_table(g, bs.left, bs.right, budget)
-        assert str(caught.value) == str(exc)
-        return
+    partitions = [pl.greedy_partition(g, block, budget) for block in bs.blocks]
     table = pl.partition_table(g, bs.left, bs.right, budget)
     exact = all((x / EPS).is_integer() for x in gaps)  # direct and canonical sums agree
 
@@ -188,9 +182,9 @@ def test_partition_table_matches_the_object_api_and_the_oracles(case):
     assert (part, adjacent, sandwich) == (table.left.size, table.adjacent_lhs.size, table.sandwich_lhs.size)
 
 
-# At least twice _FRONTIER_MIN blocks that need more than one part (two gaps of 0.3 at one end see to
-# that), so their fragments are split in rounds, all at once, before the scalar loop takes the rest;
-# greedy_partition splits one block at a time, always in the scalar loop.
+# At least twice _FRONTIER_MIN blocks that need more than one part (two gaps of 0.3 at one end, always in
+# one block, see to that), so their fragments are split in rounds, all at once, before the scalar loop
+# takes the rest; greedy_partition splits one block at a time, always in the scalar loop.
 multi_part_gaps = st.tuples(block_gaps, st.booleans()).map(
     lambda t: t[0] + [0.3, 0.3] if t[1] else [0.3, 0.3] + t[0]
 )
@@ -206,15 +200,8 @@ multi_part_gaps = st.tuples(block_gaps, st.booleans()).map(
 def test_a_wide_frontier_picks_what_block_by_block_greedy_and_the_oracle_pick(blocks):
     g = pl.GapSequence(table_gaps(blocks))
     bs = pl.maximal_blocks(g, g.length, 0.5)
-    assert bs.left.size == len(blocks)
-    try:
-        partitions = [pl.greedy_partition(g, block, 0.5) for block in bs.blocks]
-    except ValueError as exc:  # a block gap whose canonical sum exceeds the budget
-        for call in (pl.partition_table, pl.partition_lengths):
-            with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
-                call(g, bs.left, bs.right, 0.5)
-            assert str(caught.value) == str(exc)
-        return
+    assert bs.left.size >= len(blocks)  # a gap of 0.5 whose canonical sum is above 1/2 splits its list
+    partitions = [pl.greedy_partition(g, block, 0.5) for block in bs.blocks]
     table = pl.partition_table(g, bs.left, bs.right, 0.5)
     assert np.count_nonzero(table.counts > 1) >= 2 * _FRONTIER_MIN
     parts = [part for partition in partitions for part in partition.parts]
@@ -223,9 +210,10 @@ def test_a_wide_frontier_picks_what_block_by_block_greedy_and_the_oracle_pick(bl
     assert table.rank.tolist() == [r for partition in partitions for r in partition.selection_rank]
     assert pl.partition_lengths(g, bs.left, bs.right, 0.5).tolist() == [part.length for part in parts]
     replayed = set()
-    for gaps, block, partition in zip(blocks, bs.blocks, partitions):
-        if tuple(gaps) not in replayed:  # equal gap lists are equal blocks
-            replayed.add(tuple(gaps))
+    for block, partition in zip(bs.blocks, partitions):
+        gaps = tuple(g.gaps[block.left - 1 : block.right].tolist())
+        if gaps not in replayed:  # equal gap lists are equal blocks
+            replayed.add(gaps)
             GreedyOracle(g, block, 0.5).replay_check(partition)
 
 
@@ -238,10 +226,7 @@ def test_partition_documents_are_the_dumps_of_each_block(case, check, data):
     blocks, budget, n = case
     g = pl.GapSequence(table_gaps(blocks))
     bs = pl.maximal_blocks(g, n, budget)
-    try:
-        table = pl.partition_table(g, bs.left, bs.right, budget)
-    except ValueError:  # an unpartitionable gap: no table to write
-        return
+    table = pl.partition_table(g, bs.left, bs.right, budget)
     if data is not None:  # verdicts of either kind, so every shape of the check object is written
         size = bs.left.size
         verdicts = st.lists(st.booleans(), min_size=size, max_size=size).map(lambda v: np.array(v, dtype=bool))
@@ -264,7 +249,7 @@ def test_partition_documents_are_the_dumps_of_each_block(case, check, data):
 
 
 @given(table_cases())
-@example(([[0.1, 0.1], [0.1] * 6, [0.5, 0.5]], 0.5, 13))  # the unpartitionable gap 13 above
+@example(([[0.1, 0.1], [0.1] * 6, [0.5, 0.5]], 0.5, 13))  # gap 13 above: raw 0.5, out of its block
 @example(([[0.3] * 200, [0.5 - EPS] * 150, [0.0] * 70 + [0.3] * 70 + [0.0] * 60], 0.5, 554))
 @settings(max_examples=200, deadline=None)
 def test_audit_partition_sums_match_partition_lengths(case):
@@ -272,17 +257,59 @@ def test_audit_partition_sums_match_partition_lengths(case):
     g = pl.GapSequence(table_gaps(blocks))
     cfg = pl.AuditConfig(epsilon=1e-9, n=max(n, 2))
     bs = pl.maximal_blocks(g, cfg.n, 0.5)
-    try:
-        lengths = pl.partition_lengths(g, bs.left, bs.right, 0.5)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
-            pl.audit(g, cfg)
-        assert str(caught.value) == str(exc)
-        return
+    lengths = pl.partition_lengths(g, bs.left, bs.right, 0.5)
     report = pl.audit(g, cfg)
     binom = int(np.sum(lengths * (lengths + 1) // 2))
     assert (report.part_count, report.total_block_length) == (lengths.size, int(np.sum(lengths)))
     assert report.partition_mass == binom / cfg.n
+
+
+@st.composite
+def gaps_at_a_budget(draw):
+    """(gaps, budget): dyadic runs with zero runs among them, or decimal gaps clamped to the budget.
+
+    A decimal gap of at most the budget can still sum above it as a prefix difference.
+    """
+    budget = draw(st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+    decimal = st.lists(st.tuples(st.integers(0, 100), st.sampled_from([10, 100])), min_size=1, max_size=40)
+    clamped = decimal.map(lambda xs: [min(k / d, budget) for k, d in xs])
+    return draw(st.one_of(runs.map(lambda r: expand(r, 16)), clamped)), budget
+
+
+@given(gaps_at_a_budget())
+@example(([0.1, 0.75, 0.5, 0.75], 0.5))  # gap 3 is 0.5000000000000001 as a prefix difference
+@settings(max_examples=200, deadline=None)
+def test_no_block_gap_is_unpartitionable_at_a_budget_equal_to_the_threshold(case):
+    gaps, budget = case
+    g = pl.GapSequence(gaps)
+    bs = pl.maximal_blocks(g, g.length, budget)
+    table = pl.partition_table(g, bs.left, bs.right, budget)
+    assert int(np.sum(table.right - table.left + 1)) == bs.total_length
+    report = pl.audit(g, pl.AuditConfig(epsilon=1e-9, n=g.length + 1))
+    assert report.total_block_length == int(np.count_nonzero(np.diff(g.prefix) <= 0.5))
+    assert report.density_lhs == report.total_block_length / g.length
+
+
+@given(table_cases())
+@example(([[0.125, 0.375, 0.4375, 0.375, 0.125], [0.0] * 4, [0.3] * 3], 0.5, 16))  # one sandwiched part
+@example(([[0.3] * 200, [0.5 - EPS] * 150, [0.0] * 70 + [0.3] * 70 + [0.0] * 60], 0.5, 554))
+@settings(max_examples=200, deadline=None)
+def test_every_cross_pair_has_at_least_the_later_parts_binomial_over_budget(case):
+    blocks, budget, n = case
+    g = pl.GapSequence(table_gaps(blocks))
+    bs = pl.maximal_blocks(g, n, budget)
+    table = pl.partition_table(g, bs.left, bs.right, budget)
+    length = table.right - table.left + 1
+
+    def binomial_of_later(j1, j2):  # C(L + 1, 2), L the length of the later-picked of parts j1, j2
+        later = np.where(table.rank[j1] > table.rank[j2], length[j1], length[j2])
+        return later * (later + 1) // 2
+
+    has_next = np.ones(length.size, dtype=bool)
+    has_next[np.cumsum(table.counts) - 1] = False  # a block's last part
+    adjacent, middle = np.flatnonzero(has_next), np.flatnonzero(table.sandwiched)
+    assert np.all(table.adjacent_lhs >= binomial_of_later(adjacent, adjacent + 1))
+    assert np.all(table.sandwich_lhs >= binomial_of_later(middle - 1, middle + 1))
 
 
 @given(runs, st.data())

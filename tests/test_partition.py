@@ -61,11 +61,12 @@ def test_maximal_blocks_empty_and_full():
     assert [(b.left, b.right) for b in pl.maximal_blocks(g2, 3, 0.5).blocks] == [(1, 3)]
 
 
-def blocks_by_index(gaps, threshold):
-    """Maximal runs of gaps <= threshold, one index at a time (1-based, inclusive)."""
+def blocks_by_index(g, n, threshold):
+    """Maximal runs of the first n gaps with canonical sum <= threshold, one index at a time (1-based)."""
     runs = []
-    for i, gap in enumerate(gaps, start=1):
-        if gap > threshold:
+    p = g.prefix.tolist()
+    for i in range(1, n + 1):
+        if p[i] - p[i - 1] > threshold:
             continue
         if runs and runs[-1][1] == i - 1:
             runs[-1][1] = i
@@ -82,14 +83,15 @@ def blocks_by_index(gaps, threshold):
         [0.1, 0.9] * 4,
         [0.9, 0.1] * 4 + [0.9],
         [0.5, 0.9, 0.5, 0.5, 0.9, 0.9, 0.5],  # gaps equal to the threshold are inside
-        [0.9, 0.5, 0.5000000000000001, 0.5, 0.5],
+        [0.9, 0.5, 0.5000000000000001, 0.5, 0.5],  # gap 3: above 1/2 raw, 1/2 as a prefix difference
+        [0.1, 0.75, 0.5, 0.75],  # gap 3: 1/2 raw, above 1/2 as a prefix difference
     ],
 )
 def test_maximal_blocks_match_a_per_index_oracle(gaps):
     g = pl.GapSequence(gaps)
     for n in range(len(gaps) + 1):  # n = 0 included: no gap, no block
         bs = pl.maximal_blocks(g, n, 0.5)
-        assert list(zip(bs.left.tolist(), bs.right.tolist())) == blocks_by_index(gaps[:n], 0.5)
+        assert list(zip(bs.left.tolist(), bs.right.tolist())) == blocks_by_index(g, n, 0.5)
         assert bs.left.dtype == bs.right.dtype == np.intp
 
 
@@ -99,9 +101,8 @@ def test_maximal_blocks_count_identity():
         n = int(rng.integers(1, 150))
         g = pl.GapSequence(rng.uniform(0.0, 1.3, n))
         bs = pl.maximal_blocks(g, n, 0.5)
-        below = int(np.count_nonzero(g.gaps[:n] <= 0.5))
-        assert bs.total_length == below
-        assert abs(n * pl.gap_cdf(g, 0.5, n) - below) < 1e-6
+        assert bs.total_length == int(np.count_nonzero(np.diff(g.prefix[: n + 1]) <= 0.5))
+        assert abs(n * pl.gap_cdf(g, 0.5, n) - int(np.count_nonzero(g.gaps[:n] <= 0.5))) < 1e-6  # raw gaps
 
 
 def test_greedy_on_flanked_middle_run():
