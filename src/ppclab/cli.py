@@ -21,11 +21,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .correlation import Interval, pair_correlation
+from .correlation import Interval, _gap_counts, pair_correlation
 from .partition import maximal_blocks, partition_table
 from .sequences import (
     GeneratorConfig,
-    _first_gaps,
+    _ingest_gaps,
     gaps_of,
     generate,
     ingest_and_unfold,
@@ -113,6 +113,15 @@ def _parse_cdf_grid(text: str) -> tuple[float, float, float]:
     return lo, step, end
 
 
+def _grid_points(lo: float, step: float, end: float):
+    """The points lo + k*step of a ``--cdf-grid``, k = 0, 1, ..., while <= end."""
+    k, x = 0, lo
+    while x <= end:
+        yield x
+        k += 1
+        x = lo + k * step
+
+
 def _interval_flags(args) -> tuple[bool, bool]:
     if args.closed:
         return True, True
@@ -186,18 +195,10 @@ def cmd_analyze(args) -> int:
         }
         print(_dumps(doc))
     if grid:
-        lo, step, end = grid
         m = min(n, seq.n - 1)
-        sorted_gaps = _first_gaps(seq, m)  # no prefix sums: the CDF reads only the gaps
-        sorted_gaps.sort()  # searchsorted "right" counts the gaps <= x
-        lines = ["x,F"]
-        k = 0
-        x = lo
-        while x <= end:
-            below = int(np.searchsorted(sorted_gaps, x, side="right"))
-            lines.append(f"{_fmt(x)},{_fmt(below / m)}")
-            k += 1
-            x = lo + k * step
+        counts = _gap_counts(seq, m, np.fromiter(_grid_points(*grid), float))  # the CDF reads only the gaps
+        # the points are made again rather than held as a list of up to 10^6 Python floats
+        lines = ["x,F", *(f"{_fmt(x)},{_fmt(int(below) / m)}" for x, below in zip(_grid_points(*grid), counts))]
         text = "\n".join(lines) + "\n"
         if args.cdf_out:
             with open(args.cdf_out, "w", encoding="utf-8") as fh:
@@ -320,10 +321,7 @@ def cmd_verify_final_ineq(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = AuditConfig(epsilon=args.epsilon, n=args.n)
-    seq = ingest_and_unfold(args.input, "raw")
-    input_hash = seq.metadata["input_sha256"]
-    g = gaps_of(seq)
-    del seq  # the audit reads only the gaps
+    g, input_hash = _ingest_gaps(args.input)  # the audit reads only the gaps: they take the values' place
     report = audit(g, cfg)
     doc = report.to_dict()
     params = {"input": str(args.input), "epsilon": args.epsilon, "n": args.n}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import GapSequence, RealSequence
+from .sequences import GapSequence, RealSequence, _check_gaps
 
 _CHUNK = 1 << 16  # starts per pass of the count functions and first_crossing: cache-sized temporaries
 # first_crossing tests every start at lower, and the misses at up to _PROBE_ROUNDS next positions,
@@ -255,6 +255,23 @@ def gap_cdf(g: GapSequence, x: float, n: int) -> float:
     if n > g.length:
         raise ValueError(f"n={n} exceeds gap count {g.length}")
     return int(np.count_nonzero(g.gaps[:n] <= x)) / n
+
+
+def _gap_counts(seq: RealSequence, m: int, xs: np.ndarray) -> np.ndarray:
+    """#{i <= m : g_i <= x} for each x in ``xs``, over the first m gaps of ``seq``, with the errors of ``gaps_of``.
+
+    The gaps are made ``_CHUNK`` at a time, by ``np.diff`` of a slice of the
+    values, the subtraction :func:`~ppclab.sequences.gaps_of` makes.  Each
+    chunk is sorted, and ``searchsorted(chunk, xs, "right")`` counts its
+    gaps <= x, so no array of all m gaps is made.
+    """
+    _check_gaps(seq.values)
+    counts = np.zeros(xs.size, dtype=np.int64)
+    for c in range(0, m, _CHUNK):
+        chunk = np.diff(seq.values[c : min(c + _CHUNK, m) + 1])
+        chunk.sort()
+        counts += np.searchsorted(chunk, xs, side="right")
+    return counts
 
 
 def multi_gap_count(g: GapSequence, interval: Interval, n: int, m_min: int = 1) -> int:

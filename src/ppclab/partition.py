@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import IndexInterval, _pairs_within, first_crossing
+from .correlation import _CHUNK, IndexInterval, _pairs_within, first_crossing
 from .sequences import GapSequence
 
 
@@ -106,16 +106,39 @@ def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
     """The maximal runs of gaps with canonical sum ``prefix[i] - prefix[i-1]`` <= threshold.
 
     Parts are budgeted on that float, so a block gap fits a part alone when
-    the budget is at least the threshold.  The run mask is padded with False
-    at both ends, so a run starts after each even-numbered change and ends
-    at each odd one.  Both ends are contiguous copies; the changes are not kept.
+    the budget is at least the threshold.  The run mask is made ``_CHUNK``
+    gaps at a time, and each chunk's changes are taken against the last gap
+    of the chunk before (False before gap 1): a change into the mask starts
+    a run and a change out of it ends one, and a run still open after gap n
+    ends there.  The chunks are made twice, once to count the runs and once
+    to fill ``left`` and ``right`` at that size, so no temporary is n long
+    and neither end is grown or copied (growing them leaves holes in the
+    heap, which stay resident).
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     if n < 0 or n > g.length:
         raise ValueError(f"n={n} out of range 0..{g.length}")
-    edges = np.flatnonzero(np.diff(np.diff(g.prefix[: n + 1]) <= threshold, prepend=False, append=False))
-    return BlockSet(edges[0::2] + 1, np.ascontiguousarray(edges[1::2]))
+
+    def chunks():  # each chunk's first gap, 1 if the gap before it is in a run, and its mask's changes
+        inside = 0
+        for c in range(0, n, _CHUNK):
+            fits = np.diff(g.prefix[c : min(c + _CHUNK, n) + 1]) <= threshold
+            yield c, inside, np.flatnonzero(np.diff(fits, prepend=bool(inside)))
+            inside = int(fits[-1])
+
+    count = sum(changes[inside::2].size for _, inside, changes in chunks())  # the runs
+    left, right = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
+    started = ended = 0
+    for c, inside, changes in chunks():
+        changes += c  # gap changes + 1 starts a run, or gap changes ends one
+        starts, ends = changes[inside::2], changes[1 - inside :: 2]
+        np.add(starts, 1, out=left[started : started + starts.size])
+        right[ended : ended + ends.size] = ends
+        started += starts.size
+        ended += ends.size
+    right[ended:] = n  # a run still open after gap n
+    return BlockSet(left, right)
 
 
 def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:
@@ -143,6 +166,9 @@ _POSITION_MASK = (1 << 32) - 1
 # left; below it the scalar loop is cheaper.  The two cost the same near 70 fragments (see README).
 _FRONTIER_MIN = 64
 _ROUND_BATCH = 4096  # multi-part blocks whose fragments share the rounds; bounds their arrays
+# Blocks per greedy call of the audit's partition sums, which bounds the greedy's arrays.  On
+# Poisson input about one block in four is multi-part, so a batch fills about one round batch.
+_GREEDY_BATCH = 4 * _ROUND_BATCH
 
 
 def _greedy_picks(g: GapSequence, left, right, budget: float):
@@ -353,16 +379,27 @@ def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
     return part_right
 
 
-def _greedy_lengths(g: GapSequence, left, right, budget: float) -> tuple[np.ndarray, np.ndarray]:
-    """The lengths of :func:`partition_lengths`, in no set order, from its two sources.
+def _greedy_lengths(g: GapSequence, left, right, budget: float) -> tuple[int, int, int]:
+    """``(count, sum L, sum C(L+1, 2))`` over the part lengths L of :func:`partition_lengths`.
 
-    Returns the lengths of the blocks that are one part and the lengths of
-    the picks in the other blocks.  No array over all parts is built.
+    The blocks go through :func:`_greedy_picks` ``_GREEDY_BATCH`` at a
+    time, and each batch is reduced at once to the three sums: a block that
+    is one part adds its own length, the others their picks' lengths.  So
+    no array over all parts is built, and the greedy's arrays span one
+    batch.  Batches go left to right, so the first gap over the budget
+    raises the "unpartitionable singleton" error of :func:`partition_lengths`.
     """
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
-    multi, _, _, picked, _ = _greedy_picks(g, left, right, budget)
-    whole = ~multi
-    return right[whole] - left[whole] + 1, picked
+    count = total = binom = 0
+    for first in range(0, left.size, _GREEDY_BATCH):
+        a, b = left[first : first + _GREEDY_BATCH], right[first : first + _GREEDY_BATCH]
+        multi, _, _, picked, _ = _greedy_picks(g, a, b, budget)
+        whole = ~multi
+        for lengths in (b[whole] - a[whole] + 1, picked):
+            count += lengths.size
+            total += int(np.sum(lengths))
+            binom += int(np.sum(lengths * (lengths + 1) // 2))
+    return count, total, binom
 
 
 class PartitionTable(NamedTuple):

@@ -102,24 +102,29 @@ class RealSequence:
 
     def _own(self, v: np.ndarray) -> None:
         """Check ``v`` and store it, read-only, as ``values``."""
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("sequence must be a non-empty 1-d array of reals")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sequence values must be finite")
-        if v.size > 1:
-            increasing = v[1:] > v[:-1]  # no subtraction, so no overflow on a wide span
-            if not increasing.all():
-                pos = int(np.argmax(~increasing))
-                raise ValueError(
-                    f"sequence not strictly increasing at position {pos + 2} "
-                    f"(value {v[pos + 1]!r} after {v[pos]!r})"
-                )
+        _check_values(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+
+def _check_values(v: np.ndarray) -> None:
+    """Raise unless ``v`` is a non-empty 1-d array of finite, strictly increasing reals."""
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("sequence must be a non-empty 1-d array of reals")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("sequence values must be finite")
+    if v.size > 1:
+        increasing = v[1:] > v[:-1]  # no subtraction, so no overflow on a wide span
+        if not increasing.all():
+            pos = int(np.argmax(~increasing))
+            raise ValueError(
+                f"sequence not strictly increasing at position {pos + 2} "
+                f"(value {v[pos + 1]!r} after {v[pos]!r})"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,20 +223,20 @@ class GeneratorConfig:
 
 def gaps_of(seq: RealSequence) -> GapSequence:
     """Consecutive differences of ``seq``; requires at least two points."""
-    return GapSequence._adopt(_first_gaps(seq, seq.n - 1))
+    _check_gaps(seq.values)
+    return GapSequence._adopt(np.diff(seq.values))
 
 
-def _first_gaps(seq: RealSequence, m: int) -> np.ndarray:
-    """A new array of the first ``m`` gaps of ``seq``, with the checks and errors of :func:`gaps_of`."""
-    if seq.n < 2:
+def _check_gaps(values: np.ndarray) -> None:
+    """The errors of :func:`gaps_of`: fewer than two values, or a span past the binary64 range."""
+    if values.size < 2:
         raise ValueError("sequence too short: need at least 2 points to form gaps")
-    _check_span(seq)  # a finite span bounds every gap, so np.diff cannot overflow
-    return np.diff(seq.values[: m + 1])
+    _check_span(values)  # a finite span bounds every gap, so no difference can overflow
 
 
-def _check_span(seq: RealSequence) -> float:
-    """``last - first`` as a Python float; raises when it overflows to inf."""
-    first, last = float(seq.values[0]), float(seq.values[-1])
+def _check_span(values: np.ndarray) -> float:
+    """``values[-1] - values[0]`` as a Python float; raises when it overflows to inf."""
+    first, last = float(values[0]), float(values[-1])
     if last - first == math.inf:
         raise ValueError(f"values span more than the binary64 range: {last!r} - {first!r} overflows")
     return last - first
@@ -241,7 +246,7 @@ def mean_gap(seq: RealSequence) -> float:
     """Average consecutive gap, (last - first)/(N - 1)."""
     if seq.n < 2:
         raise ValueError("sequence too short: mean gap needs at least 2 points")
-    return _check_span(seq) / (seq.n - 1)
+    return _check_span(seq.values) / (seq.n - 1)
 
 
 def normalize_mean_gap(seq: RealSequence) -> RealSequence:
@@ -252,7 +257,7 @@ def normalize_mean_gap(seq: RealSequence) -> RealSequence:
     """
     if seq.n < 2:
         raise ValueError("sequence too short: cannot normalize fewer than 2 points")
-    span = _check_span(seq)  # before the shift, which it keeps finite
+    span = _check_span(seq.values)  # before the shift, which it keeps finite
     scale = (seq.n - 1) / span
     if scale == math.inf:
         raise ValueError(f"span {span!r} is too small to rescale to mean gap 1: {seq.n - 1}/span overflows")
@@ -377,6 +382,12 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     ``metadata["input_sha256"]`` is the SHA-256 of the bytes of the read the
     values came from.
     """
+    values, digest = _read_values(path, mode)
+    return RealSequence._adopt(values, {"input_sha256": digest})
+
+
+def _read_values(path, mode: str) -> tuple[np.ndarray, str]:
+    """The values :func:`ingest_and_unfold` reads, in a float64 array no one else holds, and the hex SHA-256."""
     if mode not in INGEST_MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
     with open(path, "rb", buffering=0) as fh:
@@ -396,7 +407,28 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
             raise ValueError(f"zeta_unfold overflows: t*ln(t) exceeds the binary64 range at t = {t!r}")
         unfolded /= TWO_PI  # in place, and the same bytes as arr * np.log(arr) / TWO_PI
         arr = unfolded
-    return RealSequence._adopt(arr, {"input_sha256": reader.sha256.hexdigest()})
+    return arr, reader.sha256.hexdigest()
+
+
+def _ingest_gaps(path) -> tuple[GapSequence, str]:
+    """``gaps_of(ingest_and_unfold(path))`` and its ``input_sha256``, with the gaps in the values' storage.
+
+    The parsed values are checked as a :class:`RealSequence`'s and as
+    :func:`gaps_of`'s, with the same errors.  Then gap i is written over
+    value i by one ``np.subtract``.  numpy defines a ufunc whose operands
+    overlap to give what it gives on copies, so the gaps are those of
+    ``np.diff`` bit for bit; and as each output lies at or before the
+    inputs it is made from, numpy makes no copy.  So only the values' array
+    and the prefix sums are ever alive at once, never values, gaps and
+    prefix as in :func:`gaps_of`.  No :class:`RealSequence` holds the
+    array, so none shows overwritten values.
+    """
+    values, digest = _read_values(path, "raw")
+    _check_values(values)
+    _check_gaps(values)
+    gaps = values[:-1]
+    np.subtract(values[1:], gaps, out=gaps)
+    return GapSequence._adopt(gaps), digest
 
 
 class _Sha256Reader(io.RawIOBase):

@@ -363,9 +363,10 @@ def audit(seq: RealSequence | GapSequence, cfg: AuditConfig) -> AuditReport:
     max_gap_ok = max_gap <= gap_bound
 
     blocks = maximal_blocks(g, n, AUDIT_BUDGET)
-    whole, picked = _greedy_lengths(g, blocks.left, blocks.right, AUDIT_BUDGET)
-    parts_binom = sum(int(np.sum(lengths * (lengths + 1) // 2)) for lengths in (whole, picked))
-    parts_len = int(np.sum(whole)) + int(np.sum(picked))  # every block gap once: the density count
+    block_count = int(blocks.left.size)
+    # parts_len counts every block gap once: the density count
+    part_count, parts_len, parts_binom = _greedy_lengths(g, blocks.left, blocks.right, AUDIT_BUDGET)
+    del blocks  # the window counts below need no blocks
     partition_mass = parts_binom / n
     partition_mass_rhs = 0.5 - 4.0 * math.sqrt(2.0) * eps**0.25
 
@@ -404,8 +405,8 @@ def audit(seq: RealSequence | GapSequence, cfg: AuditConfig) -> AuditReport:
         bias_lhs=bias_lhs,
         bias_rhs=bias_rhs,
         final_ineq_value=final_value,
-        block_count=int(blocks.left.size),
-        part_count=whole.size + picked.size,
+        block_count=block_count,
+        part_count=part_count,
         total_block_length=parts_len,
         steps=steps,
     )

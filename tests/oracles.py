@@ -47,6 +47,22 @@ def format_loop(values) -> bytes:
     return "".join(format(v, ".17g") + "\n" for v in np.asarray(values, dtype=float).tolist()).encode()
 
 
+def cdf_loop(values, n, lo, step, end) -> str:
+    """The CSV ``analyze --cdf-grid`` prints: all m gaps sorted once, one ``searchsorted`` per grid point."""
+    m = min(n, len(values) - 1)
+    sorted_gaps = np.diff(np.asarray(values, dtype=float)[: m + 1])
+    sorted_gaps.sort()
+    lines = ["x,F"]
+    k = 0
+    x = lo
+    while x <= end:
+        below = int(np.searchsorted(sorted_gaps, x, side="right"))
+        lines.append(f"{format(x, '.17g')},{format(below / m, '.17g')}")
+        k += 1
+        x = lo + k * step
+    return "\n".join(lines) + "\n"
+
+
 def brute_pair_count(values, interval, n) -> int:
     """All-pairs enumeration of ordered (i, j), i != j, with v[j] - v[i] in I."""
     v = np.asarray(values, dtype=float)[:n]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,8 +17,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
-from ppclab.cli import build_parser, main
-from oracles import format_loop
+from ppclab import correlation
+from ppclab.cli import _parse_cdf_grid, build_parser, main
+from oracles import cdf_loop, format_loop
 
 
 def run(capsys, *argv):
@@ -467,6 +469,76 @@ def test_analyze_cdf_grid_matches_gap_cdf_at_every_point(tmp_path, capsys):
     g = pl.gaps_of(seq)
     for x, f in rows:
         assert f == format(pl.gap_cdf(g, float(x), 7), ".17g"), x  # analyze reads --n 7 as 7 gaps
+
+
+@st.composite
+def cdf_cases(draw):
+    """(gaps, start, n, grid): lattice gaps, and a grid whose points tie with gaps, repeat or go negative.
+
+    Dyadic gaps are exact, so a grid of lattice steps meets them; decimal gaps
+    are not, so grids also start at a realized gap or its negative, step by
+    a realized gap, or step far under lo's last bit, which repeats points.
+    """
+    d = draw(st.sampled_from([8, 16, 10, 100]))
+    gaps = [k / d for k in draw(st.lists(st.integers(1, 3 * d), min_size=1, max_size=40))]
+    start = draw(st.integers(-5, 5)) / d
+    realized = sorted(set(np.diff(pl.sequence_from_gaps(gaps, start).values).tolist()))
+    tie = st.sampled_from(realized)
+    lo = draw(st.one_of(st.just(0.0), tie, tie.map(lambda x: -x), st.sampled_from([1e6, -1e6])))
+    step = draw(st.one_of(st.just(1 / d), tie, st.sampled_from([abs(lo) * 2.0**-55 or 1e-300, 1e-11])))
+    hi = lo + step * draw(st.integers(0, 40))
+    return gaps, start, draw(st.integers(1, len(gaps) + 1)), f"{lo!r}:{hi!r}:{step!r}"
+
+
+@given(cdf_cases(), st.sampled_from([1, 2, 3, None]))
+@example(([0.1, 0.2, 0.1, 0.30000000000000004], 0.0, 5, "0.1:0.5:0.1"), 1)  # grid points on decimal gaps
+@example(([0.5] * 3, 0.0, 4, "1000000.0:1000000.0000000001:1e-11"), 2)  # each point repeated
+@example(([0.25, 0.125], -0.5, 2, "-0.25:0.5:0.125"), 3)  # negative lo; --n 2 reads one of two gaps
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_analyze_cdf_equals_one_sort_and_one_search_per_point(tmp_path, capsys, case, chunk):
+    gaps, start, n, grid = case
+    path = tmp_path / "seq.txt"
+    pl.write_sequence(path, pl.sequence_from_gaps(gaps, start))
+    expected = cdf_loop(pl.ingest_and_unfold(path).values, n, *_parse_cdf_grid(grid))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:  # chunk ends fall between gaps of the same value
+            mp.setattr(correlation, "_CHUNK", chunk)
+        assert run(capsys, "analyze", "--input", str(path), "--n", str(n), f"--cdf-grid={grid}") == (0, expected, "")
+
+
+def test_audit_refuses_one_point_and_an_overflowing_span_as_gaps_of_does(tmp_path, capsys):
+    messages = {
+        "one": "sequence too short: need at least 2 points to form gaps",
+        "overflow": "values span more than the binary64 range: 1.7e+308 - -1.7e+308 overflows",
+    }
+    for name, message in messages.items():
+        path = tmp_path / name
+        path.write_bytes(FUZZ_FILES[name])
+        code, out, err = run(capsys, "audit", "--input", str(path), "--epsilon", "1e-9", "--n", "2")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), name
+
+
+def test_audit_and_the_cdf_hold_no_temporary_of_the_input_length(tmp_path, capsys):
+    # Past the arrays a command must hold, its peak is fixed-size temporaries: ingest's 1 MiB buffer and
+    # kernel blocks, and one _CHUNK of window-count starts.  Values, gaps and prefix alive at once, with
+    # the blocks, make audit's excess 7.1 MB here, and all gaps sorted at once make the CDF's 3.3 MB.
+    n = 400_000
+    path = tmp_path / "poisson.txt"
+    pl.write_sequence(path, pl.generate(pl.GeneratorConfig("poisson", n, seed=7)))
+    runs = {  # argv -> (bytes held, bound on the excess)
+        ("audit", "--epsilon", "1e-9", "--n", str(n - 1)): (16 * n, 4 << 20),  # gaps in the values' array, prefix
+        ("analyze", "--cdf-grid", "0:4:0.02"): (8 * n, 5 << 19),  # the values
+    }
+    for (command, *rest), (held, bound) in runs.items():
+        tracemalloc.start()
+        try:
+            code = main([command, "--input", str(path), *rest])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0, command
+        assert peak - held < bound, (command, peak - held)
 
 
 def test_verify_lemma512_rejects_the_retired_fuzz_flags(capsys):

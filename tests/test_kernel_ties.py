@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import ppclab as pl
 from ppclab.cli import _dumps, _partition_documents
-from ppclab.partition import _FRONTIER_MIN, _cross_bound
+from ppclab import partition
+from ppclab.partition import _FRONTIER_MIN, _cross_bound, _greedy_lengths
 from oracles import (
     GreedyOracle,
     brute_cross_pairs_above,
@@ -262,6 +263,36 @@ def test_audit_partition_sums_match_partition_lengths(case):
     binom = int(np.sum(lengths * (lengths + 1) // 2))
     assert (report.part_count, report.total_block_length) == (lengths.size, int(np.sum(lengths)))
     assert report.partition_mass == binom / cfg.n
+
+
+@given(table_cases(), st.sampled_from([1, 2, None]))
+# blocks 1 and 2 fit a budget of 1/8 gap by gap, but gap 13 of block 3 does not: a later batch raises
+@example(([[0.125, 0.125], [0.125] * 6, [0.125, 0.25]], 0.125, 13), 1)
+@example(([[0.3] * 200, [0.5 - EPS] * 150, [0.0] * 70 + [0.3] * 70 + [0.0] * 60], 0.5, 554), 2)
+@settings(max_examples=200, deadline=None)
+def test_the_audit_partition_sums_are_those_of_partition_lengths_in_every_batch(case, batch):
+    blocks, budget, n = case
+    g = pl.GapSequence(table_gaps(blocks))
+    cfg = pl.AuditConfig(epsilon=1e-9, n=max(n, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(partition, "_GREEDY_BATCH", batch)
+        bs = pl.maximal_blocks(g, n, 0.5)
+        try:
+            lengths = pl.partition_lengths(g, bs.left, bs.right, budget)
+        except ValueError as exc:  # a gap above a budget below the blocks' threshold
+            with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
+                _greedy_lengths(g, bs.left, bs.right, budget)
+            assert str(caught.value) == str(exc)  # the same first index and canonical sum
+        else:
+            sums = lengths.size, int(np.sum(lengths)), int(np.sum(lengths * (lengths + 1) // 2))
+            assert _greedy_lengths(g, bs.left, bs.right, budget) == sums
+        used = min(cfg.n, g.length)
+        bs = pl.maximal_blocks(g, used, 0.5)
+        lengths = pl.partition_lengths(g, bs.left, bs.right, 0.5)
+        report = pl.audit(g, cfg)
+    assert (report.part_count, report.total_block_length) == (lengths.size, int(np.sum(lengths)))
+    assert report.partition_mass == int(np.sum(lengths * (lengths + 1) // 2)) / used
 
 
 @st.composite

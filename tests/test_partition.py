@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ppclab as pl
+from ppclab import partition
 from oracles import GreedyOracle, brute_cross_pairs_above, random_block_gaps
 
 DELTA = 1e-9
@@ -93,6 +94,20 @@ def test_maximal_blocks_match_a_per_index_oracle(gaps):
         bs = pl.maximal_blocks(g, n, 0.5)
         assert list(zip(bs.left.tolist(), bs.right.tolist())) == blocks_by_index(g, n, 0.5)
         assert bs.left.dtype == bs.right.dtype == np.intp
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_maximal_blocks_match_a_per_index_oracle_across_chunk_ends(monkeypatch, chunk):
+    monkeypatch.setattr(partition, "_CHUNK", chunk)  # every run starts, ends or goes on at a chunk's end
+    rng = np.random.default_rng(chunk)
+    cases = [[0.1] * 7, [0.9] * 7, [0.9, 0.5, 0.5000000000000001, 0.5, 0.5], [0.1, 0.75, 0.5, 0.75]]
+    cases += [rng.uniform(0.0, 1.3, int(rng.integers(1, 12))).tolist() for _ in range(50)]
+    for gaps in cases:
+        g = pl.GapSequence(gaps)
+        for n in range(len(gaps) + 1):
+            bs = pl.maximal_blocks(g, n, 0.5)
+            assert list(zip(bs.left.tolist(), bs.right.tolist())) == blocks_by_index(g, n, 0.5)
+            assert bs.left.dtype == bs.right.dtype == np.intp
 
 
 def test_maximal_blocks_count_identity():
