@@ -25,7 +25,7 @@ from .correlation import Interval, _gap_counts, pair_correlation
 from .partition import maximal_blocks, partition_table
 from .sequences import (
     GeneratorConfig,
-    _ingest_gaps,
+    _stream,
     gaps_of,
     generate,
     ingest_and_unfold,
@@ -34,8 +34,8 @@ from .sequences import (
 )
 from .verifier import (
     AuditConfig,
+    _audit_values,
     _final_inequality_negative,
-    audit,
     final_inequality,
     lemma512_exhaustive,
 )
@@ -321,8 +321,8 @@ def cmd_verify_final_ineq(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = AuditConfig(epsilon=args.epsilon, n=args.n)
-    g, input_hash = _ingest_gaps(args.input)  # the audit reads only the gaps: they take the values' place
-    report = audit(g, cfg)
+    # one pass over the file: the audit holds a chunk of it, and every error comes before any output
+    report, input_hash = _stream(args.input, "raw", lambda chunks: _audit_values(chunks, cfg))
     doc = report.to_dict()
     params = {"input": str(args.input), "epsilon": args.epsilon, "n": args.n}
     doc["manifest"] = _manifest("audit", params, input_hash=input_hash)

@@ -141,7 +141,7 @@ def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
     return BlockSet(left, right)
 
 
-def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:
+def _reach(prefix: np.ndarray, starts: np.ndarray, budget: float) -> np.ndarray:
     """``reach[s]``, the last end e with canonical sum of gaps s..e <= budget, for each s in ``starts``.
 
     ``reach[s] = s - 1`` when gap s alone exceeds the budget.  ``starts``
@@ -149,7 +149,7 @@ def _reach(g: GapSequence, starts: np.ndarray, budget: float) -> np.ndarray:
     non-decreasing, so fl(prefix[e] - prefix[s-1]) <= 0 < budget for every
     e < s, and no end before s can exceed the budget.
     """
-    return first_crossing(g.prefix, g.prefix[starts - 1], starts, budget, True) - 1
+    return first_crossing(prefix, prefix[starts - 1], starts, budget, True) - 1
 
 
 def _unpartitionable(index: int, total: float, budget: float) -> ValueError:
@@ -171,8 +171,13 @@ _ROUND_BATCH = 4096  # multi-part blocks whose fragments share the rounds; bound
 _GREEDY_BATCH = 4 * _ROUND_BATCH
 
 
-def _greedy_picks(g: GapSequence, left, right, budget: float):
+def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
     """``(multi, firsts, starts, lengths, reach)``: the greedy's picks in the multi-part blocks.
+
+    ``prefix`` is a gap sequence's ``prefix``, or a slice of it from
+    ``prefix[k]`` on, with the blocks' gap indices less k.  The slice may
+    end at any prefix sum from the blocks' last gap on: a start's reach is
+    only ever compared with ends inside its block.
 
     A block ``[left[k], right[k]]`` whose canonical sum fits the budget is
     one part, decided for all blocks by one comparison; ``multi`` marks the
@@ -204,19 +209,20 @@ def _greedy_picks(g: GapSequence, left, right, budget: float):
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
-    if np.any(left < 1) or np.any(left > right) or np.any(right > g.length):
-        raise ValueError(f"blocks must satisfy 1 <= left <= right <= {g.length}")
-    multi = g.prefix[right] - g.prefix[left - 1] > budget
+    length = prefix.size - 1
+    if np.any(left < 1) or np.any(left > right) or np.any(right > length):
+        raise ValueError(f"blocks must satisfy 1 <= left <= right <= {length}")
+    multi = prefix[right] - prefix[left - 1] > budget
     multi_sizes = right[multi] - left[multi] + 1
     firsts = np.cumsum(multi_sizes) - multi_sizes  # each multi-part block's first position
     shift = np.repeat(left[multi] - firsts, multi_sizes)  # gap index minus position
     position = np.arange(shift.size)
-    ends = _reach(g, position + shift, budget)
+    ends = _reach(prefix, position + shift, budget)
     ends -= shift  # reach, as a position
     bad = np.flatnonzero(ends < position)
     if bad.size:
         index = int(position[bad[0]] + shift[bad[0]])
-        raise _unpartitionable(index, float(g.prefix[index] - g.prefix[index - 1]), budget)
+        raise _unpartitionable(index, float(prefix[index] - prefix[index - 1]), budget)
     del shift
     key = ends - position + 1  # the fit at each position
     key <<= 32
@@ -327,7 +333,7 @@ def _greedy_core(g: GapSequence, left, right, budget: float):
     in sorted order, and the ranks are one lexsort by (block, -length, start).
     """
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
-    multi, firsts, starts, lengths, reach = _greedy_picks(g, left, right, budget)
+    multi, firsts, starts, lengths, reach = _greedy_picks(g.prefix, left, right, budget)
     picks = starts.size
     block = np.searchsorted(firsts, starts, side="right") - 1
     multi_counts = np.bincount(block, minlength=firsts.size)
@@ -379,8 +385,10 @@ def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
     return part_right
 
 
-def _greedy_lengths(g: GapSequence, left, right, budget: float) -> tuple[int, int, int]:
+def _greedy_lengths(prefix: np.ndarray, left, right, budget: float) -> tuple[int, int, int]:
     """``(count, sum L, sum C(L+1, 2))`` over the part lengths L of :func:`partition_lengths`.
+
+    ``prefix`` and the blocks are as in :func:`_greedy_picks`.
 
     The blocks go through :func:`_greedy_picks` ``_GREEDY_BATCH`` at a
     time, and each batch is reduced at once to the three sums: a block that
@@ -393,7 +401,7 @@ def _greedy_lengths(g: GapSequence, left, right, budget: float) -> tuple[int, in
     count = total = binom = 0
     for first in range(0, left.size, _GREEDY_BATCH):
         a, b = left[first : first + _GREEDY_BATCH], right[first : first + _GREEDY_BATCH]
-        multi, _, _, picked, _ = _greedy_picks(g, a, b, budget)
+        multi, _, _, picked, _ = _greedy_picks(prefix, a, b, budget)
         whole = ~multi
         for lengths in (b[whole] - a[whole] + 1, picked):
             count += lengths.size

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import hashlib
 import io
 import math
@@ -375,10 +376,9 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     ~ T*log(T)/(2*pi) acquires asymptotic mean gap 1; it requires every
     value > 1 and names the first t whose t*ln(t) overflows.
 
-    The file is read ``_INGEST_CHUNK`` bytes at a time; each piece is hashed
-    and parsed by :func:`_parse_fast`, so the whole file's bytes are never
-    held.  Where that declines, the file is read again, line by line, by
-    :func:`_parse_lines`, which names the first bad line.
+    The values are :func:`_read_values`': the file is read in one pass of
+    ``_INGEST_CHUNK``-byte pieces, and the values of each piece are added to
+    one array, so the whole file's bytes are never held.
     ``metadata["input_sha256"]`` is the SHA-256 of the bytes of the read the
     values came from.
     """
@@ -387,16 +387,14 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
 
 
 def _read_values(path, mode: str) -> tuple[np.ndarray, str]:
-    """The values :func:`ingest_and_unfold` reads, in a float64 array no one else holds, and the hex SHA-256."""
-    if mode not in INGEST_MODES:
-        raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
-    with open(path, "rb", buffering=0) as fh:
-        reader = _Sha256Reader(fh)
-        arr = _parse_fast(reader, mode)
-    if arr is None:  # read again, and hash the bytes the values now come from
-        with open(path, "rb", buffering=0) as fh:
-            reader = _Sha256Reader(fh)
-            arr = _parse_lines(io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8"), mode)
+    """The values :func:`ingest_and_unfold` reads, in a float64 array no one else holds, and the hex SHA-256.
+
+    The chunks of :func:`_stream` are copied, one at a time, into one array
+    that grows in place by at least 1/8 (no other reference to it exists,
+    so ``refcheck`` is off): the values and one chunk are held, never a
+    second copy of the values.
+    """
+    arr, digest = _stream(path, mode, _collect)
     if mode == "zeta_unfold":
         with np.errstate(over="ignore"):
             unfolded = np.log(arr)
@@ -407,7 +405,46 @@ def _read_values(path, mode: str) -> tuple[np.ndarray, str]:
             raise ValueError(f"zeta_unfold overflows: t*ln(t) exceeds the binary64 range at t = {t!r}")
         unfolded /= TWO_PI  # in place, and the same bytes as arr * np.log(arr) / TWO_PI
         arr = unfolded
-    return arr, reader.sha256.hexdigest()
+    return arr, digest
+
+
+def _collect(chunks) -> np.ndarray:
+    """The values of ``chunks`` in one float64 array, grown in place as they come."""
+    out = np.empty(1 << 10)
+    filled = 0
+    for values in chunks:
+        if filled + values.size > out.size:  # grow by at least 1/8, so the resizes cost O(n) in all
+            out.resize(max(filled + values.size, out.size + (out.size >> 3)), refcheck=False)
+        out[filled : filled + values.size] = values
+        filled += values.size
+        del values  # before the next chunk is made
+    out.resize(filled, refcheck=False)
+    return out
+
+
+def _stream(path, mode: str, consume):
+    """``(consume(chunks), sha256)``: ``consume`` run on the file's values, chunk by chunk, in one pass.
+
+    ``chunks`` yields float64 arrays whose concatenation is the file's values,
+    each finite and above the one before.  ``consume`` must exhaust it and
+    hold no chunk it needs later.  The chunks come from :func:`_parse_fast`;
+    where that declines, at whatever chunk, ``consume`` is run again from the
+    start on :func:`_parse_lines`' chunks of a second read, which names the
+    first bad line.  So ``consume`` raises its own errors only after the
+    last chunk, and a bad line anywhere in the file is reported before them.
+    The hex SHA-256 is that of the bytes of the read the values came from.
+    """
+    if mode not in INGEST_MODES:
+        raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            reader = _Sha256Reader(fh)
+            result = consume(_parse_fast(reader, mode))
+    except _Decline:  # read again, and hash the bytes the values now come from
+        with open(path, "rb", buffering=0) as fh:
+            reader = _Sha256Reader(fh)
+            result = consume(_parse_lines(io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8"), mode))
+    return result, reader.sha256.hexdigest()
 
 
 def _ingest_gaps(path) -> tuple[GapSequence, str]:
@@ -447,18 +484,24 @@ class _Sha256Reader(io.RawIOBase):
         return size
 
 
-def _parse_fast(file, mode: str) -> np.ndarray | None:
-    """The values of a file with no blank, comment or bad line after its leading comments, or None.
+class _Decline(Exception):
+    """:func:`_parse_fast` cannot vouch for the file: it is to be read by :func:`_parse_lines`."""
 
-    ``file`` is a binary file read with ``readinto``, ``_INGEST_CHUNK`` bytes
-    at a time, into one buffer that also holds the line not yet ended.  The
-    file's lines are its bytes split on ``\\n`` only, where a final ``\\n``
-    ends the last line, and a ``\\r`` before a ``\\n`` is left out of its
-    line, as the text reader leaves it (``float`` would strip it).  A line
-    of more than ``_LINE_MAX`` bytes declines.  Leading lines that begin
-    with ``#`` (the header :func:`write_sequence` writes) are skipped; a
-    header line that is not ASCII, or holds any other ``\\r``, declines,
-    since the text reader would fail on it or end the line there.
+
+def _parse_fast(file, mode: str):
+    """Yield the values of each ``_INGEST_CHUNK``-byte read of a clean file; raise :class:`_Decline` otherwise.
+
+    A clean file has no blank, comment or bad line after its leading
+    comments.  ``file`` is a binary file read with ``readinto``,
+    ``_INGEST_CHUNK`` bytes at a time, into one buffer that also holds the
+    line not yet ended.  The file's lines are its bytes split on ``\\n``
+    only, where a final ``\\n`` ends the last line, and a ``\\r`` before a
+    ``\\n`` is left out of its line, as the text reader leaves it (``float``
+    would strip it).  A line of more than ``_LINE_MAX`` bytes declines.
+    Leading lines that begin with ``#`` (the header :func:`write_sequence`
+    writes) are skipped; a header line that is not ASCII, or holds any
+    other ``\\r``, declines, since the text reader would fail on it or end
+    the line there.
 
     The lines that end in each ``_KERNEL_BLOCK`` bytes read go to
     :func:`_decimal_values` at once, which decides every line of the form
@@ -471,18 +514,17 @@ def _parse_fast(file, mode: str) -> np.ndarray | None:
     can only sit in the whitespace around the number, so every line
     accepted here has the value :func:`_parse_lines` gives it.
 
-    The values go into one array that grows in place (no other reference to
-    it exists, so ``refcheck`` is off), so no second copy of them is ever
-    held.  Finiteness, strict increase and the ``zeta_unfold`` bound are
-    then tested on the whole array.
+    Each read's values go into an array sized by its newlines.  Before it is
+    yielded, it is tested for finiteness and strict increase, from the last
+    value yielded on, and under ``zeta_unfold`` its first value for > 1;
+    a failed test declines.  A file with no data line declines at its end.
     """
     size = _LINE_MAX + 1  # a longest line and its newline
     buf = np.zeros(_WIDTH + size, np.uint8)  # the kernel reads _WIDTH bytes before a line's end
     view = memoryview(buf)
     windows = np.lib.stride_tricks.sliding_window_view(buf, _WIDTH)  # row e - _WIDTH ends before byte e
-    out = np.empty(1 << 10)
-    filled = 0
     header = True  # no data line yet
+    last = 1.0 if mode == "zeta_unfold" else -math.inf  # every value must lie above it
     held = 0  # bytes of the line not yet ended, at buf[_WIDTH:]
     while True:
         lo = _WIDTH + held
@@ -492,9 +534,12 @@ def _parse_fast(file, mode: str) -> np.ndarray | None:
                 break
             buf[lo] = 10  # end the last line
             got = 1
+        pieces = [buf[a : min(a + _KERNEL_BLOCK, lo + got)] for a in range(lo, lo + got, _KERNEL_BLOCK)]
+        out = np.empty(sum(np.count_nonzero(piece == 10) for piece in pieces))  # one value a line, at most
+        filled = 0
         start = _WIDTH  # where the next line begins
-        for a in range(lo, lo + got, _KERNEL_BLOCK):
-            ends = np.flatnonzero(buf[a : min(a + _KERNEL_BLOCK, lo + got)] == 10)  # "\n"
+        for a, piece in zip(range(lo, lo + got, _KERNEL_BLOCK), pieces):
+            ends = np.flatnonzero(piece == 10)  # "\n"
             if not ends.size:
                 continue
             ends += a
@@ -511,37 +556,37 @@ def _parse_fast(file, mode: str) -> np.ndarray | None:
                 while skip < ends.size and buf[ends[skip] - lens[skip]] == 35:  # "#"
                     line = bytes(view[ends[skip] - lens[skip] : ends[skip]])
                     if not line.isascii() or b"\r" in line:
-                        return None  # the text reader fails on it, or ends the line at the \r
+                        raise _Decline  # the text reader fails on it, or ends the line at the \r
                     skip += 1
                 header = skip == ends.size
                 ends, lens = ends[skip:], lens[skip:]
-            if filled + ends.size > out.size:  # grow by at least 1/8, so the resizes cost O(n) in all
-                out.resize(max(filled + ends.size, out.size + (out.size >> 3)), refcheck=False)
-            undecided = np.flatnonzero(~_decimal_values(windows, ends, lens, out[filled : filled + ends.size]))
+            values = out[filled : filled + ends.size]
+            undecided = np.flatnonzero(~_decimal_values(windows, ends, lens, values))
             if undecided.size:
                 block = bytes(view[ends[0] - lens[0] : ends[-1]])
                 if not block.isascii():  # decided lines are digits, so the byte is an undecided line's
-                    return None
+                    raise _Decline
                 lines = block.split(b"\n")
                 if undecided.size < len(lines):
                     lines = map(lines.__getitem__, undecided.tolist())
                 try:
-                    out[filled + undecided] = np.fromiter(map(float, lines), float, undecided.size)
+                    values[undecided] = np.fromiter(map(float, lines), float, undecided.size)
                 except ValueError:  # a blank, comment or malformed line
-                    return None
+                    raise _Decline from None
             filled += ends.size
         held = lo + got - start
         if held > _LINE_MAX:
-            return None
+            raise _Decline
         buf[_WIDTH : _WIDTH + held] = buf[start : lo + got]
+        if filled:
+            values = out[:filled]
+            if not (np.isfinite(values).all() and values[0] > last and (values[1:] > values[:-1]).all()):
+                raise _Decline
+            last = float(values[-1])
+            yield values
+            del out, values  # before the next read's values are made
     if header:  # no data line
-        return None
-    out.resize(filled, refcheck=False)
-    if not (np.isfinite(out).all() and (out[1:] > out[:-1]).all()):
-        return None
-    if mode == "zeta_unfold" and not out[0] > 1.0:
-        return None
-    return out
+        raise _Decline
 
 
 def _decimal_values(windows: np.ndarray, ends: np.ndarray, lens: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -621,17 +666,21 @@ def _decimal_values(windows: np.ndarray, ends: np.ndarray, lens: np.ndarray, out
     return decided
 
 
-def _parse_lines(text, mode: str) -> np.ndarray:
-    """Values of the lines of ``text`` one at a time; the first bad line raises :class:`SequenceFormatError`.
+def _parse_lines(text, mode: str):
+    """Yield the values of ``text``'s lines, read one at a time; the first bad line raises :class:`SequenceFormatError`.
 
     Each line is read with ``readline(_LINE_MAX + 1)``, so a longer line is
-    refused without being held whole.
+    refused without being held whole.  The values of the lines in each
+    ``_INGEST_CHUNK`` characters read go into one float64 buffer, yielded
+    as an array when those characters are read, so no more than that many
+    lines' values are held, as on :func:`_parse_fast`'s path.
     """
-    values = []
+    values = array.array("d")
     prev = None
-    lineno = 0
+    lineno = read = 0
     while raw := text.readline(_LINE_MAX + 1):
         lineno += 1
+        read += len(raw)
         if len(raw) > _LINE_MAX and not raw.endswith("\n"):
             raise SequenceFormatError(f"longer than the limit of {_LINE_MAX} characters", lineno)
         line = raw.strip()
@@ -653,9 +702,14 @@ def _parse_lines(text, mode: str) -> np.ndarray:
             )
         prev = val
         values.append(val)
-    if not values:
+        if read >= _INGEST_CHUNK:
+            yield np.array(values, dtype=float)
+            del values[:]
+            read = 0
+    if prev is None:
         raise SequenceFormatError("file contains no data lines", 1)
-    return np.asarray(values, dtype=float)
+    if values:
+        yield np.array(values, dtype=float)
 
 
 def _echo(line: str) -> str:

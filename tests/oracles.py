@@ -8,6 +8,7 @@ per value.  None of it
 shares a code path with the library implementations it checks.
 """
 
+import io
 import math
 
 import numpy as np
@@ -40,6 +41,16 @@ def ingest_loop(path, mode="raw") -> np.ndarray:
         raise SequenceFormatError("file contains no data lines", 1)
     arr = np.asarray(values, dtype=float)
     return arr * np.log(arr) / (2.0 * math.pi) if mode == "zeta_unfold" else arr
+
+
+def fast_values(content: bytes, mode="raw"):
+    """The values ``sequences._parse_fast`` yields for the file ``content``, joined; None where it declines."""
+    from ppclab import sequences
+
+    try:
+        return np.concatenate([*sequences._parse_fast(io.BytesIO(content), mode)])
+    except sequences._Decline:
+        return None
 
 
 def format_loop(values) -> bytes:
@@ -256,3 +267,52 @@ def bias_bins(prefix):
 def bin_form(x):
     """B(x) = sum x_i (x_i - 1) + sum x_i x_{i+1}: the bias lhs that the binning alone guarantees."""
     return sum(v * (v - 1) for v in x) + sum(u * v for u, v in zip(x, x[1:]))
+
+
+def audit_whole(seq, cfg):
+    """``audit`` made on whole arrays: the gaps, their prefix sums and every block, all held at once.
+
+    The reference for the one-pass audit: the same kernels (``maximal_blocks``,
+    the greedy's part sums, ``multi_gap_count``) run once over the first n
+    gaps, so any difference is the pass's chunking, its carried prefix sums,
+    or the tail it keeps.
+    """
+    from ppclab import verifier
+    from ppclab.correlation import Interval, multi_gap_count
+    from ppclab.partition import _greedy_lengths, maximal_blocks
+    from ppclab.sequences import RealSequence, gaps_of
+
+    points = seq.n if isinstance(seq, RealSequence) else seq.length + 1
+    if cfg.n > points:
+        raise ValueError(f"cfg.n={cfg.n} exceeds sequence length {points}")
+    g = gaps_of(seq) if isinstance(seq, RealSequence) else seq
+    n = min(cfg.n, g.length)
+    eps = cfg.epsilon
+    budget = verifier.AUDIT_BUDGET
+    gap_bound = 1.5 + eps
+    max_gap = float(np.max(g.gaps[:n]))
+    blocks = maximal_blocks(g, n, budget)
+    part_count, parts_len, parts_binom = _greedy_lengths(g.prefix, blocks.left, blocks.right, budget)
+    partition_mass = parts_binom / n
+    multigap = multi_gap_count(g, Interval.open(budget, gap_bound), n, 2)
+    windows = multi_gap_count(g, Interval.half_open(0.0, 0.125), n, 1)
+    windows += multi_gap_count(g, Interval.half_open(0.0, 0.25), n, 1)
+    root = 2.0 * math.sqrt(eps)
+    bias_rhs = (5.0 / 6.0) * partition_mass - (5.0 / 3.0) * (parts_len / n)
+    mass_rhs = 0.5 - 4.0 * math.sqrt(2.0) * eps**0.25
+    final_value = verifier.final_inequality(eps)
+    steps = (
+        verifier.AuditStep("density", parts_len / n, root, "<=", verifier._at_most_two_root_eps(parts_len, n, eps)),
+        verifier.AuditStep("multigap", multigap / n, root, "<=", verifier._at_most_two_root_eps(multigap, n, eps)),
+        verifier.AuditStep("partition_mass", partition_mass, mass_rhs, ">=",
+                           verifier._partition_mass_holds(parts_binom, n, eps)),
+        verifier.AuditStep("bias", windows / n, bias_rhs, ">=", verifier._bias_holds(windows, parts_binom, parts_len)),
+        verifier.AuditStep("final_inequality", final_value, 0.0, ">=", not verifier._final_inequality_negative(eps)),
+    )
+    return verifier.AuditReport(
+        epsilon=eps, budget=budget, n_used=n, max_gap=max_gap, max_gap_ok=max_gap <= gap_bound,
+        density_lhs=parts_len / n, density_rhs=root, multigap_lhs=multigap / n, multigap_rhs=root,
+        partition_mass=partition_mass, partition_mass_rhs=mass_rhs, bias_lhs=windows / n, bias_rhs=bias_rhs,
+        final_ineq_value=final_value, block_count=int(blocks.left.size), part_count=part_count,
+        total_block_length=parts_len, steps=steps,
+    )

@@ -240,7 +240,7 @@ def test_partition_check_exits_1_on_a_failed_bound_and_prints_every_block(tmp_pa
                   for a, b in zip(left.tolist(), right.tolist())]
         parts = np.array([part for block in blocks for part in block])
         rank = np.concatenate([np.arange(1, len(block) + 1) for block in blocks])
-        reach = partition._reach(g, np.arange(1, g.length + 1), budget) - 1  # gap s at position s - 1
+        reach = partition._reach(g.prefix, np.arange(1, g.length + 1), budget) - 1  # gap s at position s - 1
         shift = np.ones(left.size, dtype=np.intp)
         return parts[:, 0], parts[:, 1], rank, np.array([len(block) for block in blocks]), reach, shift
 
@@ -520,13 +520,15 @@ def test_audit_refuses_one_point_and_an_overflowing_span_as_gaps_of_does(tmp_pat
 
 def test_audit_and_the_cdf_hold_no_temporary_of_the_input_length(tmp_path, capsys):
     # Past the arrays a command must hold, its peak is fixed-size temporaries: ingest's 1 MiB buffer and
-    # kernel blocks, and one _CHUNK of window-count starts.  Values, gaps and prefix alive at once, with
-    # the blocks, make audit's excess 7.1 MB here, and all gaps sorted at once make the CDF's 3.3 MB.
+    # kernel blocks, one read's values, and one step of the audit's pass or one _CHUNK of the CDF's gaps.
+    # audit holds no array of the input's length: its whole peak here is about 5.8 MB, where holding
+    # the gaps and prefix sums of every point made it 9.3 MB.  All gaps sorted at once made the CDF's
+    # excess 3.3 MB.
     n = 400_000
     path = tmp_path / "poisson.txt"
     pl.write_sequence(path, pl.generate(pl.GeneratorConfig("poisson", n, seed=7)))
     runs = {  # argv -> (bytes held, bound on the excess)
-        ("audit", "--epsilon", "1e-9", "--n", str(n - 1)): (16 * n, 4 << 20),  # gaps in the values' array, prefix
+        ("audit", "--epsilon", "1e-9", "--n", str(n - 1)): (0, 7 << 20),  # nothing: the pass holds a chunk
         ("analyze", "--cdf-grid", "0:4:0.02"): (8 * n, 5 << 19),  # the values
     }
     for (command, *rest), (held, bound) in runs.items():

@@ -8,7 +8,6 @@ above 2^53, and decimals built to round to a midpoint at 64 bits.  Whether
 a line lands on one is decided here with Python integers, not longdouble.
 """
 
-import io
 import tracemalloc
 
 import numpy as np
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 import ppclab as pl
 from ppclab import sequences
-from oracles import ingest_loop
+from oracles import fast_values, ingest_loop
 
 W = sequences._WIDTH
 
@@ -98,7 +97,7 @@ def test_lines_on_a_midpoint_are_left_to_float(place, j):
     m, line = midpoint_decimal(k, e, j)
     assume(lands_on_a_midpoint(m, k))
     line = line.lstrip(b"0")  # 19 digits at most: ".5…" for the first binade
-    assert sequences._parse_fast(io.BytesIO(line), "raw").tolist() == [float(line)]
+    assert fast_values(line, "raw").tolist() == [float(line)]
     assert not kernel([line])[1][0]
 
 
@@ -219,10 +218,10 @@ def test_a_line_over_the_limit_is_refused_on_both_paths(tmp_path, monkeypatch, l
         content = b"\n".join(lines) + (b"" if where.endswith("newline") else b"\n")
         path.write_bytes(content)
         if length == limit:  # the fast path's buffer holds a longest line
-            assert sequences._parse_fast(io.BytesIO(content), "raw").tobytes() == ingest_loop(path).tobytes()
+            assert fast_values(content, "raw").tobytes() == ingest_loop(path).tobytes()
             assert pl.ingest_and_unfold(path).values.tobytes() == ingest_loop(path).tobytes()
             continue
-        assert sequences._parse_fast(io.BytesIO(content), "raw") is None
+        assert fast_values(content, "raw") is None
         lineno = next(i for i, line in enumerate(lines, 1) if len(line) > limit)
         with pytest.raises(sequences.SequenceFormatError, match=f"^line {lineno}: longer than the limit of {limit} "):
             pl.ingest_and_unfold(path)

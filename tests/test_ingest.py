@@ -1,7 +1,6 @@
 """Ingest's whole-file parse against the line-by-line oracle: the same values or the same error."""
 
 import hashlib
-import io
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 import ppclab as pl
 from ppclab import sequences
-from oracles import ingest_loop
+from oracles import fast_values, ingest_loop
 
 
 def outcome(read, path, mode="raw"):
@@ -91,12 +90,12 @@ def test_float_accept_set_is_kept(tmp_path):
 
 
 def test_clean_files_take_the_fast_path_and_others_fall_back():
-    assert sequences._parse_fast(io.BytesIO(b"1\n2.5\n3e2\n"), "raw").tolist() == [1.0, 2.5, 300.0]
-    assert sequences._parse_fast(io.BytesIO(b"# c\n#\n1\n2\n"), "raw").tolist() == [1.0, 2.0]  # leading comments
+    assert fast_values(b"1\n2.5\n3e2\n", "raw").tolist() == [1.0, 2.5, 300.0]
+    assert fast_values(b"# c\n#\n1\n2\n", "raw").tolist() == [1.0, 2.0]  # leading comments
     for content in (b"1\n\n2\n", b"1\n# c\n2\n", b"# c\r1\n", b"# c\n", b"# c", b"1\n1\n", b"1\nnan\n",
                     "١\n".encode(), b"0.5\n", b""):
         mode = "zeta_unfold" if content == b"0.5\n" else "raw"
-        assert sequences._parse_fast(io.BytesIO(content), mode) is None, content
+        assert fast_values(content, mode) is None, content
 
 
 def test_a_written_comment_header_keeps_the_fast_path(tmp_path, monkeypatch):

@@ -282,11 +282,11 @@ def test_the_audit_partition_sums_are_those_of_partition_lengths_in_every_batch(
             lengths = pl.partition_lengths(g, bs.left, bs.right, budget)
         except ValueError as exc:  # a gap above a budget below the blocks' threshold
             with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
-                _greedy_lengths(g, bs.left, bs.right, budget)
+                _greedy_lengths(g.prefix, bs.left, bs.right, budget)
             assert str(caught.value) == str(exc)  # the same first index and canonical sum
         else:
             sums = lengths.size, int(np.sum(lengths)), int(np.sum(lengths * (lengths + 1) // 2))
-            assert _greedy_lengths(g, bs.left, bs.right, budget) == sums
+            assert _greedy_lengths(g.prefix, bs.left, bs.right, budget) == sums
         used = min(cfg.n, g.length)
         bs = pl.maximal_blocks(g, used, 0.5)
         lengths = pl.partition_lengths(g, bs.left, bs.right, 0.5)
