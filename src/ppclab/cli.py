@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .correlation import Interval, _gap_counts, pair_correlation
-from .partition import maximal_blocks, partition_table
+from .partition import _partition_table, _PrefixStream
 from .sequences import (
     GeneratorConfig,
+    _check_gaps,
     _stream,
-    gaps_of,
     generate,
     ingest_and_unfold,
     normalize_mean_gap,
@@ -209,21 +209,34 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    seq = ingest_and_unfold(args.input, "raw")
-    input_hash = seq.metadata["input_sha256"]
-    g = gaps_of(seq)
-    del seq  # nothing below reads the values
-    n = args.n if args.n is not None else g.length
-    threshold = args.threshold
-    params = {"input": str(args.input), "n": n, "threshold": threshold, "check": bool(args.check)}
-    blocks = maximal_blocks(g, n, threshold)  # every block gap fits a part budgeted at the threshold
-    print(_dumps({"manifest": _manifest("partition", params, input_hash=input_hash)}))
+    seq = ingest_and_unfold(args.input, "raw")  # read whole: every error comes before the manifest, with its hash
+    _check_gaps(seq.values)
+    waiting = (np.empty(0, dtype=np.intp),) * 2  # the closed blocks not yet written
     violation = False
-    for first in range(0, blocks.left.size, PARTITION_CHUNK):
-        chunk = slice(first, first + PARTITION_CHUNK)
-        table = partition_table(g, blocks.left[chunk], blocks.right[chunk], threshold)
-        sys.stdout.write(_partition_documents(table, blocks.left[chunk], blocks.right[chunk], args.check))
-        violation = violation or not (table.adjacent_ok.all() and table.sandwich_ok.all())
+
+    def write(left, right, end):
+        """Write the closed blocks in tables of ``PARTITION_CHUNK``; the first prefix index still needed."""
+        nonlocal waiting, violation
+        left, right = np.concatenate((waiting[0], left)), np.concatenate((waiting[1], right))
+        cut = left.size if end else left.size - left.size % PARTITION_CHUNK
+        p, base = stream.held, stream.base
+        for first in range(0, cut, PARTITION_CHUNK):
+            a, b = left[first : first + PARTITION_CHUNK], right[first : first + PARTITION_CHUNK]
+            table = _partition_table(p, a - base, b - base, args.threshold)  # every block gap fits a part alone
+            table = table._replace(left=table.left + base, right=table.right + base)
+            sys.stdout.write(_partition_documents(table, a, b, args.check))
+            violation = violation or not (table.adjacent_ok.all() and table.sandwich_ok.all())
+        waiting = left[cut:], right[cut:]
+        return int(left[cut]) - 1 if cut < left.size else stream.n
+
+    n = seq.n - 1 if args.n is None else args.n
+    stream = _PrefixStream(args.threshold, n, write)
+    if n < 0 or n > seq.n - 1:
+        raise ValueError(f"n={n} out of range 0..{seq.n - 1}")
+    params = {"input": str(args.input), "n": n, "threshold": args.threshold, "check": bool(args.check)}
+    print(_dumps({"manifest": _manifest("partition", params, input_hash=seq.metadata["input_sha256"])}))
+    stream.values(seq.values)
+    stream.end()
     return 1 if args.check and violation else 0
 
 

@@ -10,6 +10,7 @@ hold exactly in binary64 arithmetic, not merely up to rounding.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import _CHUNK, IndexInterval, _pairs_within, first_crossing
+from .correlation import IndexInterval, _pairs_within, first_crossing
 from .sequences import GapSequence
 
 
@@ -106,39 +107,122 @@ def maximal_blocks(g: GapSequence, n: int, threshold: float) -> BlockSet:
     """The maximal runs of gaps with canonical sum ``prefix[i] - prefix[i-1]`` <= threshold.
 
     Parts are budgeted on that float, so a block gap fits a part alone when
-    the budget is at least the threshold.  The run mask is made ``_CHUNK``
-    gaps at a time, and each chunk's changes are taken against the last gap
-    of the chunk before (False before gap 1): a change into the mask starts
-    a run and a change out of it ends one, and a run still open after gap n
-    ends there.  The chunks are made twice, once to count the runs and once
-    to fill ``left`` and ``right`` at that size, so no temporary is n long
-    and neither end is grown or copied (growing them leaves holes in the
-    heap, which stay resident).
+    the budget is at least the threshold.  The blocks are those a
+    :class:`_PrefixStream` closes over the first n gaps: its prefix sums
+    are the floats of ``g.prefix``, and between its steps it holds only the
+    open block's.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    closed = []  # (left, right) of the blocks each step closes, and of the one the end closes
+
+    def take(left, right, end):
+        closed.append((left, right))
+        return stream.n
+
+    stream = _PrefixStream(threshold, n, take)
     if n < 0 or n > g.length:
         raise ValueError(f"n={n} out of range 0..{g.length}")
+    stream.gaps(g.gaps)
+    stream.end()
+    return BlockSet(*(np.concatenate(ends) for ends in zip(*closed)))
 
-    def chunks():  # each chunk's first gap, 1 if the gap before it is in a run, and its mask's changes
-        inside = 0
-        for c in range(0, n, _CHUNK):
-            fits = np.diff(g.prefix[c : min(c + _CHUNK, n) + 1]) <= threshold
-            yield c, inside, np.flatnonzero(np.diff(fits, prepend=bool(inside)))
-            inside = int(fits[-1])
 
-    count = sum(changes[inside::2].size for _, inside, changes in chunks())  # the runs
-    left, right = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
-    started = ended = 0
-    for c, inside, changes in chunks():
-        changes += c  # gap changes + 1 starts a run, or gap changes ends one
-        starts, ends = changes[inside::2], changes[1 - inside :: 2]
-        np.add(starts, 1, out=left[started : started + starts.size])
-        right[ended : ended + ends.size] = ends
-        started += starts.size
-        ended += ends.size
-    right[ended:] = n  # a run still open after gap n
-    return BlockSet(left, right)
+# Gaps per step of a prefix stream.  A step holds their prefix sums, the tail that the open block
+# and the consumer still reach, and the consumer's temporaries on them.
+_STREAM_STEP = 1 << 16
+
+
+class _PrefixStream:
+    """The canonical prefix sums and the blocks of the first ``limit`` gaps, made in one pass, step by step.
+
+    Gaps come through :meth:`gaps`, or as values through :meth:`values`,
+    which makes the raw gaps with ``np.diff``, carrying the last value, so
+    they are those of :func:`~ppclab.sequences.gaps_of`.  Once the values'
+    span overflows, ``gaps_of`` would raise, so no more gaps are made (nor
+    any inf or nan).  Each step of at most ``_STREAM_STEP`` gaps:
+
+    * *Prefix sums.*  The step's gaps are written after the last prefix sum
+      held, and one ``np.cumsum`` runs from it.  ``np.cumsum`` adds left to
+      right, so every float equals that of one ``np.cumsum`` over all gaps,
+      :class:`~ppclab.sequences.GapSequence`'s ``prefix``.
+    * *Blocks.*  The canonical sums ``prefix[i] - prefix[i-1]`` of the new
+      gaps extend the runs of those <= ``threshold``: against the last gap
+      before the step, a change into the run mask starts a block and a
+      change out of it ends one.
+    * *Consumer.*  ``take(left, right, end)`` gets the blocks
+      ``left[k]..right[k]`` that closed in the step, :attr:`held` from
+      before their first gap, and returns the first prefix index it still
+      needs.  ``end`` is true only for the block :meth:`end` closes at gap n.
+    * *Tail.*  Only the prefix sums from that index, or from before the
+      open block, on are kept, in a buffer that is moved or doubled only
+      when full, so a long block costs O(its length) in all.  So memory is
+      a step's plus the longest reach across a step's end, not the input's.
+    """
+
+    def __init__(self, threshold: float, limit: int, take):
+        if not threshold > 0:
+            raise ValueError("threshold must be positive")
+        self.threshold, self.limit, self.take = threshold, limit, take
+        self.points = 0  # values read, all of them
+        self.first = self.last = 0.0  # the first and the last value read
+        self.overflow = False  # the values' span overflows
+        self.n = 0  # gaps taken, at most limit
+        self.buf = np.zeros(1)  # buf[lo:hi] holds prefix[base], ..., prefix[n]
+        self.lo, self.hi, self.base = 0, 1, 0
+        self.open = 0  # the first gap of the block still open, or 0
+
+    @property
+    def held(self) -> np.ndarray:
+        """The prefix sums held: ``prefix[base], ..., prefix[n]``."""
+        return self.buf[self.lo : self.hi]
+
+    def values(self, values: np.ndarray) -> None:
+        """Take the values ``values``, which follow those already read, ``_STREAM_STEP`` at a time."""
+        for c in range(0, values.size, _STREAM_STEP):
+            v, taken = values[c : c + _STREAM_STEP], self.points
+            if not taken:
+                self.first = float(v[0])
+            self.points += v.size
+            self.overflow = self.overflow or float(v[-1]) - self.first == math.inf
+            need = self.limit - self.n  # gaps still wanted: as many values after the first
+            if need > 0 and not self.overflow:
+                self.gaps(np.diff(v[:need], prepend=self.last) if taken else np.diff(v[: need + 1]))
+            self.last = float(v[-1])
+
+    def gaps(self, g: np.ndarray) -> None:
+        """Take the gaps ``g``, which follow those already taken; those past gap ``limit`` are dropped."""
+        g = g[: self.limit - self.n]
+        for c in range(0, g.size, _STREAM_STEP):
+            self._step(g[c : c + _STREAM_STEP])
+
+    def _step(self, g: np.ndarray) -> None:
+        """Take at most ``_STREAM_STEP`` gaps: the prefix sums, blocks, consumer and tail of the class doc."""
+        old = self.n - self.base  # the last prefix sum held, as an index into the held ones
+        held, k = self.hi - self.lo, g.size
+        if self.hi + k > self.buf.size:  # move the held sums to the front, or to a buffer twice their size
+            buf = self.buf if held + k <= self.buf.size // 2 else np.empty(2 * (held + k))
+            buf[:held] = self.buf[self.lo : self.hi]
+            self.buf, self.lo, self.hi = buf, 0, held
+        self.buf[self.hi : self.hi + k] = g
+        self.hi += k
+        self.n += k
+        p = self.held
+        np.cumsum(p[old:], out=p[old:])
+
+        fits = np.diff(p[old:]) <= self.threshold  # the canonical sums of gaps n - k + 1 .. n
+        inside = int(self.open > 0)
+        changes = np.flatnonzero(np.diff(fits, prepend=bool(inside)))
+        changes += self.n - k + 1  # a block starts at the gap of a change into it, and ends before one out
+        left, right = changes[inside::2], changes[1 - inside :: 2] - 1
+        if inside:
+            left = np.concatenate(([self.open], left))
+        self.open = int(left[-1]) if left.size > right.size else 0
+        keep = min(self.take(left[: right.size], right, False), self.open - 1 if self.open else self.n)
+        self.lo += keep - self.base
+        self.base = keep
+
+    def end(self) -> None:
+        """Close the block still open at gap n, if any, and end the stream."""
+        self.take(*np.array([[self.open], [self.n]] if self.open else [[], []], dtype=np.intp), True)
 
 
 def _reach(prefix: np.ndarray, starts: np.ndarray, budget: float) -> np.ndarray:
@@ -312,10 +396,11 @@ def _greedy_round(levels, reach, a, b, lo):
     )
 
 
-def _greedy_core(g: GapSequence, left, right, budget: float):
+def _greedy_core(prefix: np.ndarray, left, right, budget: float):
     """``(part_left, part_right, rank, counts, reach, shift)``: the greedy partition of every block.
 
-    Block k is ``[left[k], right[k]]``.  Parts are listed block by block,
+    ``prefix`` and the blocks are as in :func:`_greedy_picks`; block k is
+    ``[left[k], right[k]]``.  Parts are listed block by block,
     left to right; block k owns ``counts[k]`` entries, and ``rank`` is each
     part's 1-based pick order in its block.  The parts are
     :func:`_greedy_picks`' picks, plus one part for each block that fits the
@@ -333,7 +418,7 @@ def _greedy_core(g: GapSequence, left, right, budget: float):
     in sorted order, and the ranks are one lexsort by (block, -length, start).
     """
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
-    multi, firsts, starts, lengths, reach = _greedy_picks(g.prefix, left, right, budget)
+    multi, firsts, starts, lengths, reach = _greedy_picks(prefix, left, right, budget)
     picks = starts.size
     block = np.searchsorted(firsts, starts, side="right") - 1
     multi_counts = np.bincount(block, minlength=firsts.size)
@@ -367,7 +452,7 @@ def greedy_partition(g: GapSequence, parent: IndexInterval, budget: float) -> Gr
     """
     if parent.right > g.length:
         raise ValueError(f"parent {parent} exceeds gap count {g.length}")
-    part_left, part_right, rank, *_ = _greedy_core(g, [parent.left], [parent.right], budget)
+    part_left, part_right, rank, *_ = _greedy_core(g.prefix, [parent.left], [parent.right], budget)
     parts = tuple(map(IndexInterval, part_left.tolist(), part_right.tolist()))
     sums = tuple((g.prefix[part_right] - g.prefix[part_left - 1]).tolist())
     return GreedyPartition(parent, parts, tuple(rank.tolist()), sums, budget)
@@ -380,7 +465,7 @@ def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
     No :class:`GreedyPartition` is built, and the same "unpartitionable
     singleton" error is raised.
     """
-    part_left, part_right, *_ = _greedy_core(g, left, right, budget)
+    part_left, part_right, *_ = _greedy_core(g.prefix, left, right, budget)
     part_right -= part_left - 1
     return part_right
 
@@ -463,7 +548,9 @@ def partition_table(g: GapSequence, left, right, budget: float) -> PartitionTabl
     The parts and ranks come from the core :func:`greedy_partition` runs,
     the sums are its subtraction ``prefix[right] - prefix[left - 1]``, and
     every bound check is made in one numpy pass over the greedy's ``reach``
-    (see :func:`_cross_lhs`).  No :class:`GreedyPartition` is built.
+    (see :func:`_cross_lhs`).  No :class:`GreedyPartition` is built.  It
+    reads only ``g.prefix``, so CLI ``partition`` makes the same table on
+    the prefix sums a :class:`_PrefixStream` holds.
 
     *Proof that lhs >= C(L+1, 2) >= L^2 / 2.*  Let J, of length L, be the
     later-picked part of the pair, J' (L' >= L) the earlier, and M the gaps
@@ -477,8 +564,13 @@ def partition_table(g: GapSequence, left, right, budget: float) -> PartitionTabl
     "fits" and "over budget" read ``prefix[e] - prefix[s-1] <= budget``, so
     each count is exact, and ``partition --check`` tests the greedy core.
     """
-    part_left, part_right, rank, counts, reach, shift = _greedy_core(g, left, right, budget)
-    sums = g.prefix[part_right] - g.prefix[part_left - 1]
+    return _partition_table(g.prefix, left, right, budget)
+
+
+def _partition_table(prefix: np.ndarray, left, right, budget: float) -> PartitionTable:
+    """:func:`partition_table` on ``prefix`` and the blocks as in :func:`_greedy_picks`; parts are indexed as the blocks."""
+    part_left, part_right, rank, counts, reach, shift = _greedy_core(prefix, left, right, budget)
+    sums = prefix[part_right] - prefix[part_left - 1]
 
     block_of = np.repeat(np.arange(counts.size), counts)
     position = np.arange(part_left.size) - np.repeat(np.cumsum(counts) - counts, counts)

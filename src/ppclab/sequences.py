@@ -447,27 +447,6 @@ def _stream(path, mode: str, consume):
     return result, reader.sha256.hexdigest()
 
 
-def _ingest_gaps(path) -> tuple[GapSequence, str]:
-    """``gaps_of(ingest_and_unfold(path))`` and its ``input_sha256``, with the gaps in the values' storage.
-
-    The parsed values are checked as a :class:`RealSequence`'s and as
-    :func:`gaps_of`'s, with the same errors.  Then gap i is written over
-    value i by one ``np.subtract``.  numpy defines a ufunc whose operands
-    overlap to give what it gives on copies, so the gaps are those of
-    ``np.diff`` bit for bit; and as each output lies at or before the
-    inputs it is made from, numpy makes no copy.  So only the values' array
-    and the prefix sums are ever alive at once, never values, gaps and
-    prefix as in :func:`gaps_of`.  No :class:`RealSequence` holds the
-    array, so none shows overwritten values.
-    """
-    values, digest = _read_values(path, "raw")
-    _check_values(values)
-    _check_gaps(values)
-    gaps = values[:-1]
-    np.subtract(values[1:], gaps, out=gaps)
-    return GapSequence._adopt(gaps), digest
-
-
 class _Sha256Reader(io.RawIOBase):
     """Reads the binary file ``file`` and feeds each byte read to ``self.sha256``."""
 

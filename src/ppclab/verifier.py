@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import IndexInterval, _pairs_within, first_crossing
-from .partition import BoundCheck, _greedy_lengths
+from .correlation import IndexInterval, Interval, _forward_pairs, _pairs_within
+from .partition import BoundCheck, _greedy_lengths, _PrefixStream
 from .sequences import GapSequence, RealSequence, _check_gaps
 
 
@@ -342,8 +342,8 @@ def audit(seq: RealSequence | GapSequence, cfg: AuditConfig) -> AuditReport:
     ``seq`` is a sequence or its :func:`gaps_of`; both give the same report
     and the same errors: ``cfg.n`` above the points first, then those of
     :func:`gaps_of`.  The counts are made in one pass by :class:`_AuditPass`,
-    which reads ``_AUDIT_CHUNK`` gaps at a time (made from as many values),
-    so no temporary of the input's length is made.
+    a prefix stream of ``_STREAM_STEP`` gaps a step (made from as many
+    values), so no temporary of the input's length is made.
 
     Measured quantities (per N): the density of block gaps (canonical sum
     <= 1/2), of multi-gap windows landing in (1/2, 3/2 + eps), the partition
@@ -358,8 +358,7 @@ def audit(seq: RealSequence | GapSequence, cfg: AuditConfig) -> AuditReport:
     if cfg.n > points:
         raise ValueError(f"cfg.n={cfg.n} exceeds sequence length {points}")
     if isinstance(seq, RealSequence):
-        v = seq.values
-        return _audit_values((v[c : c + _AUDIT_CHUNK] for c in range(0, v.size, _AUDIT_CHUNK)), cfg)
+        return _audit_values([seq.values], cfg)
     counts = _AuditPass(cfg)
     counts.gaps(seq.gaps)
     return counts.report()
@@ -384,148 +383,63 @@ def _audit_values(chunks, cfg: AuditConfig) -> AuditReport:
     return counts.report()
 
 
-# Gaps per step of the audit's pass.  A step holds their prefix sums, the tail that the open block
-# and the windows not yet counted still reach, and the window counts' temporaries on its starts.
-_AUDIT_CHUNK = 1 << 16
+class _AuditPass(_PrefixStream):
+    """The counts of :func:`audit` on the first ``cfg.n`` gaps: a prefix stream at threshold 1/2.
 
-
-class _AuditPass:
-    """The counts of :func:`audit` on the first ``cfg.n`` gaps, made in one pass, chunk by chunk.
-
-    Gaps come through :meth:`gaps`, or as values through :meth:`values`,
-    which makes the raw gaps of each chunk with ``np.diff``, carrying the
-    last value, so they are those of :func:`gaps_of`.  Once the values'
-    span overflows, :func:`gaps_of` would raise, so no more gaps are made
-    (nor any inf or nan).  Each step of at most ``_AUDIT_CHUNK`` gaps:
-
-    * *Prefix sums.*  The step's gaps are written after the last prefix sum
-      held, and one ``np.cumsum`` runs from it.  ``np.cumsum`` adds left to
-      right, so every float equals that of one ``np.cumsum`` over all gaps,
-      :class:`~ppclab.sequences.GapSequence`'s ``prefix``.
-    * *Blocks.*  The canonical sums ``prefix[i] - prefix[i-1]`` of the new
-      gaps extend the runs of those <= 1/2, as in ``maximal_blocks``.  A
-      block that ends in the step goes to ``_greedy_lengths`` with the
-      others, on the held prefix sums from before its first gap.  The greedy
-      compares a start's reach only with ends inside the block, so a prefix
-      slice that ends past the block (or at gap n, for the block still open
-      at the end) gives the parts of the whole array.
-    * *Windows.*  The start s - 1 of the windows s..e is decided once the
-      sum from it to the last prefix sum held reaches 3/2 + eps (the
-      decided starts come first, as the sums fall with s).  Its two bias
-      ends (sums >= 1/8, >= 1/4) and its two multigap ends (> 1/2,
-      >= 3/2 + eps) then lie among the held prefix sums, so
-      ``first_crossing`` on them gives the answers it gives on
-      ``prefix[:n + 1]``, the bounds of ``multi_gap_count``.
-    * *Tail.*  Only the prefix sums from the first undecided start, or from
-      before the open block, on are kept, in a buffer that is moved or
-      doubled only when full, so a long block costs O(its length) in all.
-
-    At the end the open block closes at gap n, and every start left is
-    counted on ``prefix[:n + 1]``.  So memory is a step's plus the longest
-    window or block across a step's end, not the input's length.
+    *Blocks.*  The blocks that close in a step go to ``_greedy_lengths`` on
+    the held prefix sums.  The greedy compares a start's reach only with
+    ends inside its block, so the parts are those of the whole array.
+    *Windows.*  The start s - 1 of the windows s..e is decided once the sum
+    from it to the last prefix sum held reaches 3/2 + eps (the decided
+    starts come first, as the sums fall with s).  Its two bias ends (sums
+    >= 1/8, >= 1/4) and its two multigap ends (> 1/2, >= 3/2 + eps) then
+    lie among the held prefix sums, so ``_forward_pairs`` on them counts
+    what ``multi_gap_count`` counts on ``prefix[:n + 1]``.  The stream keeps
+    the prefix sums from the first start not yet counted.
     """
 
     def __init__(self, cfg: AuditConfig):
+        super().__init__(AUDIT_BUDGET, cfg.n, self._take)
         self.cfg = cfg
         self.gap_bound = 1.5 + cfg.epsilon
-        self.points = 0  # values read, all of them
-        self.first = self.last = 0.0  # the first and the last value read
-        self.overflow = False  # the values' span overflows
-        self.n = 0  # gaps taken, at most cfg.n
         self.max_gap = -math.inf
-        self.buf = np.zeros(1)  # buf[lo:hi] holds prefix[base], ..., prefix[n]
-        self.lo, self.hi, self.base = 0, 1, 0
-        self.open = 0  # the first gap of the block still open, or 0
         self.start = 0  # the first window start (a prefix index) not yet counted
         self.block_count = self.part_count = self.parts_len = self.parts_binom = 0
         self.multigap_count = self.windows = 0
 
-    def values(self, v: np.ndarray) -> None:
-        """Take the values ``v``, which follow those already read."""
-        taken = self.points
-        if not taken:
-            self.first = float(v[0])
-        self.points += v.size
-        self.overflow = self.overflow or float(v[-1]) - self.first == math.inf
-        need = self.cfg.n - self.n  # gaps still wanted: as many values after the first
-        if need > 0 and not self.overflow:
-            self.gaps(np.diff(v[:need], prepend=self.last) if taken else np.diff(v[: need + 1]))
-        self.last = float(v[-1])
-
-    def gaps(self, g: np.ndarray) -> None:
-        """Take the gaps ``g``, which follow those already taken; those past gap ``cfg.n`` are dropped."""
-        g = g[: self.cfg.n - self.n]
-        for c in range(0, g.size, _AUDIT_CHUNK):
-            self._step(g[c : c + _AUDIT_CHUNK])
-
     def _step(self, g: np.ndarray) -> None:
-        """Take at most ``_AUDIT_CHUNK`` gaps: the prefix sums, blocks, windows and tail of the class doc."""
         self.max_gap = max(self.max_gap, float(g.max()))
-        old = self.n - self.base  # the last prefix sum held, as an index into the held ones
-        held, k = self.hi - self.lo, g.size
-        if self.hi + k > self.buf.size:  # move the held sums to the front, or to a buffer twice their size
-            if held + k <= self.buf.size // 2:
-                self.buf[:held] = self.buf[self.lo : self.hi]
-            else:
-                buf = np.empty(2 * (held + k))
-                buf[:held] = self.buf[self.lo : self.hi]
-                self.buf = buf
-            self.lo, self.hi = 0, held
-        self.buf[self.hi : self.hi + k] = g
-        self.hi += k
-        self.n += k
-        p = self.buf[self.lo : self.hi]
-        np.cumsum(p[old:], out=p[old:])
+        super()._step(g)
 
-        fits = np.diff(p[old:]) <= AUDIT_BUDGET  # the canonical sums of gaps n - k + 1 .. n
-        inside = int(self.open > 0)
-        changes = np.flatnonzero(np.diff(fits, prepend=bool(inside)))
-        changes += self.n - k + 1  # a run starts at the gap of a change into it, and ends before one out
-        left, right = changes[inside::2], changes[1 - inside :: 2] - 1
-        if inside:
-            left = np.concatenate(([self.open], left))
-        self.open = int(left[-1]) if left.size > right.size else 0
-        self._count_parts(left[: right.size], right)
-
-        top = p[-1]
-        s0 = self.start - self.base
-        decided = int(np.count_nonzero(top - p[s0:-1] >= self.gap_bound))
-        self._count_windows(self.start + decided)
-
-        keep = min(self.start, self.open - 1 if self.open else self.n)
-        self.lo += keep - self.base
-        self.base = keep
+    def _take(self, left: np.ndarray, right: np.ndarray, end: bool) -> int:
+        """Count the blocks that closed and the starts decided; the first prefix index still needed."""
+        self._count_parts(left, right)
+        p = self.held
+        decided = np.count_nonzero(p[-1] - p[self.start - self.base : -1] >= self.gap_bound)
+        self._count_windows(self.n if end else self.start + int(decided))
+        return self.start
 
     def _count_parts(self, left: np.ndarray, right: np.ndarray) -> None:
         """Add the blocks ``left[k]..right[k]``, all held, to the block and part counts."""
-        if left.size:
-            p = self.buf[self.lo : self.hi]
-            count, total, binom = _greedy_lengths(p, left - self.base, right - self.base, AUDIT_BUDGET)
-            self.block_count += left.size
-            self.part_count += count
-            self.parts_len += total  # it counts every block gap once: the density count
-            self.parts_binom += binom
+        count, total, binom = _greedy_lengths(self.held, left - self.base, right - self.base, AUDIT_BUDGET)
+        self.block_count += left.size
+        self.part_count += count
+        self.parts_len += total  # it counts every block gap once: the density count
+        self.parts_binom += binom
 
     def _count_windows(self, stop: int) -> None:
         """Count the bias and multigap windows of the starts from ``self.start`` to ``stop``, exclusive."""
-        p = self.buf[self.lo : self.hi]
-        i0, i1 = self.start - self.base, stop - self.base
-        if i1 > i0:
-            base = p[i0:i1]
-            lower = np.arange(i0 + 1, i1 + 1)
-            for t in (0.125, 0.25):  # windows of one gap or more summing to [0, t)
-                self.windows += int(np.sum(first_crossing(p, base, lower, t, False) - lower))
-            lower += 1  # windows of two gaps or more summing to (1/2, 3/2 + eps)
-            first = first_crossing(p, base, lower, AUDIT_BUDGET, True)
-            self.multigap_count += int(np.sum(first_crossing(p, base, first, self.gap_bound, False) - first))
+        p, starts = self.held[self.start - self.base :], stop - self.start
+        for t in (0.125, 0.25):  # windows of one gap or more summing to [0, t)
+            self.windows += _forward_pairs(p, starts, 1, Interval.half_open(0.0, t))
+        # windows of two gaps or more summing to (1/2, 3/2 + eps)
+        self.multigap_count += _forward_pairs(p, starts, 2, Interval.open(AUDIT_BUDGET, self.gap_bound))
         self.start = stop
 
     def report(self) -> AuditReport:
         """The report on the gaps taken; the pass ends here."""
         n = self.n  # N indexes gaps; a prefix of N points carries N-1 of them
-        if self.open:  # the block still open ends at gap n
-            self._count_parts(np.array([self.open]), np.array([n]))
-        self._count_windows(n)  # start n - 1 holds one bias window at most and no multigap one
+        self.end()  # the block still open ends at gap n, and every start left is counted
         eps = self.cfg.epsilon
         max_gap, max_gap_ok = self.max_gap, self.max_gap <= self.gap_bound
         part_count, parts_len, parts_binom = self.part_count, self.parts_len, self.parts_binom

@@ -272,14 +272,15 @@ def bin_form(x):
 def audit_whole(seq, cfg):
     """``audit`` made on whole arrays: the gaps, their prefix sums and every block, all held at once.
 
-    The reference for the one-pass audit: the same kernels (``maximal_blocks``,
-    the greedy's part sums, ``multi_gap_count``) run once over the first n
-    gaps, so any difference is the pass's chunking, its carried prefix sums,
-    or the tail it keeps.
+    The reference for the one-pass audit: the blocks come from one run mask
+    over the first n canonical one-gap sums, made here and not by the prefix
+    stream the audit and ``maximal_blocks`` share, and the greedy's part sums
+    and ``multi_gap_count`` run once over all of them.  So any difference is
+    the stream's steps, its carried prefix sums, or the tail it keeps.
     """
     from ppclab import verifier
     from ppclab.correlation import Interval, multi_gap_count
-    from ppclab.partition import _greedy_lengths, maximal_blocks
+    from ppclab.partition import _greedy_lengths
     from ppclab.sequences import RealSequence, gaps_of
 
     points = seq.n if isinstance(seq, RealSequence) else seq.length + 1
@@ -291,8 +292,10 @@ def audit_whole(seq, cfg):
     budget = verifier.AUDIT_BUDGET
     gap_bound = 1.5 + eps
     max_gap = float(np.max(g.gaps[:n]))
-    blocks = maximal_blocks(g, n, budget)
-    part_count, parts_len, parts_binom = _greedy_lengths(g.prefix, blocks.left, blocks.right, budget)
+    fits = np.diff(g.prefix[: n + 1]) <= budget
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], fits, [False]))))  # gap k + 1 starts a run, gap k ends one
+    left, right = edges[::2] + 1, edges[1::2]
+    part_count, parts_len, parts_binom = _greedy_lengths(g.prefix, left, right, budget)
     partition_mass = parts_binom / n
     multigap = multi_gap_count(g, Interval.open(budget, gap_bound), n, 2)
     windows = multi_gap_count(g, Interval.half_open(0.0, 0.125), n, 1)
@@ -313,6 +316,6 @@ def audit_whole(seq, cfg):
         epsilon=eps, budget=budget, n_used=n, max_gap=max_gap, max_gap_ok=max_gap <= gap_bound,
         density_lhs=parts_len / n, density_rhs=root, multigap_lhs=multigap / n, multigap_rhs=root,
         partition_mass=partition_mass, partition_mass_rhs=mass_rhs, bias_lhs=windows / n, bias_rhs=bias_rhs,
-        final_ineq_value=final_value, block_count=int(blocks.left.size), part_count=part_count,
+        final_ineq_value=final_value, block_count=int(left.size), part_count=part_count,
         total_block_length=parts_len, steps=steps,
     )

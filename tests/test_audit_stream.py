@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ppclab as pl
-from ppclab import sequences, verifier
+from ppclab import partition, sequences
 from ppclab.cli import _dumps, _manifest, main
 from oracles import audit_whole
 from test_cli import FUZZ_FILES, run
+from test_partition import patch_step
 
 EPSILONS = [2.0**-10, 2.0**-20, 1e-9, 0.01]
 
@@ -43,10 +44,11 @@ def tie_cases(draw, positive=False):
 
 def reports_of_every_chunk(source, cfg):
     reports = []
-    for chunk in (1, 2, 3, verifier._AUDIT_CHUNK):
+    for chunk in (1, 2, 3, partition._STREAM_STEP):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verifier, "_AUDIT_CHUNK", chunk)
+            sizes = patch_step(mp, chunk)
             reports.append(pl.audit(source, cfg).to_dict())
+        assert max(sizes) <= chunk and sum(sizes) == reports[-1]["n_used"]  # the pass read the patched step
     return reports
 
 

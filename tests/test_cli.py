@@ -235,12 +235,12 @@ def test_partition_check_exits_1_on_a_failed_bound_and_prints_every_block(tmp_pa
 
     # one-gap parts, picked left to right: no part is sandwiched, and with gaps of 0.1 every
     # adjacent pair of gaps sums to 0.2 <= 0.5, so every adjacent lhs is 0 < 1/2
-    def one_gap_parts(g, left, right, budget):
-        blocks = [[(a, b)] if g.window_sum(a, b) <= budget else [(i, i) for i in range(a, b + 1)]
+    def one_gap_parts(prefix, left, right, budget):
+        blocks = [[(a, b)] if prefix[b] - prefix[a - 1] <= budget else [(i, i) for i in range(a, b + 1)]
                   for a, b in zip(left.tolist(), right.tolist())]
         parts = np.array([part for block in blocks for part in block])
         rank = np.concatenate([np.arange(1, len(block) + 1) for block in blocks])
-        reach = partition._reach(g.prefix, np.arange(1, g.length + 1), budget) - 1  # gap s at position s - 1
+        reach = partition._reach(prefix, np.arange(1, prefix.size), budget) - 1  # gap s at position s - 1
         shift = np.ones(left.size, dtype=np.intp)
         return parts[:, 0], parts[:, 1], rank, np.array([len(block) for block in blocks]), reach, shift
 

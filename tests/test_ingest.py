@@ -9,6 +9,7 @@ import pytest
 import ppclab as pl
 from ppclab import sequences
 from oracles import fast_values, ingest_loop
+from test_partition_stream import partition_cli, reference
 
 
 def outcome(read, path, mode="raw"):
@@ -155,43 +156,15 @@ def test_ingest_holds_neither_the_file_nor_a_copy_of_the_values(tmp_path, monkey
     assert peak < 3 * 8 * n
 
 
-def gaps_outcome(read, path):
-    """The gaps', prefix sums' and hash's bytes, or the error's type and message."""
-    try:
-        g, digest = read(path)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    assert not (g.gaps.flags.writeable or g.prefix.flags.writeable)
-    return g.gaps.tobytes(), g.prefix.tobytes(), digest
-
-
-def gaps_of_a_sequence(path):
-    seq = pl.ingest_and_unfold(path)
-    return pl.gaps_of(seq), seq.metadata["input_sha256"]
-
-
 @pytest.mark.parametrize("content", [*CASES.values(), b"-1.7e308\n1.7e308\n", b"0\n1e-310\n2e-310\n"],
                          ids=[*CASES.keys(), "span overflows", "subnormal gaps"])
-def test_gaps_in_the_values_storage_are_those_of_gaps_of(tmp_path, content):
+def test_gaps_in_the_values_storage_are_those_of_gaps_of(tmp_path, capsys, content):
+    # partition makes its gaps from the values it holds, a step at a time: it prints what the blocks of
+    # gaps_of print, or raises the errors of ingest and gaps_of in their order
     path = tmp_path / "seq.txt"
     path.write_bytes(content)
-    assert gaps_outcome(sequences._ingest_gaps, path) == gaps_outcome(gaps_of_a_sequence, path)
-
-
-def test_gaps_of_a_written_sequence_take_the_values_place(tmp_path):
-    n = 300_000  # the 8n bytes of a third array outweigh ingest's buffer and temporaries
-    path = tmp_path / "seq.txt"
-    pl.write_sequence(path, pl.generate(pl.GeneratorConfig("poisson", n, seed=5)), comment="poisson")
-    assert gaps_outcome(sequences._ingest_gaps, path) == gaps_outcome(gaps_of_a_sequence, path)
-    tracemalloc.start()
-    try:
-        g, _ = sequences._ingest_gaps(path)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert g.length == n - 1
-    assert current < 2 * 8 * n + 4096  # the values' array, which holds the gaps, and the prefix sums
-    assert peak < current + 2**20  # gaps_of would add a third array of n floats
+    for threshold in ("0.5", "2"):
+        assert partition_cli(capsys, path, threshold) == reference(path, threshold)
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 64])

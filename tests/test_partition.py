@@ -96,9 +96,22 @@ def test_maximal_blocks_match_a_per_index_oracle(gaps):
         assert bs.left.dtype == bs.right.dtype == np.intp
 
 
+def patch_step(mp, size):
+    """Set the prefix stream's step to ``size``; the returned list gets the gap count of every step taken."""
+    mp.setattr(partition, "_STREAM_STEP", size)
+    sizes, step = [], partition._PrefixStream._step
+
+    def counted(self, g):
+        sizes.append(g.size)
+        step(self, g)
+
+    mp.setattr(partition._PrefixStream, "_step", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_maximal_blocks_match_a_per_index_oracle_across_chunk_ends(monkeypatch, chunk):
-    monkeypatch.setattr(partition, "_CHUNK", chunk)  # every run starts, ends or goes on at a chunk's end
+    sizes = patch_step(monkeypatch, chunk)  # every run starts, ends or goes on at a step's end
     rng = np.random.default_rng(chunk)
     cases = [[0.1] * 7, [0.9] * 7, [0.9, 0.5, 0.5000000000000001, 0.5, 0.5], [0.1, 0.75, 0.5, 0.75]]
     cases += [rng.uniform(0.0, 1.3, int(rng.integers(1, 12))).tolist() for _ in range(50)]
@@ -108,6 +121,8 @@ def test_maximal_blocks_match_a_per_index_oracle_across_chunk_ends(monkeypatch, 
             bs = pl.maximal_blocks(g, n, 0.5)
             assert list(zip(bs.left.tolist(), bs.right.tolist())) == blocks_by_index(g, n, 0.5)
             assert bs.left.dtype == bs.right.dtype == np.intp
+            assert sizes == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)  # the stream read the patched step
+            sizes.clear()
 
 
 def test_maximal_blocks_count_identity():
