@@ -14,14 +14,16 @@ signs counts each unordered pair twice (once per orientation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .correlation import Interval, _gap_counts, pair_correlation
+from .correlation import Interval, _PairPass, pair_correlation
 from .partition import _partition_table, _PrefixStream
 from .sequences import (
     GeneratorConfig,
@@ -42,6 +44,7 @@ from .verifier import (
 
 
 CDF_GRID_MAX_POINTS = 10**6  # --cdf-grid rows; a larger or non-finite grid is rejected, not looped over
+CDF_ROWS = 4096  # --cdf-grid rows written at a time: bounds the text held at once
 PARTITION_CHUNK = 4096  # blocks per partition table: bounds the arrays and the text held at once
 
 
@@ -51,13 +54,7 @@ def _fmt(x: float) -> str:
 
 def _dumps(obj) -> str:
     """Deterministic one-line JSON with 17-significant-digit floats; nan and inf raise ValueError."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, str)):
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
@@ -122,14 +119,6 @@ def _grid_points(lo: float, step: float, end: float):
         x = lo + k * step
 
 
-def _interval_flags(args) -> tuple[bool, bool]:
-    if args.closed:
-        return True, True
-    if args.open:
-        return False, False
-    return True, False  # default half-open [lo, hi)
-
-
 def cmd_generate(args) -> int:
     cfg = GeneratorConfig(
         kind=args.kind,
@@ -139,13 +128,7 @@ def cmd_generate(args) -> int:
         alpha=args.alpha,
     )
     seq = generate(cfg)
-    params = {
-        "kind": args.kind,
-        "n": args.n,
-        "cap": args.cap,
-        "alpha": args.alpha,
-        "output": str(args.output),
-    }
+    params = {"kind": args.kind, "n": args.n, "cap": args.cap, "alpha": args.alpha, "output": str(args.output)}
     manifest = _manifest("generate", params, seed=args.seed)
     sidecar = {
         "written": str(args.output),
@@ -165,46 +148,30 @@ def cmd_analyze(args) -> int:
     if not args.interval and not args.cdf_grid:
         raise ValueError("nothing to do: give --interval and/or --cdf-grid")
     grid = _parse_cdf_grid(args.cdf_grid) if args.cdf_grid else None
-    intervals = [_parse_interval(text, *_interval_flags(args)) for text in args.interval or []]
-    seq = ingest_and_unfold(args.input, "raw")
-    n = args.n if args.n is not None else seq.n
-    if not 1 <= n <= seq.n:
-        raise ValueError(f"--n must lie in 1..{seq.n} (the points in the input), got {n}")
-    if grid and seq.n < 2:
+    intervals = [_parse_interval(text, not args.open, args.closed) for text in args.interval or []]  # default [lo, hi)
+    xs = np.fromiter(_grid_points(*grid), float) if grid else np.empty(0)
+    # one pass over the file, which holds a chunk of it: every error comes after the last chunk
+    counts, input_hash = _stream(args.input, "raw", lambda chunks: _PairPass(intervals, args.n, xs).run(chunks))
+    n = args.n if args.n is not None else counts.points
+    if not 1 <= n <= counts.points:
+        raise ValueError(f"--n must lie in 1..{counts.points} (the points in the input), got {n}")
+    if grid and counts.points < 2:
         raise ValueError("--cdf-grid needs at least 2 points to form gaps")
-    params = {
-        "input": str(args.input),
-        "n": n,
-        "intervals": list(args.interval or []),
-        "closed": bool(args.closed),
-        "open": bool(args.open),
-        "cdf_grid": args.cdf_grid,
-    }
-    manifest = _manifest("analyze", params, input_hash=seq.metadata["input_sha256"])
+    params = {"input": str(args.input), "n": n, "intervals": list(args.interval or []), "closed": bool(args.closed),
+              "open": bool(args.open), "cdf_grid": args.cdf_grid}
+    manifest = _manifest("analyze", params, input_hash=input_hash)
     for interval in intervals:
-        report = pair_correlation(seq, interval, n)
-        doc = {
-            "lo": interval.lo,
-            "hi": interval.hi,
-            "lo_closed": interval.lo_closed,
-            "hi_closed": interval.hi_closed,
-            "n": report.n,
-            "pair_count": report.pair_count,
-            "r_value": report.r_value,
-            "manifest": manifest,
-        }
-        print(_dumps(doc))
+        report = pair_correlation(counts, interval, n)
+        print(_dumps({**asdict(interval), "n": report.n, "pair_count": report.pair_count, "r_value": report.r_value,
+                      "manifest": manifest}))
     if grid:
-        m = min(n, seq.n - 1)
-        counts = _gap_counts(seq, m, np.fromiter(_grid_points(*grid), float))  # the CDF reads only the gaps
-        # the points are made again rather than held as a list of up to 10^6 Python floats
-        lines = ["x,F", *(f"{_fmt(x)},{_fmt(int(below) / m)}" for x, below in zip(_grid_points(*grid), counts))]
-        text = "\n".join(lines) + "\n"
-        if args.cdf_out:
-            with open(args.cdf_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _check_gaps(np.array([counts.first, counts.last]))  # the span error of gaps_of
+        m, below = min(n, counts.points - 1), counts.below
+        with open(args.cdf_out, "w", encoding="utf-8") if args.cdf_out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write("x,F\n")
+            for a in range(0, xs.size, CDF_ROWS):  # the text of CDF_ROWS rows at a time
+                rows = zip(xs[a : a + CDF_ROWS].tolist(), below[a : a + CDF_ROWS].tolist())
+                fh.write("".join(f"{_fmt(x)},{_fmt(k / m)}\n" for x, k in rows))
     return 0
 
 

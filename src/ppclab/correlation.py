@@ -10,11 +10,13 @@ evaluates the same window with the same float.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import GapSequence, RealSequence, _check_gaps
+from .sequences import GapSequence, RealSequence
 
 _CHUNK = 1 << 16  # starts per pass of the count functions and first_crossing: cache-sized temporaries
 # first_crossing tests every start at lower, and the misses at up to _PROBE_ROUNDS next positions,
@@ -182,12 +184,10 @@ def _search(P, b, low, t, strict):
 
 
 def _repair(P, b, low, g, at, t, passes):
-    """First crossings for starts whose seed g failed :func:`first_crossing`'s check.
+    """:func:`first_crossing`'s repair step: the answer lies past g where ``at`` is false, else below g.
 
-    Where ``P[g] - b`` does not pass (``at`` false) the answer is past g;
-    otherwise ``P[g-1] - b`` passed and it is below g.  Each start keeps a
-    bracket [lo, hi] holding its answer, with hi passing or ``P.size``, and
-    is bisected until lo == hi.
+    Each start keeps a bracket [lo, hi] holding its answer, with hi passing
+    or ``P.size``, and is bisected until lo == hi.
     """
     lo = np.where(at, low, g + 1)
     hi = np.where(at, g - 1, P.size)
@@ -222,30 +222,89 @@ def _forward_pairs(P, starts: int, offset: int, interval: Interval) -> int:
     return total
 
 
-def pair_correlation(seq: RealSequence, interval: Interval, n: int) -> CorrelationReport:
+def pair_correlation(source: RealSequence | _PairPass, interval: Interval, n: int) -> CorrelationReport:
     """Count ordered pairs (i, j), i != j, i,j <= n with values[j] - values[i] in I.
 
-    Since fl(a - b) = -fl(b - a), the pairs with j < i and a difference in I
-    are the pairs with i < j and a difference in -I.  So the count is two
-    forward counts, :func:`_forward_pairs` on I and on -I, each on the
-    difference values[j] - values[i] itself, the same expression a
-    brute-force enumerator would use.  The values strictly increase, so every
-    forward difference is > 0: a half with hi <= 0 holds none and is not
-    counted, and a lo <= 0 is a closed 0, whose lower end needs no pass.
+    ``source`` is a sequence, whose first n values are held and so counted
+    at once, or a finished :class:`_PairPass` that counted ``interval`` over
+    the first n values of its stream, as CLI ``analyze`` passes it.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if n > seq.n:
-        raise ValueError(f"n={n} exceeds sequence length {seq.n}")
-
-    values = seq.values[:n]
-    count = 0
-    for half in (interval, interval.reflected()):
-        if half.hi > 0:
-            if half.lo <= 0:
-                half = Interval(0.0, half.hi, True, half.hi_closed)
-            count += _forward_pairs(values, n - 1, 1, half)
+    if isinstance(source, RealSequence):
+        if n > source.n:
+            raise ValueError(f"n={n} exceeds sequence length {source.n}")
+        values, source = source.values[:n], _PairPass([interval], n)
+        source._count(values, n - 1)  # every start's pairs are held
+    count = source.counts[interval]
     return CorrelationReport(interval, n, count, count / n)
+
+
+class _PairPass:
+    """Pair counts over the first ``limit`` values, and gap counts on a grid, in one pass over chunks of values.
+
+    *Pairs.*  As fl(a - b) = -fl(b - a), ``counts[I]`` is :func:`_forward_pairs`
+    on I and on -I, each on values[j] - values[i] itself; a half with hi <= 0
+    holds no pair of increasing values, and a lo <= 0 is a closed 0.  The
+    values are held from the first start not yet counted.  Start i is counted
+    and dropped once ``last - values[i] > reach``, the largest hi, for the last
+    value held, as every j it pairs with is then held; :meth:`run` counts the rest.
+    *Gaps.*  ``below[k]`` is #{gaps <= xs[k]} over the first ``limit`` gaps,
+    one value past the pairs': each chunk's ``np.diff``, the last value
+    carried as in ``gaps_of``, sorted and searched.
+    """
+
+    def __init__(self, intervals, limit: int | None, xs: np.ndarray = np.empty(0)):
+        self.counts = dict.fromkeys(intervals, 0)
+        self.halves = [(i, h if h.lo > 0 else Interval(0.0, h.hi, True, h.hi_closed))
+                       for i in self.counts for h in (i, i.reflected()) if h.hi > 0]
+        self.reach = max((h.hi for _, h in self.halves), default=0.0)
+        self.limit = sys.maxsize if limit is None else max(limit, 0)
+        self.xs, self.below = xs, np.zeros(xs.size, dtype=np.int64)
+        self.points, self.first, self.last = 0, 0.0, 0.0  # values read, the first and the last of them
+        self.buf, self.lo, self.hi = np.empty(0), 0, 0  # buf[lo:hi] holds the values from the first start left
+
+    def run(self, chunks) -> _PairPass:
+        """Take every chunk of ``chunks``, count the starts left, and return the finished pass."""
+        with np.errstate(over="ignore"):  # an overflowing span is an error after the pass where it matters
+            for values in chunks:
+                self._gaps(values[: max(self.limit + 1 - self.points, 0)])
+                self._pairs(values[: max(self.limit - self.points, 0)])
+                self.first = self.first if self.points else float(values[0])
+                self.points += values.size
+                self.last = float(values[-1])
+                del values  # before the next chunk is made
+            self._count(self.buf[self.lo : self.hi], self.hi - self.lo - 1)  # the last value starts no pair
+        return self
+
+    def _count(self, held: np.ndarray, starts: int) -> None:
+        for interval, half in self.halves:
+            self.counts[interval] += _forward_pairs(held, starts, 1, half)
+
+    def _gaps(self, v: np.ndarray) -> None:
+        if self.xs.size:
+            g = np.diff(v, prepend=self.last) if self.points else np.diff(v)
+            g.sort()
+            self.below += np.searchsorted(g, self.xs, side="right")
+
+    def _pairs(self, v: np.ndarray) -> None:
+        if self.halves and v.size:
+            self.buf, self.lo, self.hi = _append(self.buf, self.lo, self.hi, v)
+            held, last = self.buf[self.lo : self.hi], v[-1]
+            decided = bisect_left(held, True, key=lambda x: last - x <= self.reach)
+            self._count(held, decided)
+            self.lo += decided
+
+
+def _append(buf: np.ndarray, lo: int, hi: int, x: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """``(buf, lo, hi)`` with ``x`` written after the held ``buf[lo:hi]``, which moves, or doubles, only when full."""
+    held, k = hi - lo, x.size
+    if hi + k > buf.size:
+        new = buf if held + k <= buf.size // 2 else np.empty(2 * (held + k))
+        new[:held] = buf[lo:hi]
+        buf, lo, hi = new, 0, held
+    buf[hi : hi + k] = x
+    return buf, lo, hi + k
 
 
 def gap_cdf(g: GapSequence, x: float, n: int) -> float:
@@ -255,23 +314,6 @@ def gap_cdf(g: GapSequence, x: float, n: int) -> float:
     if n > g.length:
         raise ValueError(f"n={n} exceeds gap count {g.length}")
     return int(np.count_nonzero(g.gaps[:n] <= x)) / n
-
-
-def _gap_counts(seq: RealSequence, m: int, xs: np.ndarray) -> np.ndarray:
-    """#{i <= m : g_i <= x} for each x in ``xs``, over the first m gaps of ``seq``, with the errors of ``gaps_of``.
-
-    The gaps are made ``_CHUNK`` at a time, by ``np.diff`` of a slice of the
-    values, the subtraction :func:`~ppclab.sequences.gaps_of` makes.  Each
-    chunk is sorted, and ``searchsorted(chunk, xs, "right")`` counts its
-    gaps <= x, so no array of all m gaps is made.
-    """
-    _check_gaps(seq.values)
-    counts = np.zeros(xs.size, dtype=np.int64)
-    for c in range(0, m, _CHUNK):
-        chunk = np.diff(seq.values[c : min(c + _CHUNK, m) + 1])
-        chunk.sort()
-        counts += np.searchsorted(chunk, xs, side="right")
-    return counts
 
 
 def multi_gap_count(g: GapSequence, interval: Interval, n: int, m_min: int = 1) -> int:
@@ -294,11 +336,8 @@ def _pairs_within(prefix, starts: IndexInterval, ends: IndexInterval, t: float, 
     "Passes" follows :func:`first_crossing`: ``> t`` when ``strict`` and
     ``>= t`` otherwise.  The sums shrink as s moves right, so the first
     passing end only moves right: one two-pointer pass over a block-local
-    list of the prefix sums.  It serves callers that ask about one block or
-    block pair at a time, at any threshold: :func:`ppc_block`,
-    :func:`ppc_cross`, ``bias_check``, and the per-partition bound checks
-    ``verify_adjacent_bound`` and ``verify_sandwich_bound``, which are also
-    the test oracles for ``partition_table``'s one-pass bounds.
+    list of the prefix sums, for callers that ask about one block or block
+    pair at a time, at any threshold.
     """
     off = starts.left - 1
     p = prefix[off : ends.right + 1].tolist()  # p[i] = prefix[off + i]

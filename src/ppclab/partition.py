@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import IndexInterval, _pairs_within, first_crossing
+from .correlation import IndexInterval, _append, _pairs_within, first_crossing
 from .sequences import GapSequence
 
 
@@ -196,14 +196,8 @@ class _PrefixStream:
 
     def _step(self, g: np.ndarray) -> None:
         """Take at most ``_STREAM_STEP`` gaps: the prefix sums, blocks, consumer and tail of the class doc."""
-        old = self.n - self.base  # the last prefix sum held, as an index into the held ones
-        held, k = self.hi - self.lo, g.size
-        if self.hi + k > self.buf.size:  # move the held sums to the front, or to a buffer twice their size
-            buf = self.buf if held + k <= self.buf.size // 2 else np.empty(2 * (held + k))
-            buf[:held] = self.buf[self.lo : self.hi]
-            self.buf, self.lo, self.hi = buf, 0, held
-        self.buf[self.hi : self.hi + k] = g
-        self.hi += k
+        old, k = self.n - self.base, g.size  # the last prefix sum held, as an index into the held ones
+        self.buf, self.lo, self.hi = _append(self.buf, self.lo, self.hi, g)
         self.n += k
         p = self.held
         np.cumsum(p[old:], out=p[old:])

@@ -319,3 +319,45 @@ def audit_whole(seq, cfg):
         final_ineq_value=final_value, block_count=int(left.size), part_count=part_count,
         total_block_length=parts_len, steps=steps,
     )
+
+
+def pair_correlation_whole(seq, interval, n):
+    """``pair_correlation`` made on the whole array: two ``_forward_pairs`` counts over all n values at once.
+
+    The reference for the streamed pair counts of CLI ``analyze``, which
+    hold only the values that undecided starts still reach.  A half with
+    hi <= 0 holds no forward difference, and a lo <= 0 is a closed 0.
+    """
+    from ppclab.correlation import CorrelationReport, Interval, _forward_pairs
+
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if n > seq.n:
+        raise ValueError(f"n={n} exceeds sequence length {seq.n}")
+    values = seq.values[:n]
+    count = 0
+    for half in (interval, interval.reflected()):
+        if half.hi > 0:
+            if half.lo <= 0:
+                half = Interval(0.0, half.hi, True, half.hi_closed)
+            count += _forward_pairs(values, n - 1, 1, half)
+    return CorrelationReport(interval, n, count, count / n)
+
+
+def gap_counts_whole(seq, m, xs) -> np.ndarray:
+    """#{i <= m : g_i <= x} for each x in ``xs`` over the first m gaps, with the errors of ``gaps_of``.
+
+    The gaps come ``correlation._CHUNK`` at a time from slices of the held
+    values, each chunk sorted and searched for every x, as CLI ``analyze``
+    counted them before it streamed.
+    """
+    from ppclab import correlation
+    from ppclab.sequences import _check_gaps
+
+    _check_gaps(seq.values)
+    counts = np.zeros(xs.size, dtype=np.int64)
+    for c in range(0, m, correlation._CHUNK):
+        chunk = np.diff(seq.values[c : min(c + correlation._CHUNK, m) + 1])
+        chunk.sort()
+        counts += np.searchsorted(chunk, xs, side="right")
+    return counts

@@ -520,16 +520,16 @@ def test_audit_refuses_one_point_and_an_overflowing_span_as_gaps_of_does(tmp_pat
 
 def test_audit_and_the_cdf_hold_no_temporary_of_the_input_length(tmp_path, capsys):
     # Past the arrays a command must hold, its peak is fixed-size temporaries: ingest's 1 MiB buffer and
-    # kernel blocks, one read's values, and one step of the audit's pass or one _CHUNK of the CDF's gaps.
-    # audit holds no array of the input's length: its whole peak here is about 5.8 MB, where holding
-    # the gaps and prefix sums of every point made it 9.3 MB.  All gaps sorted at once made the CDF's
-    # excess 3.3 MB.
+    # kernel blocks, one read's values, and one step of the audit's pass or one read's pairs and gaps.
+    # Neither holds an array of the input's length: audit's whole peak here is about 5.8 MB, where holding
+    # the gaps and prefix sums of every point made it 9.3 MB, and analyze once held the values, 8 bytes a
+    # point, and all gaps sorted at once made the CDF's excess 3.3 MB.
     n = 400_000
     path = tmp_path / "poisson.txt"
     pl.write_sequence(path, pl.generate(pl.GeneratorConfig("poisson", n, seed=7)))
     runs = {  # argv -> (bytes held, bound on the excess)
         ("audit", "--epsilon", "1e-9", "--n", str(n - 1)): (0, 7 << 20),  # nothing: the pass holds a chunk
-        ("analyze", "--cdf-grid", "0:4:0.02"): (8 * n, 5 << 19),  # the values
+        ("analyze", "--cdf-grid", "0:4:0.02"): (0, 5 << 19),  # nothing: the pass holds a chunk
     }
     for (command, *rest), (held, bound) in runs.items():
         tracemalloc.start()
