@@ -13,12 +13,13 @@ signs counts each unordered pair twice (once per orientation).
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import json
-import math
+import os
 import sys
-from dataclasses import asdict
+
+# ppclab makes no BLAS call, so numpy's OpenBLAS need start no worker thread (about 0.07 s of CPU at
+# start-up); a value the user set wins, and a process that has loaded numpy already is left as it is
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -42,10 +43,19 @@ from .verifier import (
     lemma512_exhaustive,
 )
 
+# after numpy and ppclab's modules, as when the package loaded them all first: imported before numpy,
+# these leave the process about 0.25 MB larger in resident memory
+import argparse
+import contextlib
+import json
+import math
+from dataclasses import asdict
+
 
 CDF_GRID_MAX_POINTS = 10**6  # --cdf-grid rows; a larger or non-finite grid is rejected, not looped over
 CDF_ROWS = 4096  # --cdf-grid rows written at a time: bounds the text held at once
 PARTITION_CHUNK = 4096  # blocks per partition table: bounds the arrays and the text held at once
+PARTITION_FORMAT = 1024  # blocks per % call: bounds the Python ints and floats, and the text, held at once
 
 
 def _fmt(x: float) -> str:
@@ -191,7 +201,7 @@ def cmd_partition(args) -> int:
             a, b = left[first : first + PARTITION_CHUNK], right[first : first + PARTITION_CHUNK]
             table = _partition_table(p, a - base, b - base, args.threshold)  # every block gap fits a part alone
             table = table._replace(left=table.left + base, right=table.right + base)
-            sys.stdout.write(_partition_documents(table, a, b, args.check))
+            sys.stdout.writelines(_partition_documents(table, a, b, args.check))
             violation = violation or not (table.adjacent_ok.all() and table.sandwich_ok.all())
         waiting = left[cut:], right[cut:]
         return int(left[cut]) - 1 if cut < left.size else stream.n
@@ -207,14 +217,16 @@ def cmd_partition(args) -> int:
     return 1 if args.check and violation else 0
 
 
-def _partition_documents(table, left, right, check: bool) -> str:
-    """One partition table's block documents, byte for byte as ``_dumps`` writes them.
+def _partition_documents(table, left, right, check: bool):
+    """Yield one partition table's block documents, byte for byte as ``_dumps`` writes them.
 
-    Every value goes into one list in print order, integers as ints and sums
-    as floats, and one ``%`` formats them all.  Its template is joined from
-    one piece per block, built once for each block shape in the table: the
-    part count, the sandwiched count and, with ``check``, the two bound
-    verdicts.  A non-finite sum raises ``ValueError``, as in ``_dumps``.
+    Every value is laid out in print order, and one ``%`` formats those of
+    ``PARTITION_FORMAT`` blocks at a time, integers as ints and sums as
+    floats, into the text it yields: so the Python objects and the text
+    held at once stay bounded.  Its template is joined from one piece per
+    block, built once for each block shape in the table: the part count,
+    the sandwiched count and, with ``check``, the two bound verdicts.  A
+    non-finite sum raises ``ValueError`` before any text, as in ``_dumps``.
     """
     finite = np.isfinite(table.sums)
     if not finite.all():
@@ -226,8 +238,9 @@ def _partition_documents(table, left, right, check: bool) -> str:
     middle_block = np.searchsorted(ends, middle, side="right")
     widths = np.bincount(middle_block, minlength=left.size)  # sandwiched parts per block
     sizes = 2 + 4 * counts + widths  # parent, parts, ranks, sums, sandwiched
-    offset = np.cumsum(sizes) - sizes  # each block's first value
-    values = np.empty(int(sizes.sum()), dtype=object)
+    edges = np.cumsum(sizes)
+    offset = edges - sizes  # each block's first value
+    values = np.zeros(int(sizes.sum()), dtype=np.int64)  # the sums' places stay 0 here
     values[offset] = left
     values[offset + 1] = right
     part = np.arange(table.left.size) - np.repeat(starts, counts)  # 0-based within its block
@@ -236,7 +249,7 @@ def _partition_documents(table, left, right, check: bool) -> str:
     values[base + 2 * part] = table.left
     values[base + 2 * part + 1] = table.right
     values[base + 2 * size + part] = table.rank
-    values[base + 3 * size + part] = table.sums
+    sums_at = base + 3 * size + part
     listed = np.arange(middle.size) - np.repeat(np.cumsum(widths) - widths, widths)  # 0-based within its block
     values[(offset + 2 + 4 * counts)[middle_block] + listed] = part[middle] + 1
 
@@ -247,8 +260,12 @@ def _partition_documents(table, left, right, check: bool) -> str:
         shape |= table.adjacent_ok.astype(np.int64) << 1
         shape |= table.sandwich_ok.astype(np.int64)
     shapes, block_shape = np.unique(shape, return_inverse=True)
-    pieces = np.array([_document_piece(code, check) for code in shapes.tolist()], dtype=object)
-    return "".join(pieces[block_shape].tolist()) % tuple(values.tolist())
+    pieces = np.array([_document_piece(code, check) for code in shapes.tolist()], dtype=object)[block_shape]
+    for a in range(0, left.size, PARTITION_FORMAT):
+        b = min(a + PARTITION_FORMAT, left.size)
+        chunk = values[offset[a] : edges[b - 1]].astype(object)
+        chunk[sums_at[starts[a] : ends[b - 1]] - offset[a]] = table.sums[starts[a] : ends[b - 1]]
+        yield "".join(pieces[a:b].tolist()) % tuple(chunk.tolist())
 
 
 def _document_piece(shape: int, check: bool) -> str:

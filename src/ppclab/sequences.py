@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import array
+import functools
 import hashlib
 import io
 import math
@@ -47,9 +48,9 @@ _KERNEL_BLOCK = 1 << 17
 # arithmetic is not correctly rounded.  Without such a type every line goes
 # to float, and every value to format, one at a time.  _SPLIT is Veltkamp's
 # constant that rounds a longdouble to 54 bits.  The kernels make their
-# small arrays per call: making them at import would cost every command,
-# reading or writing a file or not, about 0.2 MB of resident memory for the
-# numpy loops they touch.
+# small arrays on first use or per call: making them at import would cost
+# every command, reading or writing a file or not, about 0.2 MB of resident
+# memory for the numpy loops they touch.
 _LONGDOUBLE = np.finfo(np.longdouble)
 _LONGDOUBLE_EXACT = _LONGDOUBLE.nmant >= 63 and _LONGDOUBLE.nexp > 11
 _SPLIT = 2 ** max(_LONGDOUBLE.nmant - 53, 0) + 1
@@ -514,7 +515,9 @@ def _parse_fast(file, mode: str):
             buf[lo] = 10  # end the last line
             got = 1
         pieces = [buf[a : min(a + _KERNEL_BLOCK, lo + got)] for a in range(lo, lo + got, _KERNEL_BLOCK)]
-        out = np.empty(sum(np.count_nonzero(piece == 10) for piece in pieces))  # one value a line, at most
+        # one value a line, at most; the newlines are counted in a scan of their own, since keeping each
+        # block's line ends, or joining or growing the values block by block, raised peak RSS by 0.3-0.8 MB
+        out = np.empty(sum(np.count_nonzero(piece == 10) for piece in pieces))
         filled = 0
         start = _WIDTH  # where the next line begins
         for a, piece in zip(range(lo, lo + got, _KERNEL_BLOCK), pieces):
@@ -744,6 +747,8 @@ def _format17(values: np.ndarray) -> bytes:
     zeros, and a bare dot, stripped.  The kernel makes no BLAS call.
     """
     n = values.size
+    if not n:
+        return b""
     lines = np.empty((n, _LINE), np.uint8)  # line i is the first lens[i] bytes of row i, then "\n"
     lens = np.empty(n, np.uint8)
     decided = np.zeros(n, bool)
@@ -771,12 +776,7 @@ def _format17(values: np.ndarray) -> bytes:
         decided &= d < 10**17  # a carry to 10^(E + 1): no binary64 in range makes one
         # D = first digit and four groups of four digits; each group becomes
         # one 4-byte row of a table of the ASCII digits of 0 .. 9999.
-        i = np.arange(10**4, dtype=np.uint16)
-        table = np.empty((10**4, 4), np.uint8)
-        for j in range(4):
-            table[:, 3 - j] = i // 10**j % 10
-        table += 48
-        trailing = sum((i % 10**j == 0).astype(np.uint8) for j in range(1, 5))  # zeros ending the group
+        table, trailing = _digit_table()
         high = (d // 10**8).astype(np.uint32)  # D's first 9 digits
         low = (d - high * np.uint64(10**8)).astype(np.uint32)  # and its last 8
         del d
@@ -788,7 +788,6 @@ def _format17(values: np.ndarray) -> bytes:
         groups[3] = low // 10**4
         groups[4] = low - groups[3] * 10**4
         del high, low, top
-        table = table.view(np.uint32).ravel()
         chars = np.empty((n, 5), np.uint32)
         for g in range(5):
             chars[:, g] = table[groups[g]]  # the first digit's row is "000d"
@@ -802,10 +801,12 @@ def _format17(values: np.ndarray) -> bytes:
         # the kept digits, and the dot when a digit follows it
         lens[...] = np.where(e >= 0, np.maximum(kept, e + 1) + (kept > e + 1), kept - e + 1)
         del kept
-        exponents = np.unique(e).tolist()
-        for ev in exponents:
-            rows = slice(None) if len(exponents) == 1 else np.flatnonzero(e == ev)
+        first, last = int(e.min()), int(e.max())  # a loop over this range, not np.unique, which sorts e
+        for ev in range(first, last + 1):
+            rows = slice(None) if first == last else np.flatnonzero(e == ev)
             c = chars[rows]
+            if not len(c):  # no value has this exponent
+                continue
             if ev >= 0:  # the dot after the first E + 1 digits
                 lines[rows, : ev + 1] = c[:, : ev + 1]
                 lines[rows, ev + 1] = 46
@@ -825,3 +826,18 @@ def _format17(values: np.ndarray) -> bytes:
         lens[left] = (block != 32).sum(1)  # format's own lines hold no blank
     lines[np.arange(n), lens] = 10  # "\n"
     return lines[np.arange(_LINE, dtype=np.uint8) <= lens[:, None]].tobytes()
+
+
+@functools.cache
+def _digit_table() -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_format17`'s tables of 0 .. 9999: each one's 4 ASCII digits as a uint32, and its trailing zeros.
+
+    Made on first use, not at import, so a command that writes no file never pays for them.
+    """
+    i = np.arange(10**4, dtype=np.uint16)
+    table = np.empty((10**4, 4), np.uint8)
+    for j in range(4):
+        table[:, 3 - j] = i // 10**j % 10
+    table += 48
+    trailing = sum((i % 10**j == 0).astype(np.uint8) for j in range(1, 5))  # zeros ending the group
+    return table.view(np.uint32).ravel(), trailing

@@ -271,7 +271,7 @@ def test_partition_writer_refuses_a_non_finite_sum():
     g = pl.GapSequence([0.25, 0.25, 1.0, 0.5])
     blocks = pl.maximal_blocks(g, g.length, 0.5)
     table = pl.partition_table(g, blocks.left, blocks.right, 0.5)
-    text = cli._partition_documents(table, blocks.left, blocks.right, True)
+    text = "".join(cli._partition_documents(table, blocks.left, blocks.right, True))
     assert text.splitlines()[0] == cli._dumps({
         "parent": [1, 2], "parts": [[1, 2]], "ranks": [1], "sums": [0.5], "sandwiched": [],
         "check": {"adjacent_ok": True, "sandwich_ok": True},
@@ -279,7 +279,7 @@ def test_partition_writer_refuses_a_non_finite_sum():
     for bad in (math.inf, math.nan):
         broken = table._replace(sums=np.where(np.arange(table.sums.size) == 1, bad, table.sums))
         with pytest.raises(ValueError, match=f"^{bad!r} has no JSON form: values must be finite$"):
-            cli._partition_documents(broken, blocks.left, blocks.right, True)
+            next(cli._partition_documents(broken, blocks.left, blocks.right, True))
 
 
 def test_verify_lemma512(capsys):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import ppclab as pl
 from ppclab.cli import _dumps, _partition_documents
-from ppclab import partition
+from ppclab import cli, partition
 from ppclab.partition import _FRONTIER_MIN, _cross_bound, _greedy_lengths
 from oracles import (
     GreedyOracle,
@@ -246,7 +246,10 @@ def test_partition_documents_are_the_dumps_of_each_block(case, check, data):
             doc["check"] = {"adjacent_ok": bool(table.adjacent_ok[k]), "sandwich_ok": bool(table.sandwich_ok[k])}
         expected.append(_dumps(doc) + "\n")
         part = rows.stop
-    assert _partition_documents(table, bs.left, bs.right, check) == "".join(expected)
+    for size in (1, 2, cli.PARTITION_FORMAT):  # the text of every block, however many one % call formats
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "PARTITION_FORMAT", size)
+            assert "".join(_partition_documents(table, bs.left, bs.right, check)) == "".join(expected)
 
 
 @given(table_cases())

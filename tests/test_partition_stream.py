@@ -44,7 +44,7 @@ def reference(path, threshold: str, n=None):
         return 2, "", f"error: {exc}\n"
     blocks = np.array(blocks_by_index(g, used, t), dtype=np.intp).reshape(-1, 2)
     table = pl.partition_table(g, blocks[:, 0], blocks[:, 1], t)
-    out += _partition_documents(table, blocks[:, 0], blocks[:, 1], True)
+    out += "".join(_partition_documents(table, blocks[:, 0], blocks[:, 1], True))
     return int(not (table.adjacent_ok.all() and table.sandwich_ok.all())), out, ""
 
 
@@ -90,6 +90,7 @@ def test_the_streamed_partition_prints_the_whole_array_one(tmp_path, capsys, cas
             sizes = patch_step(mp, step)
             mp.setattr(sequences, "_INGEST_CHUNK", 64)
             mp.setattr(cli, "PARTITION_CHUNK", tables)
+            mp.setattr(cli, "PARTITION_FORMAT", 2)  # one % call for a table of 1 block, two for 3
             assert partition_cli(capsys, path, threshold, n) == expected, (step, tables)
         assert max(sizes, default=0) <= step and sum(sizes) == (values.size - 1 if n is None else n)
     assert partition_cli(capsys, path, threshold, n) == expected
