@@ -377,23 +377,11 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     ~ T*log(T)/(2*pi) acquires asymptotic mean gap 1; it requires every
     value > 1 and names the first t whose t*ln(t) overflows.
 
-    The values are :func:`_read_values`': the file is read in one pass of
-    ``_INGEST_CHUNK``-byte pieces, and the values of each piece are added to
-    one array, so the whole file's bytes are never held.
+    The file is read once, in ``_INGEST_CHUNK``-byte pieces, and never held
+    whole: :func:`_collect` copies the values of each piece into one array,
+    so the values and one piece's are held, never a second copy.
     ``metadata["input_sha256"]`` is the SHA-256 of the bytes of the read the
     values came from.
-    """
-    values, digest = _read_values(path, mode)
-    return RealSequence._adopt(values, {"input_sha256": digest})
-
-
-def _read_values(path, mode: str) -> tuple[np.ndarray, str]:
-    """The values :func:`ingest_and_unfold` reads, in a float64 array no one else holds, and the hex SHA-256.
-
-    The chunks of :func:`_stream` are copied, one at a time, into one array
-    that grows in place by at least 1/8 (no other reference to it exists,
-    so ``refcheck`` is off): the values and one chunk are held, never a
-    second copy of the values.
     """
     arr, digest = _stream(path, mode, _collect)
     if mode == "zeta_unfold":
@@ -406,11 +394,11 @@ def _read_values(path, mode: str) -> tuple[np.ndarray, str]:
             raise ValueError(f"zeta_unfold overflows: t*ln(t) exceeds the binary64 range at t = {t!r}")
         unfolded /= TWO_PI  # in place, and the same bytes as arr * np.log(arr) / TWO_PI
         arr = unfolded
-    return arr, digest
+    return RealSequence._adopt(arr, {"input_sha256": digest})
 
 
 def _collect(chunks) -> np.ndarray:
-    """The values of ``chunks`` in one float64 array, grown in place as they come."""
+    """The values of ``chunks`` in one float64 array, grown in place as they come (no one else holds it)."""
     out = np.empty(1 << 10)
     filled = 0
     for values in chunks:
@@ -428,12 +416,14 @@ def _stream(path, mode: str, consume):
 
     ``chunks`` yields float64 arrays whose concatenation is the file's values,
     each finite and above the one before.  ``consume`` must exhaust it and
-    hold no chunk it needs later.  The chunks come from :func:`_parse_fast`;
-    where that declines, at whatever chunk, ``consume`` is run again from the
-    start on :func:`_parse_lines`' chunks of a second read, which names the
-    first bad line.  So ``consume`` raises its own errors only after the
-    last chunk, and a bad line anywhere in the file is reported before them.
-    The hex SHA-256 is that of the bytes of the read the values came from.
+    hold no chunk it needs later.  The chunks come from :func:`_parse_fast`,
+    which reads every valid ASCII file but one with a lone ``\\r`` or a
+    ``\\x1c``-``\\x1f`` blank.  Where it declines, at whatever chunk, ``consume``
+    is run again from the start on :func:`_parse_lines`' chunks of a second
+    read, which names the first bad line.  So ``consume`` raises its own
+    errors only after the last chunk, and a bad line anywhere in the file is
+    reported before them.  The hex SHA-256 is that of the bytes of the read
+    the values came from.
     """
     if mode not in INGEST_MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
@@ -471,40 +461,38 @@ class _Decline(Exception):
 def _parse_fast(file, mode: str):
     """Yield the values of each ``_INGEST_CHUNK``-byte read of a clean file; raise :class:`_Decline` otherwise.
 
-    A clean file has no blank, comment or bad line after its leading
-    comments.  ``file`` is a binary file read with ``readinto``,
-    ``_INGEST_CHUNK`` bytes at a time, into one buffer that also holds the
-    line not yet ended.  The file's lines are its bytes split on ``\\n``
-    only, where a final ``\\n`` ends the last line, and a ``\\r`` before a
-    ``\\n`` is left out of its line, as the text reader leaves it (``float``
-    would strip it).  A line of more than ``_LINE_MAX`` bytes declines.
-    Leading lines that begin with ``#`` (the header :func:`write_sequence`
-    writes) are skipped; a header line that is not ASCII, or holds any
-    other ``\\r``, declines, since the text reader would fail on it or end
-    the line there.
+    A clean file is ASCII, and its lines are values and lines that
+    :func:`_parse_lines` skips.  ``file`` is a binary file read with
+    ``readinto``, ``_INGEST_CHUNK`` bytes at a time, into one buffer that
+    also holds the line not yet ended.  Its lines are its bytes split on
+    ``\\n``, a final ``\\n`` ending the last line; a ``\\r`` before a ``\\n`` is
+    left out of its line, as the text reader leaves it.  A line of more than
+    ``_LINE_MAX`` bytes declines.
 
     The lines that end in each ``_KERNEL_BLOCK`` bytes read go to
     :func:`_decimal_values` at once, which decides every line of the form
     ``[0-9]*.?[0-9]*`` with 1 to 19 digits, except where its quotient sits
-    on a binary64 midpoint: on ``write_sequence`` output it leaves only
-    exponent forms and lines of 20 or more digits (values below 0.01).  Every line
-    it leaves goes to ``float`` as bytes, and a line that is not ASCII
-    declines.  On an ASCII line, ``float`` either rejects the bytes or gives
-    ``float(line.strip())``, and a ``\\r`` (a line end to the text reader)
-    can only sit in the whitespace around the number, so every line
-    accepted here has the value :func:`_parse_lines` gives it.
+    on a binary64 midpoint: on ``write_sequence`` output it leaves only the
+    ``#`` header, exponent forms and lines of 20 or more digits.  The lines
+    it leaves go to :func:`_line_value`, which reads each with ``float`` as
+    bytes and marks blank and ``#`` lines skipped.  ``float`` reads bytes
+    as ASCII and strips only ASCII blanks: it rejects a line that is not
+    ASCII, and gives any other ``float(line.strip())`` or rejects it.  A
+    ``\\r`` (a line end to the text reader) can only sit in the blanks
+    around the number, so every line accepted here has the value
+    :func:`_parse_lines` gives it.
 
-    Each read's values go into an array sized by its newlines.  Before it is
-    yielded, it is tested for finiteness and strict increase, from the last
-    value yielded on, and under ``zeta_unfold`` its first value for > 1;
-    a failed test declines.  A file with no data line declines at its end.
+    Each read's values, less the skipped lines', go into an array sized by
+    its newlines, tested for finiteness and strict increase from the last
+    value yielded on, and under ``zeta_unfold`` for > 1, before it is
+    yielded; a failed test, or a file with no data line, declines.
     """
     size = _LINE_MAX + 1  # a longest line and its newline
     buf = np.zeros(_WIDTH + size, np.uint8)  # the kernel reads _WIDTH bytes before a line's end
     view = memoryview(buf)
     windows = np.lib.stride_tricks.sliding_window_view(buf, _WIDTH)  # row e - _WIDTH ends before byte e
-    header = True  # no data line yet
-    last = 1.0 if mode == "zeta_unfold" else -math.inf  # every value must lie above it
+    floor = 1.0 if mode == "zeta_unfold" else -math.inf  # every value must lie above it
+    last = floor
     held = 0  # bytes of the line not yet ended, at buf[_WIDTH:]
     while True:
         lo = _WIDTH + held
@@ -533,29 +521,17 @@ def _parse_fast(file, mode: str):
             crlf = buf[ends - 1] == 13  # the text reader ends such a line at its \r
             ends -= crlf
             lens -= crlf
-            if header:
-                skip = 0
-                while skip < ends.size and buf[ends[skip] - lens[skip]] == 35:  # "#"
-                    line = bytes(view[ends[skip] - lens[skip] : ends[skip]])
-                    if not line.isascii() or b"\r" in line:
-                        raise _Decline  # the text reader fails on it, or ends the line at the \r
-                    skip += 1
-                header = skip == ends.size
-                ends, lens = ends[skip:], lens[skip:]
             values = out[filled : filled + ends.size]
             undecided = np.flatnonzero(~_decimal_values(windows, ends, lens, values))
             if undecided.size:
-                block = bytes(view[ends[0] - lens[0] : ends[-1]])
-                if not block.isascii():  # decided lines are digits, so the byte is an undecided line's
-                    raise _Decline
-                lines = block.split(b"\n")
+                lines = bytes(view[ends[0] - lens[0] : start - 1]).split(b"\n")  # each with its CRLF's \r
                 if undecided.size < len(lines):
-                    lines = map(lines.__getitem__, undecided.tolist())
-                try:
-                    values[undecided] = np.fromiter(map(float, lines), float, undecided.size)
-                except ValueError:  # a blank, comment or malformed line
-                    raise _Decline from None
-            filled += ends.size
+                    lines = [lines[i] for i in undecided.tolist()]
+                values[undecided] = np.fromiter(map(_line_value, lines), float, undecided.size)
+                if np.isnan(values[undecided]).any():  # nan marks a skipped line, and only such a line
+                    values = values[~np.isnan(values)]
+                    out[filled : filled + values.size] = values
+            filled += values.size
         held = lo + got - start
         if held > _LINE_MAX:
             raise _Decline
@@ -567,8 +543,28 @@ def _parse_fast(file, mode: str):
             last = float(values[-1])
             yield values
             del out, values  # before the next read's values are made
-    if header:  # no data line
+    if last == floor:  # no data line
         raise _Decline
+
+
+def _line_value(line: bytes) -> float:
+    """``float(line)``, or nan where :func:`_parse_lines` skips the line; raise :class:`_Decline` on any other line.
+
+    ``line`` keeps its CRLF's ``\\r``, if it has one.  A skipped line that
+    is not ASCII, or holds another ``\\r``, where the text reader would end
+    it, declines, as does a line ``float`` rejects or reads as nan: so nan
+    marks skipped lines.
+    """
+    try:
+        value = float(line)
+    except ValueError:
+        body = line.strip()
+        if (not body or body.startswith(b"#")) and line.isascii() and b"\r" not in line.removesuffix(b"\r"):
+            return math.nan
+        raise _Decline from None
+    if math.isnan(value):
+        raise _Decline
+    return value
 
 
 def _decimal_values(windows: np.ndarray, ends: np.ndarray, lens: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -139,16 +139,17 @@ def test_errors_keep_their_messages_and_their_order(tmp_path, capsys, monkeypatc
 
 def test_audit_memory_does_not_grow_with_the_input(tmp_path, capsys, monkeypatch):
     # The pass holds one read of the file and one step of gaps, on either ingest path.  A trailing
-    # blank line sends the file down the line-by-line path, whose values once made a list of 32
-    # bytes a point (2.4 MB more at the larger of its sizes).  That path runs slowly under
-    # tracemalloc, so it reads 64 KiB at a time, and its smaller file spans 7 reads.
+    # line of "\x1c", blank to str.strip but not to bytes.strip, sends the file down the line-by-line
+    # path, whose values once made a list of 32 bytes a point (2.4 MB more at the larger of its
+    # sizes).  That path runs slowly under tracemalloc, so it reads 64 KiB at a time, and its
+    # smaller file spans 7 reads.
     peaks = {}
     for kind, n in (("clean", 100_000), ("clean", 400_000), ("blank", 25_000), ("blank", 100_000)):
         path = tmp_path / f"{kind}{n}.txt"
         pl.write_sequence(path, pl.generate(pl.GeneratorConfig("poisson", n, seed=7)))
         if kind == "blank":
             with open(path, "ab") as fh:
-                fh.write(b"\n")
+                fh.write(b"\x1c\n")
             monkeypatch.setattr(sequences, "_INGEST_CHUNK", 1 << 16)
         tracemalloc.start()
         try:

@@ -744,6 +744,36 @@ def test_manifest_input_hash_is_the_sha256_of_the_file_bytes(tmp_path, capsys):
             assert json.loads(out.splitlines()[0])["manifest"]["input_hash"] == digest, argv
 
 
+def test_blank_and_comment_lines_anywhere_are_read_in_one_pass(tmp_path, capsys, monkeypatch):
+    clean = tmp_path / "clean.txt"
+    pl.write_sequence(clean, pl.generate(pl.GeneratorConfig("poisson", 3000, seed=7)))
+    lines = clean.read_bytes().splitlines(keepends=True)
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_bytes(b"".join([b"# start\n", b"\n", *lines[:1500], b"  # middle\r\n", b" \t\n", *lines[1500:],
+                                b"\n", b"# end"]))
+
+    def refuse(text, mode):
+        raise AssertionError("the line loop was reached")
+
+    monkeypatch.setattr(pl.sequences, "_parse_lines", refuse)
+    commands = [
+        ("audit", "--epsilon", "1e-9", "--n", "2999"),
+        ("analyze", "--interval=0,1", "--interval=0.25,0.75", "--interval=-2,2", "--cdf-grid", "0:4:0.02"),
+        ("partition", "--threshold", "2", "--check"),
+        ("ingest", "-o"),
+    ]
+    for command, *rest in commands:
+        outputs = []
+        for path in (clean, mixed):
+            written = [str(path) + ".out"] if command == "ingest" else []
+            code, out, err = run(capsys, command, "--input", str(path), *rest, *written)
+            assert (code, err) == (0, ""), (command, path)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            outputs.append(out.replace(str(path), "INPUT").replace(digest, "HASH"))
+        assert outputs[0] == outputs[1], command
+    assert Path(f"{clean}.out").read_bytes() == Path(f"{mixed}.out").read_bytes()
+
+
 # Sequence files for the argv fuzz test: the valid ones first (one is a long block of equal gaps),
 # then every kind of malformed file the reader must turn into exit 2.
 FUZZ_FILES = {

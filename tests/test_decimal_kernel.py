@@ -140,7 +140,7 @@ def test_the_kernel_decides_nearly_every_line_of_a_written_file(tmp_path, monkey
     counts = counting_kernel(monkeypatch)
     got = pl.ingest_and_unfold(path).values
     assert got.tobytes() == seq.values.tobytes() == ingest_loop(path).tobytes()
-    assert counts["lines"] == seq.n
+    assert counts["lines"] == seq.n + 1  # and the header line, which the kernel leaves
     if sequences._LONGDOUBLE_EXACT:
         assert counts["decided"] >= 0.999 * seq.n, counts  # the rest went to float one at a time
 
@@ -152,7 +152,7 @@ def test_crlf_line_ends_keep_the_kernel(tmp_path, monkeypatch):
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     counts = counting_kernel(monkeypatch)
     assert pl.ingest_and_unfold(path).values.tobytes() == seq.values.tobytes() == ingest_loop(path).tobytes()
-    assert counts["lines"] == seq.n
+    assert counts["lines"] == seq.n + 2  # and the two header lines
     if sequences._LONGDOUBLE_EXACT:
         assert counts["decided"] >= 0.999 * seq.n, counts
 

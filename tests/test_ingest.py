@@ -5,10 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ppclab as pl
 from ppclab import sequences
 from oracles import fast_values, ingest_loop
+from test_audit_stream import audit_cli
+from test_cli import FUZZ_FILES
 from test_partition_stream import partition_cli, reference
 
 
@@ -40,6 +44,7 @@ CASES = {
     "infinity": b"1\ninfinity\n",
     "negative infinity": b"-inf\n1\n",
     "nan": b"1\nnan\n",
+    "nan beside a comment": b"1\n# c\nnan\n2\n",
     "arabic-indic digits": "١\n٢٫٥\n3\n".encode(),
     "arabic-indic digits only": "١\n٢\n".encode(),
     "leading blank": b"\n1\n2\n",
@@ -59,6 +64,8 @@ CASES = {
     "only a newline": b"\n",
     "only comments": b"# a\n# b\n",
     "invalid utf-8": b"1\n\xff\n3\n",
+    "invalid utf-8 in a comment": b"1\n# \xff\n3\n",
+    "non-ascii comment": "# ζ\n0.5\n2\n".encode(),  # as write_sequence(comment="ζ") writes it
     "truncated utf-8 at the end": b"1\n2\n\xc3",
     "byte order mark": "\ufeff1\n2\n".encode(),
     "nul byte": b"1\x00\n2\n",
@@ -92,11 +99,95 @@ def test_float_accept_set_is_kept(tmp_path):
 
 def test_clean_files_take_the_fast_path_and_others_fall_back():
     assert fast_values(b"1\n2.5\n3e2\n", "raw").tolist() == [1.0, 2.5, 300.0]
-    assert fast_values(b"# c\n#\n1\n2\n", "raw").tolist() == [1.0, 2.0]  # leading comments
-    for content in (b"1\n\n2\n", b"1\n# c\n2\n", b"# c\r1\n", b"# c\n", b"# c", b"1\n1\n", b"1\nnan\n",
+    for content in (b"# c\n#\n1\n2\n", b"1\n\n2\n", b"1\n# c\n2\n"):  # blank and comment lines anywhere
+        assert fast_values(content, "raw").tolist() == [1.0, 2.0], content
+    for content in (b"1\n\x1c\n2\n", b"1\n#a\rb\n2\n", b"# c\r1\n", b"# c\n", b"# c", b"1\n1\n", b"1\nnan\n",
                     "١\n".encode(), b"0.5\n", b""):
         mode = "zeta_unfold" if content == b"0.5\n" else "raw"
         assert fast_values(content, mode) is None, content
+
+
+# Valid files the fast path still hands to the line loop: a lone "\r", where only the text reader ends
+# a line, a "\x1c" blank, which str.strip removes but bytes.strip keeps, and non-ASCII bytes.
+STILL_DECLINED = {"lone cr", "cr between", "lone cr in a comment", "file separator", "arabic-indic digits only",
+                  "non-ascii comment", "fuzz: cr"}
+
+
+def test_every_valid_file_but_the_named_rare_forms_takes_the_fast_path(tmp_path):
+    files = {**CASES, **{f"fuzz: {name}": content for name, content in FUZZ_FILES.items()}}
+    path = tmp_path / "seq.txt"
+    declined = set()
+    for name, content in files.items():
+        path.write_bytes(content)
+        for mode in sequences.INGEST_MODES:
+            try:
+                with np.errstate(over="ignore"):  # the line loop's own unfold of a huge t
+                    ingest_loop(path, mode)
+            except ValueError:
+                assert fast_values(content, mode) is None, (name, mode)
+                continue
+            if fast_values(content, mode) is None:
+                declined.add(name)
+    assert declined == STILL_DECLINED
+
+
+@st.composite
+def mixed_files(draw):
+    """A file of increasing values among blank, whitespace-only and ``#`` lines, now and then a bad line,
+    each line ended by LF or CRLF, and the last one maybe by nothing.  A quarter of the files may also
+    hold the forms that decline: lone-CR ends, "\\x1c"-"\\x1f" among the blanks, and non-ASCII comments."""
+    rare = draw(st.integers(0, 3)) == 0
+    blank = st.lists(st.sampled_from([b" ", b"\t", b"\x0b", b"\x0c", *[b"\x1c", b"\x1d", b"\x1e", b"\x1f"] * rare]),
+                     max_size=3).map(b"".join)
+    comment = st.sampled_from([b"#", b"# c", b"##1.5", b"#\t", *[b"# \xce\xb6", b"#\xff"] * rare])
+    skipped = st.one_of(blank, st.tuples(blank, comment).map(b"".join))
+    pad = st.one_of(st.sampled_from([b"", b"", b" ", b"\t"]), blank)
+    gaps = draw(st.lists(st.sampled_from([0.5, 1.0, 0.1, 2.0**-30, 1234.5]), max_size=30))
+    values = np.cumsum([draw(st.sampled_from([-2.5, 0.0, 1.5])), *gaps]).tolist()
+    lines = []
+    for v in values:
+        lines += draw(st.lists(skipped, max_size=2))
+        form = draw(st.sampled_from([lambda x: format(x, ".17g"), repr, lambda x: format(x, ".25g")]))
+        lines.append(draw(pad) + form(v).encode() + draw(pad))
+        if draw(st.integers(0, 49)) == 0:
+            lines.append(draw(st.sampled_from([b"x", b"1 2", "٣".encode(), b"nan"])))
+    lines += draw(st.lists(skipped, max_size=2))
+    ends = [draw(st.sampled_from([b"\n", b"\n", b"\r\n", *[b"\r"] * rare])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def line_loop_only(file, mode):
+    raise sequences._Decline
+    yield
+
+
+@given(mixed_files(), st.sampled_from([1, 7, 64, None]), st.sampled_from([1, 5, 64, None]))
+@example(b"1\n\n2\n# c\n\x1c\n3\n", 4, 3)  # a blank, a comment and a declining line straddle reads
+@example(b"  # a\r\n\x0b\x0c\r\n1.5\r\n#\r2\n", None, 2)  # an indented comment, and a lone CR in one
+@example(b"1\n#\xff\n2\n", None, None)  # a comment the text reader cannot decode
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_blank_and_comment_lines_anywhere_keep_the_fast_path_or_decline(tmp_path, capsys, content, chunk, block):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(content)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(sequences, "_INGEST_CHUNK", chunk)
+        if block is not None:
+            mp.setattr(sequences, "_KERNEL_BLOCK", block)
+        got = fast_values(content)
+        outcome = audit_cli(capsys, path, 1e-9, 2)
+        if got is not None:  # the line loop's values, and the hash of the one read they came from
+            seq = pl.ingest_and_unfold(path)
+            assert got.tobytes() == seq.values.tobytes() == ingest_loop(path).tobytes()
+            assert seq.metadata["input_sha256"] == hashlib.sha256(content).hexdigest()
+        mp.setattr(sequences, "_parse_fast", line_loop_only)  # every file as the line loop reads it
+        assert audit_cli(capsys, path, 1e-9, 2) == outcome
+    try:
+        ingest_loop(path)
+    except ValueError as exc:  # a bad line is named, whichever path the audit took
+        assert outcome == (2, "", f"error: {exc}\n")
 
 
 def test_a_written_comment_header_keeps_the_fast_path(tmp_path, monkeypatch):
@@ -133,7 +224,7 @@ def test_the_hash_covers_every_chunk_of_the_read_the_values_came_from(tmp_path, 
     parse_lines, reread = sequences._parse_lines, []
     monkeypatch.setattr(sequences, "_parse_lines", lambda lines, mode: reread.append(1) or parse_lines(lines, mode))
     path = tmp_path / "seq.txt"
-    for content, fallback in ((many_lines(3000), False), (many_lines(3000, 2000, b""), True)):  # 2000: blank
+    for content, fallback in ((many_lines(3000), False), (many_lines(3000, 2000, b"\x1c"), True)):  # blank to str.strip
         path.write_bytes(content)
         seq = pl.ingest_and_unfold(path)
         assert (seq.n, bool(reread)) == (3000 - fallback, fallback)
