@@ -188,23 +188,19 @@ def cmd_analyze(args) -> int:
 def cmd_partition(args) -> int:
     seq = ingest_and_unfold(args.input, "raw")  # read whole: every error comes before the manifest, with its hash
     _check_gaps(seq.values)
-    waiting = (np.empty(0, dtype=np.intp),) * 2  # the closed blocks not yet written
     violation = False
 
     def write(left, right, end):
-        """Write the closed blocks in tables of ``PARTITION_CHUNK``; the first prefix index still needed."""
-        nonlocal waiting, violation
-        left, right = np.concatenate((waiting[0], left)), np.concatenate((waiting[1], right))
-        cut = left.size if end else left.size - left.size % PARTITION_CHUNK
+        """Write the blocks that closed in tables of at most ``PARTITION_CHUNK``; the first prefix index still needed."""
+        nonlocal violation
         p, base = stream.held, stream.base
-        for first in range(0, cut, PARTITION_CHUNK):
+        for first in range(0, left.size, PARTITION_CHUNK):
             a, b = left[first : first + PARTITION_CHUNK], right[first : first + PARTITION_CHUNK]
             table = _partition_table(p, a - base, b - base, args.threshold)  # every block gap fits a part alone
             table = table._replace(left=table.left + base, right=table.right + base)
             sys.stdout.writelines(_partition_documents(table, a, b, args.check))
             violation = violation or not (table.adjacent_ok.all() and table.sandwich_ok.all())
-        waiting = left[cut:], right[cut:]
-        return int(left[cut]) - 1 if cut < left.size else stream.n
+        return stream.n
 
     n = seq.n - 1 if args.n is None else args.n
     stream = _PrefixStream(args.threshold, n, write)

@@ -244,9 +244,6 @@ _POSITION_MASK = (1 << 32) - 1
 # left; below it the scalar loop is cheaper.  The two cost the same near 70 fragments (see README).
 _FRONTIER_MIN = 64
 _ROUND_BATCH = 4096  # multi-part blocks whose fragments share the rounds; bounds their arrays
-# Blocks per greedy call of the audit's partition sums, which bounds the greedy's arrays.  On
-# Poisson input about one block in four is multi-part, so a batch fills about one round batch.
-_GREEDY_BATCH = 4 * _ROUND_BATCH
 
 
 def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
@@ -264,19 +261,22 @@ def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
     split into fragments, each fragment by its longest fit.  ``starts`` and
     ``lengths`` give every pick as a first position and a gap count, sorted
     by start, so they tile the positions, and ``reach`` is :func:`_reach` at
-    every position, as a position.  The first gap that exceeds the budget
-    alone raises the "unpartitionable singleton" error.  ``left`` and
-    ``right`` are intp arrays.
+    every position, as a position, clipped to its block's last position.
+    The first gap that exceeds the budget alone raises the "unpartitionable
+    singleton" error.  ``left`` and ``right`` are intp arrays.
 
-    *Longest fit of a fragment [a, b].*  ``reach`` is non-decreasing, as IEEE
-    subtraction is monotone.  Let s* be the first s with ``reach[s] >= b``,
-    found by bisection (the fragment right of a pick keeps b, so its search
-    starts at the parent's s*).  Starts from s* on fit up to b, the longest
-    at s*; a start s < s* fits ``reach[s] - s + 1`` gaps, and the longest of
-    those, smallest s on ties, is the range-argmax over [a, s* - 1], which
-    wins an equal-length tie.  The range-argmax comes from one sparse table
-    of packed keys (Bender & Farach-Colton, "The LCA Problem Revisited",
-    2000) with as many levels as the longest block needs: O(log L) per pick.
+    *Longest fit of a fragment [a, b].*  ``reach`` is non-decreasing within
+    a block, as IEEE subtraction is monotone, and lies between a position
+    and its block's last one, so it is non-decreasing over all positions.
+    Let s* be the first s with ``reach[s] >= b``: one ``searchsorted`` over
+    ``reach``, raised to a, finds it.  Starts from s* on fit up to b, the
+    longest at s*; a start s < s* fits ``reach[s] - s + 1`` gaps (there
+    ``reach[s] < b``, so the clip moved nothing), and the longest of those,
+    smallest s on ties, is the range-argmax over [a, s* - 1], which wins an
+    equal-length tie.  The range-argmax comes from a sparse table of packed
+    keys (Bender & Farach-Colton, "The LCA Problem Revisited", 2000) with
+    as many levels as the longest block needs, laid end to end in one
+    array: O(log L) per pick.
 
     *Order.*  A fragment's pick depends on the fragment alone, so fragments
     may be split in any order.  Up to ``_ROUND_BATCH`` blocks at a time go
@@ -293,6 +293,7 @@ def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
     multi = prefix[right] - prefix[left - 1] > budget
     multi_sizes = right[multi] - left[multi] + 1
     firsts = np.cumsum(multi_sizes) - multi_sizes  # each multi-part block's first position
+    lasts = firsts + multi_sizes - 1
     shift = np.repeat(left[multi] - firsts, multi_sizes)  # gap index minus position
     position = np.arange(shift.size)
     ends = _reach(prefix, position + shift, budget)
@@ -302,36 +303,40 @@ def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
         index = int(position[bad[0]] + shift[bad[0]])
         raise _unpartitionable(index, float(prefix[index] - prefix[index - 1]), budget)
     del shift
-    key = ends - position + 1  # the fit at each position
+    np.minimum(ends, np.repeat(lasts, multi_sizes), out=ends)  # no reach past its block
+    depth = 1  # levels; level k spans 2^k, and a query is shorter than its block
+    while 1 << depth < multi_sizes.max(initial=0):
+        depth += 1
+    sizes = ends.size + 1 - (1 << np.arange(depth))
+    offsets = np.cumsum(sizes) - sizes  # level k is table[offsets[k] : offsets[k] + sizes[k]]
+    table = np.empty(int(np.sum(sizes)), dtype=np.int64)
+    key = table[: ends.size]  # level 0
+    np.subtract(ends, position, out=key)  # the fit at each position, less one
+    key += 1
     key <<= 32
     key -= position
-    del position
-    levels = [key]
-    while 1 << len(levels) < multi_sizes.max(initial=0):  # level k spans 2^k; a query is shorter than its block
-        span = 1 << (len(levels) - 1)
-        levels.append(np.maximum(levels[-1][:-span], levels[-1][span:]))
-    del key
+    del position, key  # no view of the table outlives its build, so it goes with its name below
+    for k in range(1, depth):
+        below, at, span = offsets[k - 1], offsets[k], 1 << (k - 1)
+        np.maximum(table[below : at - span], table[below + span : at], out=table[at : at + sizes[k]])
 
     starts = np.empty_like(ends)
     picks = 0
-    lasts = firsts + multi_sizes - 1
     for batch in range(0, firsts.size, _ROUND_BATCH):
-        a = firsts[batch : batch + _ROUND_BATCH]
-        b, lo = lasts[batch : batch + _ROUND_BATCH], a
+        a, b = firsts[batch : batch + _ROUND_BATCH], lasts[batch : batch + _ROUND_BATCH]
         while a.size >= _FRONTIER_MIN:
-            picked, a, b, lo = _greedy_round(levels, ends, a, b, lo)
+            picked, a, b = _greedy_round(table, offsets, ends, a, b)
             starts[picks : picks + picked.size] = picked
             picks += picked.size
-        tables, reach_at, start_at = [memoryview(level) for level in levels], memoryview(ends), memoryview(starts)
-        for fragment in zip(a.tolist(), b.tolist(), lo.tolist()):  # the scalar loop takes the rest
+        keys, at, reach_at, start_at = memoryview(table), offsets.tolist(), memoryview(ends), memoryview(starts)
+        for fragment in zip(a.tolist(), b.tolist(), a.tolist()):  # the scalar loop takes the rest
             stack = [fragment]
             while stack:
-                a, b, lo = stack.pop()
+                a, b, lo = stack.pop()  # lo is at or before the fragment's s*
                 s = star = bisect_left(reach_at, b, lo, b)
                 if s > a:
                     k = (s - a).bit_length() - 1
-                    level = tables[k]
-                    x, y = level[a], level[s - (1 << k)]
+                    x, y = keys[at[k] + a], keys[at[k] + s - (1 << k)]
                     t = -(x if x > y else y) & _POSITION_MASK
                     e = reach_at[t]
                     if e - t >= b - s:
@@ -341,53 +346,34 @@ def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
                         stack.append((a, s - 1, a))
                 start_at[picks] = s
                 picks += 1
-        del tables, reach_at, start_at
-    del levels
+        del keys, reach_at, start_at
+    del table
 
     starts = np.sort(starts[:picks])  # left to right, block after block; parts tile the positions
     return multi, firsts, starts, np.diff(starts, append=ends.size), ends
 
 
-def _greedy_round(levels, reach, a, b, lo):
-    """``(picked, a, b, lo)``: the pick start of every fragment [a[i], b[i]] at once, and their pieces.
+def _greedy_round(table, offsets, reach, a, b):
+    """``(picked, a, b)``: the pick start of every fragment [a[i], b[i]] at once, and their pieces.
 
-    ``lo[i]`` is at or before the fragment's s*; the pieces come back in
-    the same form.  Each step of the bisection halves every bracket.
+    Every s* is one ``searchsorted`` on ``reach``, and every range-argmax
+    one gather from ``table``, whose level k starts at ``offsets[k]``.
     """
-    star, hi = lo.copy(), b.copy()
-    for _ in range(int((hi - lo).max()).bit_length()):
-        mid = (star + hi) >> 1
-        below = reach[mid] < b
-        below &= star < hi
-        np.copyto(star, mid + 1, where=below)
-        np.copyto(hi, mid, where=~below)
-    del hi
+    star = np.searchsorted(reach, b)
+    np.maximum(star, a, out=star)
     picked = star.copy()
     split = np.flatnonzero(star > a)  # fragments with starts before s*
-    width = star[split] - a[split]
-    level_of = np.frexp(width.astype(float))[1] - 1  # floor(log2(width)), exact below 2^53
-    by_level = np.argsort(level_of, kind="stable")
-    bounds = np.searchsorted(level_of[by_level], np.arange(len(levels) + 1))
-    best = np.empty_like(width)
-    for k in range(len(levels)):
-        at = by_level[bounds[k] : bounds[k + 1]]
-        if at.size:
-            fragment = split[at]
-            best[at] = np.maximum(levels[k][a[fragment]], levels[k][star[fragment] - (1 << k)])
-    t = -best & _POSITION_MASK
+    first, star = a[split], star[split]
+    k = np.frexp((star - first).astype(float))[1].astype(np.intp) - 1  # floor(log2(width)), exact below 2^53
+    at = offsets[k]
+    t = -np.maximum(table[at + first], table[at + star - (1 << k)]) & _POSITION_MASK
     e = reach[t]
-    win = e - t >= b[split] - star[split]
+    win = e - t >= b[split] - star
     split = split[win]
     t, e = t[win], e[win]
     picked[split] = t
-    right_lo = np.maximum(star[split], e + 1)
     left = np.flatnonzero(picked > a)
-    return (
-        picked,
-        np.concatenate((e + 1, a[left])),
-        np.concatenate((b[split], picked[left] - 1)),
-        np.concatenate((right_lo, a[left])),
-    )
+    return picked, np.concatenate((e + 1, a[left])), np.concatenate((b[split], picked[left] - 1))
 
 
 def _greedy_core(prefix: np.ndarray, left, right, budget: float):
@@ -467,25 +453,22 @@ def partition_lengths(g: GapSequence, left, right, budget: float) -> np.ndarray:
 def _greedy_lengths(prefix: np.ndarray, left, right, budget: float) -> tuple[int, int, int]:
     """``(count, sum L, sum C(L+1, 2))`` over the part lengths L of :func:`partition_lengths`.
 
-    ``prefix`` and the blocks are as in :func:`_greedy_picks`.
-
-    The blocks go through :func:`_greedy_picks` ``_GREEDY_BATCH`` at a
-    time, and each batch is reduced at once to the three sums: a block that
-    is one part adds its own length, the others their picks' lengths.  So
-    no array over all parts is built, and the greedy's arrays span one
-    batch.  Batches go left to right, so the first gap over the budget
-    raises the "unpartitionable singleton" error of :func:`partition_lengths`.
+    ``prefix`` and the blocks are as in :func:`_greedy_picks`, whose picks
+    are reduced at once to the three sums: a block that is one part adds its
+    own length, the others their picks' lengths.  So no array of parts is
+    built, and the greedy's arrays span the blocks given: the audit gives
+    those that close in one step of its prefix stream.  The first gap over
+    the budget raises the "unpartitionable singleton" error of
+    :func:`partition_lengths`.
     """
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+    multi, _, _, picked, _ = _greedy_picks(prefix, left, right, budget)
+    whole = ~multi
     count = total = binom = 0
-    for first in range(0, left.size, _GREEDY_BATCH):
-        a, b = left[first : first + _GREEDY_BATCH], right[first : first + _GREEDY_BATCH]
-        multi, _, _, picked, _ = _greedy_picks(prefix, a, b, budget)
-        whole = ~multi
-        for lengths in (b[whole] - a[whole] + 1, picked):
-            count += lengths.size
-            total += int(np.sum(lengths))
-            binom += int(np.sum(lengths * (lengths + 1) // 2))
+    for lengths in (right[whole] - left[whole] + 1, picked):
+        count += lengths.size
+        total += int(np.sum(lengths))
+        binom += int(np.sum(lengths * (lengths + 1) // 2))
     return count, total, binom
 
 

@@ -417,13 +417,13 @@ def _stream(path, mode: str, consume):
     ``chunks`` yields float64 arrays whose concatenation is the file's values,
     each finite and above the one before.  ``consume`` must exhaust it and
     hold no chunk it needs later.  The chunks come from :func:`_parse_fast`,
-    which reads every valid ASCII file but one with a lone ``\\r`` or a
-    ``\\x1c``-``\\x1f`` blank.  Where it declines, at whatever chunk, ``consume``
-    is run again from the start on :func:`_parse_lines`' chunks of a second
-    read, which names the first bad line.  So ``consume`` raises its own
-    errors only after the last chunk, and a bad line anywhere in the file is
-    reported before them.  The hex SHA-256 is that of the bytes of the read
-    the values came from.
+    which reads every valid file but one with a lone ``\\r`` (or a line of
+    more than ``_LINE_MAX`` bytes, if not ASCII).  Where it declines, at
+    whatever chunk, ``consume`` is run again from the start on
+    :func:`_parse_lines`' chunks of a second read, which names the first
+    bad line.  So ``consume`` raises its own errors only after the last
+    chunk, and a bad line anywhere in the file is reported before them.
+    The hex SHA-256 is that of the bytes of the read the values came from.
     """
     if mode not in INGEST_MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
@@ -461,13 +461,13 @@ class _Decline(Exception):
 def _parse_fast(file, mode: str):
     """Yield the values of each ``_INGEST_CHUNK``-byte read of a clean file; raise :class:`_Decline` otherwise.
 
-    A clean file is ASCII, and its lines are values and lines that
-    :func:`_parse_lines` skips.  ``file`` is a binary file read with
-    ``readinto``, ``_INGEST_CHUNK`` bytes at a time, into one buffer that
-    also holds the line not yet ended.  Its lines are its bytes split on
-    ``\\n``, a final ``\\n`` ending the last line; a ``\\r`` before a ``\\n`` is
-    left out of its line, as the text reader leaves it.  A line of more than
-    ``_LINE_MAX`` bytes declines.
+    A clean file is UTF-8 with no lone ``\\r``, and its lines are values
+    and lines that :func:`_parse_lines` skips.  ``file`` is a binary file
+    read with ``readinto``, ``_INGEST_CHUNK`` bytes at a time, into one
+    buffer that also holds the line not yet ended.  Its lines are its bytes
+    split on ``\\n``, a final ``\\n`` ending the last line; a ``\\r`` before
+    a ``\\n`` is left out of its line, as the text reader leaves it.  A line
+    of more than ``_LINE_MAX`` bytes declines.
 
     The lines that end in each ``_KERNEL_BLOCK`` bytes read go to
     :func:`_decimal_values` at once, which decides every line of the form
@@ -475,12 +475,12 @@ def _parse_fast(file, mode: str):
     on a binary64 midpoint: on ``write_sequence`` output it leaves only the
     ``#`` header, exponent forms and lines of 20 or more digits.  The lines
     it leaves go to :func:`_line_value`, which reads each with ``float`` as
-    bytes and marks blank and ``#`` lines skipped.  ``float`` reads bytes
-    as ASCII and strips only ASCII blanks: it rejects a line that is not
-    ASCII, and gives any other ``float(line.strip())`` or rejects it.  A
-    ``\\r`` (a line end to the text reader) can only sit in the blanks
-    around the number, so every line accepted here has the value
-    :func:`_parse_lines` gives it.
+    bytes and, where that fails, by the line loop's own rule on the decoded
+    text.  ``float`` reads bytes as ASCII and strips only ASCII blanks: it
+    rejects a line that is not ASCII, and gives any other
+    ``float(line.strip())`` or rejects it.  A ``\\r`` (a line end to the
+    text reader) can only sit in the blanks around the number, so every
+    line accepted here has the value :func:`_parse_lines` gives it.
 
     Each read's values, less the skipped lines', go into an array sized by
     its newlines, tested for finiteness and strict increase from the last
@@ -550,18 +550,25 @@ def _parse_fast(file, mode: str):
 def _line_value(line: bytes) -> float:
     """``float(line)``, or nan where :func:`_parse_lines` skips the line; raise :class:`_Decline` on any other line.
 
-    ``line`` keeps its CRLF's ``\\r``, if it has one.  A skipped line that
-    is not ASCII, or holds another ``\\r``, where the text reader would end
-    it, declines, as does a line ``float`` rejects or reads as nan: so nan
-    marks skipped lines.
+    ``line`` keeps its CRLF's ``\\r``, if it has one.  A line ``float``
+    rejects is read by the line loop's own rule: decoded as UTF-8, stripped
+    with ``str.strip``, skipped if empty or ``#``-led, and otherwise given
+    to ``float``.  A line that does not decode, holds another ``\\r`` (where
+    the text reader would end it), or is still rejected declines, as does a
+    line read as nan: so nan marks skipped lines.
     """
     try:
         value = float(line)
     except ValueError:
-        body = line.strip()
-        if (not body or body.startswith(b"#")) and line.isascii() and b"\r" not in line.removesuffix(b"\r"):
-            return math.nan
-        raise _Decline from None
+        if b"\r" in line.removesuffix(b"\r"):
+            raise _Decline from None
+        try:
+            text = line.decode().strip()
+            if not text or text.startswith("#"):
+                return math.nan
+            value = float(text)
+        except ValueError:  # UnicodeDecodeError is a ValueError
+            raise _Decline from None
     if math.isnan(value):
         raise _Decline
     return value

@@ -139,7 +139,7 @@ def test_errors_keep_their_messages_and_their_order(tmp_path, capsys, monkeypatc
 
 def test_audit_memory_does_not_grow_with_the_input(tmp_path, capsys, monkeypatch):
     # The pass holds one read of the file and one step of gaps, on either ingest path.  A trailing
-    # line of "\x1c", blank to str.strip but not to bytes.strip, sends the file down the line-by-line
+    # line with a lone "\r", where only the text reader ends a line, sends the file down the line-by-line
     # path, whose values once made a list of 32 bytes a point (2.4 MB more at the larger of its
     # sizes).  That path runs slowly under tracemalloc, so it reads 64 KiB at a time, and its
     # smaller file spans 7 reads.
@@ -149,7 +149,7 @@ def test_audit_memory_does_not_grow_with_the_input(tmp_path, capsys, monkeypatch
         pl.write_sequence(path, pl.generate(pl.GeneratorConfig("poisson", n, seed=7)))
         if kind == "blank":
             with open(path, "ab") as fh:
-                fh.write(b"\x1c\n")
+                fh.write(b"\r \n")
             monkeypatch.setattr(sequences, "_INGEST_CHUNK", 1 << 16)
         tracemalloc.start()
         try:

@@ -30,6 +30,7 @@ from oracles import (
     bias_bins,
     bin_form,
 )
+from test_partition import patch_step
 
 # runs of equal dyadic gaps; k = 0 gives runs of zero gaps, i.e. equal prefix values
 runs = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max_size=10)
@@ -218,6 +219,49 @@ def test_a_wide_frontier_picks_what_block_by_block_greedy_and_the_oracle_pick(bl
             GreedyOracle(g, block, 0.5).replay_check(partition)
 
 
+def test_a_reach_past_its_block_moves_no_pick_of_the_rounds():
+    # With a budget above the threshold a start's fits run on across the separators.  Each 0.0
+    # between two 0.51 is a one-part block between multi-part ones, which puts an unclipped reach
+    # at a block's end; s* taken from such a reach gave a part of sum 2.4375 > 2.
+    gaps = ([0.3] * 7 + [0.01] + [0.51, 0.0, 0.51] + [0.4375] + [0.5] * 4 + [2**-7] * 200 + [0.9]) * 80
+    g = pl.GapSequence(gaps)
+    bs = pl.maximal_blocks(g, g.length, 0.5)
+    table = pl.partition_table(g, bs.left, bs.right, 2.0)
+    assert np.count_nonzero(table.counts > 1) >= 2 * _FRONTIER_MIN  # the rounds run
+    partitions = [pl.greedy_partition(g, block, 2.0) for block in bs.blocks]
+    parts = [part for partition in partitions for part in partition.parts]
+    assert table.left.tolist() == [part.left for part in parts]
+    assert table.right.tolist() == [part.right for part in parts]
+    assert table.rank.tolist() == [r for partition in partitions for r in partition.selection_rank]
+    assert table.sums.tolist() == [x for partition in partitions for x in partition.sums]
+    assert table.sums.max() <= 2.0
+
+
+# One-part blocks between multi-part ones, under a budget above the threshold 1/2, so that reach,
+# unclipped, would run past a block's end.  Every multi-part block ends in five gaps of 1/2, and the
+# gaps are dyadic, so every canonical sum is exact and no block is split by rounding.
+multi_block = st.lists(st.sampled_from([0.0, 2**-7, 0.25, 0.4375, 0.5]), max_size=12).map(lambda gs: gs + [0.5] * 5)
+single_block = st.lists(st.sampled_from([0.0, 2**-7, 0.125, 0.375, 0.5]), min_size=1, max_size=4)
+separator = st.sampled_from([[0.625], [1.0], [1.5]])
+
+
+@given(st.lists(st.tuples(multi_block, separator, st.lists(st.tuples(single_block, separator), max_size=2)),
+                min_size=2 * _FRONTIER_MIN, max_size=2 * _FRONTIER_MIN + 16), st.sampled_from([1.25, 2.0]))
+@settings(max_examples=20, deadline=None)
+def test_the_greedy_reach_is_sorted_and_stays_in_its_block(blocks, budget):
+    gaps = [1.0]
+    for multi, after, singles in blocks:
+        gaps += multi + after + [x for single, end in singles for x in single + end]
+    g = pl.GapSequence(gaps)
+    bs = pl.maximal_blocks(g, g.length, 0.5)
+    multi, firsts, _, _, reach = partition._greedy_picks(g.prefix, bs.left, bs.right, budget)
+    sizes = (bs.right - bs.left + 1)[multi]
+    assert sizes.size >= 2 * _FRONTIER_MIN and reach.size == sizes.sum()
+    assert (np.diff(reach) >= 0).all()
+    assert (reach >= np.arange(reach.size)).all()
+    assert (reach <= np.repeat(firsts + sizes - 1, sizes)).all()
+
+
 @given(table_cases(), st.booleans(), st.data())
 # parts [1, 2], [3], [4, 5] of the first block, picked in the order 1, 3, 2: the middle one is
 # sandwiched; a block of zero gaps is one part of sum 0; no data keeps the table's own verdicts
@@ -269,31 +313,31 @@ def test_audit_partition_sums_match_partition_lengths(case):
 
 
 @given(table_cases(), st.sampled_from([1, 2, None]))
-# blocks 1 and 2 fit a budget of 1/8 gap by gap, but gap 13 of block 3 does not: a later batch raises
+# blocks 1 and 2 fit a budget of 1/8 gap by gap, but gap 13 of block 3 does not: the greedy raises there
 @example(([[0.125, 0.125], [0.125] * 6, [0.125, 0.25]], 0.125, 13), 1)
 @example(([[0.3] * 200, [0.5 - EPS] * 150, [0.0] * 70 + [0.3] * 70 + [0.0] * 60], 0.5, 554), 2)
 @settings(max_examples=200, deadline=None)
-def test_the_audit_partition_sums_are_those_of_partition_lengths_in_every_batch(case, batch):
+def test_the_audit_partition_sums_are_those_of_partition_lengths_at_every_step(case, step):
     blocks, budget, n = case
     g = pl.GapSequence(table_gaps(blocks))
     cfg = pl.AuditConfig(epsilon=1e-9, n=max(n, 2))
+    bs = pl.maximal_blocks(g, n, 0.5)
+    try:
+        lengths = pl.partition_lengths(g, bs.left, bs.right, budget)
+    except ValueError as exc:  # a gap above a budget below the blocks' threshold
+        with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
+            _greedy_lengths(g.prefix, bs.left, bs.right, budget)
+        assert str(caught.value) == str(exc)  # the same first index and canonical sum
+    else:
+        sums = lengths.size, int(np.sum(lengths)), int(np.sum(lengths * (lengths + 1) // 2))
+        assert _greedy_lengths(g.prefix, bs.left, bs.right, budget) == sums
     with pytest.MonkeyPatch.context() as mp:
-        if batch is not None:
-            mp.setattr(partition, "_GREEDY_BATCH", batch)
-        bs = pl.maximal_blocks(g, n, 0.5)
-        try:
-            lengths = pl.partition_lengths(g, bs.left, bs.right, budget)
-        except ValueError as exc:  # a gap above a budget below the blocks' threshold
-            with pytest.raises(ValueError, match="unpartitionable singleton") as caught:
-                _greedy_lengths(g.prefix, bs.left, bs.right, budget)
-            assert str(caught.value) == str(exc)  # the same first index and canonical sum
-        else:
-            sums = lengths.size, int(np.sum(lengths)), int(np.sum(lengths * (lengths + 1) // 2))
-            assert _greedy_lengths(g.prefix, bs.left, bs.right, budget) == sums
-        used = min(cfg.n, g.length)
-        bs = pl.maximal_blocks(g, used, 0.5)
-        lengths = pl.partition_lengths(g, bs.left, bs.right, 0.5)
+        if step is not None:  # the audit gives the greedy the blocks that close in one step at a time
+            patch_step(mp, step)
         report = pl.audit(g, cfg)
+    used = min(cfg.n, g.length)
+    bs = pl.maximal_blocks(g, used, 0.5)
+    lengths = pl.partition_lengths(g, bs.left, bs.right, 0.5)
     assert (report.part_count, report.total_block_length) == (lengths.size, int(np.sum(lengths)))
     assert report.partition_mass == int(np.sum(lengths * (lengths + 1) // 2)) / used
 

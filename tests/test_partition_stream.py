@@ -114,8 +114,8 @@ def test_partition_errors_keep_their_messages_and_their_order(tmp_path, capsys, 
 
 @pytest.mark.parametrize("threshold", ["2", "0.5"])
 def test_partition_memory_grows_only_by_the_values(tmp_path, monkeypatch, threshold):
-    # Past the values, partition holds a step of prefix sums, the blocks not yet written, and one table
-    # of PARTITION_CHUNK blocks with its text; none of these grows with the input.  Gaps and prefix sums
+    # Past the values, partition holds a step of prefix sums, the blocks that closed in it, and one table
+    # of at most PARTITION_CHUNK of them with its text; none of these grows with the input.  Gaps and prefix sums
     # of every point would add 16 bytes a point, 4.6 MiB more here.
     peaks = {}
     for n in (100_000, 400_000):

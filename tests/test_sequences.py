@@ -47,7 +47,7 @@ def test_the_public_constructors_copy_their_input():
 
 def test_every_array_the_library_makes_is_read_only(tmp_path):
     made = []
-    for name, text in (("fast.txt", "1.5\n2.5\n4\n"), ("loop.txt", "1.5\n\x1c\n2.5\n")):  # the line loop reads loop.txt
+    for name, text in (("fast.txt", "1.5\n2.5\n4\n"), ("loop.txt", "1.5\n\r \n2.5\n")):  # the line loop reads loop.txt
         (tmp_path / name).write_text(text)
         made += [pl.ingest_and_unfold(tmp_path / name, mode) for mode in sequences.INGEST_MODES]
     made += [pl.generate(pl.GeneratorConfig(kind, n, seed=2, cap=1.5)) for kind in sequences.GENERATOR_KINDS
