@@ -25,14 +25,16 @@ import numpy as np
 
 from . import __version__
 from .correlation import Interval, _PairPass, pair_correlation
-from .partition import _partition_table, _PrefixStream
+from .partition import _STREAM_STEP, _partition_table, _PrefixStream
 from .sequences import (
     GeneratorConfig,
     _check_gaps,
+    _format17,
+    _ingested,
+    _replacing,
+    _Spill,
     _stream,
     generate,
-    ingest_and_unfold,
-    normalize_mean_gap,
     write_sequence,
 )
 from .verifier import (
@@ -170,14 +172,16 @@ def cmd_analyze(args) -> int:
     params = {"input": str(args.input), "n": n, "intervals": list(args.interval or []), "closed": bool(args.closed),
               "open": bool(args.open), "cdf_grid": args.cdf_grid}
     manifest = _manifest("analyze", params, input_hash=input_hash)
-    for interval in intervals:
-        report = pair_correlation(counts, interval, n)
-        print(_dumps({**asdict(interval), "n": report.n, "pair_count": report.pair_count, "r_value": report.r_value,
-                      "manifest": manifest}))
-    if grid:
-        _check_gaps(np.array([counts.first, counts.last]))  # the span error of gaps_of
-        m, below = min(n, counts.points - 1), counts.below
-        with open(args.cdf_out, "w", encoding="utf-8") if args.cdf_out else contextlib.nullcontext(sys.stdout) as fh:
+    # the CSV's file is made before anything is printed, and replaces --cdf-out only once it is written whole
+    to_file = grid and args.cdf_out
+    with _replacing(args.cdf_out, "w", encoding="utf-8") if to_file else contextlib.nullcontext(sys.stdout) as fh:
+        for interval in intervals:
+            report = pair_correlation(counts, interval, n)
+            print(_dumps({**asdict(interval), "n": report.n, "pair_count": report.pair_count,
+                          "r_value": report.r_value, "manifest": manifest}))
+        if grid:
+            _check_gaps(np.array([counts.first, counts.last]))  # the span error of gaps_of
+            m, below = min(n, counts.points - 1), counts.below
             fh.write("x,F\n")
             for a in range(0, xs.size, CDF_ROWS):  # the text of CDF_ROWS rows at a time
                 rows = zip(xs[a : a + CDF_ROWS].tolist(), below[a : a + CDF_ROWS].tolist())
@@ -186,8 +190,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    seq = ingest_and_unfold(args.input, "raw")  # read whole: every error comes before the manifest, with its hash
-    _check_gaps(seq.values)
     violation = False
 
     def write(left, right, end):
@@ -202,14 +204,17 @@ def cmd_partition(args) -> int:
             violation = violation or not (table.adjacent_ok.all() and table.sandwich_ok.all())
         return stream.n
 
-    n = seq.n - 1 if args.n is None else args.n
-    stream = _PrefixStream(args.threshold, n, write)
-    if n < 0 or n > seq.n - 1:
-        raise ValueError(f"n={n} out of range 0..{seq.n - 1}")
-    params = {"input": str(args.input), "n": n, "threshold": args.threshold, "check": bool(args.check)}
-    print(_dumps({"manifest": _manifest("partition", params, input_hash=seq.metadata["input_sha256"])}))
-    stream.values(seq.values)
-    stream.end()
+    with _Spill(args.input, "raw") as spill:  # one read: every error comes before the manifest, with its hash
+        _check_gaps(np.array([spill.first, spill.last][: spill.count]))  # gaps_of's: one point, or the span
+        n = spill.count - 1 if args.n is None else args.n
+        stream = _PrefixStream(args.threshold, n, write)
+        if n < 0 or n > spill.count - 1:
+            raise ValueError(f"n={n} out of range 0..{spill.count - 1}")
+        params = {"input": str(args.input), "n": n, "threshold": args.threshold, "check": bool(args.check)}
+        print(_dumps({"manifest": _manifest("partition", params, input_hash=spill.sha256)}))
+        for values in spill.chunks(_STREAM_STEP):
+            stream.values(values)
+        stream.end()
     return 1 if args.check and violation else 0
 
 
@@ -324,10 +329,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    seq = ingest_and_unfold(args.input, args.mode)
-    if args.normalize:
-        seq = normalize_mean_gap(seq)
-    write_sequence(args.output, seq)
+    with _Spill(args.input, args.mode) as spill:  # one read: the file's errors come first, then the values'
+        chunks = _ingested(spill, args.mode, args.normalize)  # all but a normalized non-increase raise here
+        with _replacing(args.output) as fh:  # an error leaves --output as it was
+            for values in chunks:
+                fh.write(_format17(values))
     params = {
         "input": str(args.input),
         "mode": args.mode,
@@ -336,8 +342,8 @@ def cmd_ingest(args) -> int:
     }
     doc = {
         "written": str(args.output),
-        "n_points": seq.n,
-        "manifest": _manifest("ingest", params, input_hash=seq.metadata["input_sha256"]),
+        "n_points": spill.count,
+        "manifest": _manifest("ingest", params, input_hash=spill.sha256),
     }
     with open(str(args.output) + ".manifest.json", "w", encoding="utf-8") as fh:
         fh.write(_dumps(doc) + "\n")

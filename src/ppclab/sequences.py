@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import array
+import contextlib
 import functools
 import hashlib
 import io
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,14 +122,18 @@ def _check_values(v: np.ndarray) -> None:
         raise ValueError("sequence must be a non-empty 1-d array of reals")
     if not np.all(np.isfinite(v)):
         raise ValueError("sequence values must be finite")
-    if v.size > 1:
-        increasing = v[1:] > v[:-1]  # no subtraction, so no overflow on a wide span
-        if not increasing.all():
-            pos = int(np.argmax(~increasing))
-            raise ValueError(
-                f"sequence not strictly increasing at position {pos + 2} "
-                f"(value {v[pos + 1]!r} after {v[pos]!r})"
-            )
+    _check_increasing(v)
+
+
+def _check_increasing(v: np.ndarray, before: int = 0) -> None:
+    """Raise unless ``v`` is strictly increasing; ``v[0]`` is the sequence's value at 0-based ``before``."""
+    increasing = v[1:] > v[:-1]  # no subtraction, so no overflow on a wide span
+    if not increasing.all():
+        pos = int(np.argmax(~increasing))
+        raise ValueError(
+            f"sequence not strictly increasing at position {before + pos + 2} "
+            f"(value {v[pos + 1]!r} after {v[pos]!r})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,15 +264,21 @@ def normalize_mean_gap(seq: RealSequence) -> RealSequence:
     Idempotent up to 1e-12 and order-preserving; the first output value is
     exactly 0.
     """
-    if seq.n < 2:
-        raise ValueError("sequence too short: cannot normalize fewer than 2 points")
-    span = _check_span(seq.values)  # before the shift, which it keeps finite
-    scale = (seq.n - 1) / span
-    if scale == math.inf:
-        raise ValueError(f"span {span!r} is too small to rescale to mean gap 1: {seq.n - 1}/span overflows")
+    scale = _mean_gap_scale(seq.n, seq.values)
     values = seq.values - seq.values[0]
     values *= scale
     return RealSequence._adopt(values, dict(seq.metadata))
+
+
+def _mean_gap_scale(n: int, ends: np.ndarray) -> float:
+    """The factor that gives ``n`` points from ``ends[0]`` to ``ends[-1]`` mean gap 1, or the error that none does."""
+    if n < 2:
+        raise ValueError("sequence too short: cannot normalize fewer than 2 points")
+    span = _check_span(ends)  # before the shift, which it keeps finite
+    scale = (n - 1) / span
+    if scale == math.inf:
+        raise ValueError(f"span {span!r} is too small to rescale to mean gap 1: {n - 1}/span overflows")
+    return scale
 
 
 def sequence_from_gaps(gaps, start: float = 0.0) -> RealSequence:
@@ -385,16 +398,21 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     """
     arr, digest = _stream(path, mode, _collect)
     if mode == "zeta_unfold":
-        with np.errstate(over="ignore"):
-            unfolded = np.log(arr)
-            unfolded *= arr
-        overflow = np.isinf(unfolded)
-        if overflow.any():
-            t = float(arr[overflow.argmax()])
-            raise ValueError(f"zeta_unfold overflows: t*ln(t) exceeds the binary64 range at t = {t!r}")
-        unfolded /= TWO_PI  # in place, and the same bytes as arr * np.log(arr) / TWO_PI
-        arr = unfolded
+        arr = _unfold(arr)
     return RealSequence._adopt(arr, {"input_sha256": digest})
+
+
+def _unfold(t: np.ndarray) -> np.ndarray:
+    """``t * np.log(t) / TWO_PI`` as a new array; raises naming the first t whose t*ln(t) overflows."""
+    with np.errstate(over="ignore"):
+        unfolded = np.log(t)
+        unfolded *= t
+    overflow = np.isinf(unfolded)
+    if overflow.any():
+        first = float(t[overflow.argmax()])
+        raise ValueError(f"zeta_unfold overflows: t*ln(t) exceeds the binary64 range at t = {first!r}")
+    unfolded /= TWO_PI  # in place, and the same bytes as t * np.log(t) / TWO_PI
+    return unfolded
 
 
 def _collect(chunks) -> np.ndarray:
@@ -422,8 +440,10 @@ def _stream(path, mode: str, consume):
     whatever chunk, ``consume`` is run again from the start on
     :func:`_parse_lines`' chunks of a second read, which names the first
     bad line.  So ``consume`` raises its own errors only after the last
-    chunk, and a bad line anywhere in the file is reported before them.
-    The hex SHA-256 is that of the bytes of the read the values came from.
+    chunk, and a bad line anywhere in the file is reported before them; and
+    a ``consume`` with side effects must start them over when it is run
+    again.  The hex SHA-256 is that of the bytes of the read the values
+    came from.
     """
     if mode not in INGEST_MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
@@ -436,6 +456,100 @@ def _stream(path, mode: str, consume):
             reader = _Sha256Reader(fh)
             result = consume(_parse_lines(io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8"), mode))
     return result, reader.sha256.hexdigest()
+
+
+class _Spill:
+    """A file's values, read once by :func:`_stream`, as float64 bytes in an unnamed temporary file.
+
+    ``count``, ``first`` and ``last`` are those of the values, and
+    ``sha256`` is the hash of the read they came from, so every error of
+    the file is known before any value is used; :meth:`chunks` reads the
+    values back.  The file takes 8 bytes a point, under ``TMPDIR``, and has
+    no name, so nothing is left of it however the process ends.  It is
+    closed with the spill, as a context manager.
+    """
+
+    def __init__(self, path, mode: str):
+        self.file = tempfile.TemporaryFile()
+        try:
+            (self.count, self.first, self.last), self.sha256 = _stream(path, mode, self._fill)
+        except BaseException:
+            self.file.close()
+            raise
+
+    def _fill(self, chunks) -> tuple[int, float, float]:
+        """Write the values of ``chunks`` to the file; their count, and their first and last values."""
+        self.file.seek(0)
+        self.file.truncate()  # run again on the line reader's values, the spill starts over
+        count, first, last = 0, 0.0, 0.0
+        for values in chunks:
+            if not count:
+                first = float(values[0])
+            count += values.size
+            last = float(values[-1])
+            self.file.write(values)
+            del values  # before the next chunk is made
+        return count, first, last
+
+    def chunks(self, size: int):
+        """Yield the values, ``size`` at a time, in one buffer: each chunk is overwritten by the next."""
+        self.file.seek(0)
+        buf = np.empty(size)
+        view = memoryview(buf).cast("B")
+        while got := self.file.readinto(view):  # a buffered read fills the view, but at the end
+            yield buf[: got // buf.itemsize]
+
+    def __enter__(self) -> _Spill:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+
+
+def _ingested(spill: _Spill, mode: str, normalize: bool):
+    """The chunks of ``ingest_and_unfold``'s values, then ``normalize_mean_gap``'s if ``normalize``, from ``spill``.
+
+    Both steps are elementwise, so each chunk's floats are those of the
+    whole array.  Their errors come in their order.  Under ``zeta_unfold``
+    a first pass over the spill finds the first t whose t*ln(t) overflows,
+    and then the first unfolded value that does not increase, each at its
+    position in the whole sequence.  Then come the normalization's errors
+    of the count and the span; all of these are raised by this call.  The
+    iterator it returns makes each chunk from one ``_WRITE_CHUNK`` of the
+    spill, and raises the first normalized value that does not increase.
+    """
+    first, last = spill.first, spill.last
+    if mode == "zeta_unfold":
+        error, prev, at = None, np.empty(0), 0
+        for t in spill.chunks(_WRITE_CHUNK):
+            unfolded = _unfold(t)
+            if error is None:
+                try:
+                    _check_increasing(np.concatenate((prev, unfolded)), at - prev.size)
+                except ValueError as exc:  # an overflow further on comes first
+                    error = exc
+            if not at:
+                first = unfolded[0]
+            prev, at = unfolded[-1:], at + t.size
+        if error is not None:
+            raise error
+        last = prev[0]
+    scale = _mean_gap_scale(spill.count, np.array([first, last])) if normalize else None
+    return _ingest_chunks(spill, mode, first, scale)
+
+
+def _ingest_chunks(spill: _Spill, mode: str, first: float, scale: float | None):
+    """The chunks of :func:`_ingested`, checked once ``first`` and ``scale`` are known."""
+    prev, at = np.empty(0), 0
+    for values in spill.chunks(_WRITE_CHUNK):
+        if mode == "zeta_unfold":
+            values = _unfold(values)
+        if scale is not None:
+            values = values - first
+            values *= scale
+            _check_increasing(np.concatenate((prev, values)), at - prev.size)
+            prev, at = values[-1:], at + values.size
+        yield values
 
 
 class _Sha256Reader(io.RawIOBase):
@@ -713,13 +827,52 @@ def write_sequence(path, seq: RealSequence, comment: str | None = None) -> None:
     mode, ``_WRITE_CHUNK`` values at a time, each chunk's lines made at once
     by :func:`_format17`; its temporaries and the chunk's text come to about
     80 bytes a value of one chunk (160 where every value goes to ``format``),
-    so the whole file's text is never held.
+    so the whole file's text is never held.  The lines go to a new file in
+    ``path``'s directory, which replaces ``path`` once all are written
+    (:func:`_replacing`), so a failed or interrupted write leaves any
+    earlier file whole.
     """
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         if comment:
             fh.write("".join(f"# {part}\n" for part in comment.splitlines()).encode("utf-8"))
         for start in range(0, seq.n, _WRITE_CHUNK):
             fh.write(_format17(seq.values[start : start + _WRITE_CHUNK]))
+
+
+@contextlib.contextmanager
+def _replacing(path, mode: str = "wb", encoding: str | None = None):
+    """A new file, opened with ``mode``, that replaces ``path`` when the block ends without an error.
+
+    The new file is made in the directory of the file ``path`` names, with
+    the permissions ``open`` gives a new file, so the replaced file is
+    whole or untouched.  Where the block raises, or is interrupted, the new
+    file is removed.  A path that names a device, a pipe or a directory is
+    opened as ``open`` opens it.  An error in making or placing the file
+    names ``path``, as ``open``'s would.
+    """
+    path = os.fspath(path)
+    target = os.path.realpath(path)  # a symbolic link keeps pointing at the file it names
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:  # O_EXCL: never another's file; and the umask applies, as it does to open's new file
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, mode, encoding=encoding) as fh:
+            yield fh
+        try:
+            os.replace(temp, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def _format17(values: np.ndarray) -> bytes:

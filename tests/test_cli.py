@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -129,6 +131,74 @@ def test_analyze_cdf_csv(tmp_path, capsys):
     assert len(lines) == 6  # grid 0, .5, 1, 1.5, 2
     assert lines[1] == "0,0"
     assert lines[3] == "1,1"  # lattice gaps are all exactly 1
+
+
+def test_an_unwritable_cdf_out_fails_before_anything_is_printed(tmp_path, capsys):
+    path = write_lattice(tmp_path)
+    csv_out = tmp_path / "missing" / "cdf.csv"
+    code, out, err = run(capsys, "analyze", "--input", path, "--interval", "0,1", "--cdf-grid", "0:1:0.5",
+                         "--cdf-out", str(csv_out))
+    assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: {str(csv_out)!r}\n")
+
+
+def test_a_failed_cdf_leaves_an_earlier_csv_whole(tmp_path, capsys):
+    path = tmp_path / "overflow.txt"
+    path.write_bytes(FUZZ_FILES["overflow"])  # the span error comes after the pair documents
+    csv_out = tmp_path / "cdf.csv"
+    csv_out.write_text("x,F\n0,0\n")
+    code, out, err = run(capsys, "analyze", "--input", str(path), "--interval", "0,1", "--cdf-grid", "0:1:0.5",
+                         "--cdf-out", str(csv_out))
+    assert (code, len(out.splitlines())) == (2, 1)
+    assert "values span more than the binary64 range" in err
+    assert csv_out.read_text() == "x,F\n0,0\n"
+    assert sorted(os.listdir(tmp_path)) == ["cdf.csv", "overflow.txt"]
+
+
+def test_a_failed_generate_leaves_an_earlier_file_whole(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "seq.txt"
+    argv = ["generate", "--kind", "poisson", "--n", "100000", "-o", str(out)]
+    assert run(capsys, *argv, "--seed", "1")[0] == 0
+    before = out.read_bytes()
+    format17, calls = pl.sequences._format17, []
+
+    def fail_later(values):  # the second chunk of the file, after the first has been written
+        calls.append(values.size)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return format17(values)
+
+    monkeypatch.setattr(pl.sequences, "_format17", fail_later)
+    assert run(capsys, *argv, "--seed", "2") == (2, "", "error: [Errno 28] No space left on device\n")
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["seq.txt", "seq.txt.manifest.json"]
+
+
+def test_written_files_get_the_permissions_of_a_new_file(tmp_path, capsys):
+    mask = os.umask(0o027)
+    try:
+        out = tmp_path / "seq.txt"
+        assert run(capsys, "generate", "--kind", "poisson", "--n", "10", "-o", str(out))[0] == 0
+        assert run(capsys, "ingest", "--input", str(out), "-o", str(tmp_path / "copy.txt"))[0] == 0
+    finally:
+        os.umask(mask)
+    assert {oct(path.stat().st_mode & 0o777) for path in (out, tmp_path / "copy.txt")} == {oct(0o640)}
+
+
+def test_an_output_through_a_link_or_to_a_pipe_is_written_where_open_would_write_it(tmp_path, capsys):
+    real, link, fifo = tmp_path / "real.txt", tmp_path / "link.txt", tmp_path / "fifo"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    argv = ["generate", "--kind", "poisson", "--n", "10", "--seed", "3", "-o"]
+    assert run(capsys, *argv, str(link))[0] == 0
+    assert link.is_symlink() and real.read_text() != "old\n"
+    os.mkfifo(fifo)  # stands for a device such as /dev/stdout: written in place, never replaced
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(capsys, *argv, str(fifo))[0] == 0
+    reader.join(timeout=60)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert got == [real.read_bytes()]
 
 
 def test_analyze_requires_work(tmp_path, capsys):

@@ -11,6 +11,7 @@ and part sums exactly on the thresholds 1/2 and 2, and a first value of
 
 import os
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
@@ -100,9 +101,14 @@ def test_the_streamed_partition_prints_the_whole_array_one(tmp_path, capsys, cas
 @pytest.mark.parametrize("name", sorted(ERROR_FILES))
 def test_partition_errors_keep_their_messages_and_their_order(tmp_path, capsys, monkeypatch, name, chunk):
     # ERROR_FILES holds every FUZZ_FILES case, the one-point and overflowing files, and bad lines after
-    # the first read; --n -1 and --n past the gaps come after every fault of the file
+    # the first read; --n -1 and --n past the gaps come after every fault of the file.  No run leaves a
+    # file, beside the input or under TMPDIR, where the spill of its values goes.
     path = tmp_path / "seq.txt"
     path.write_bytes(ERROR_FILES[name])
+    spills = tmp_path / "tmp"
+    spills.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spills))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
     cases = [(t, n) for t in ("0.5", "2") for n in (None, -1, 0, 2, 299, 300, 5000)]
     cases += [(t, None) for t in ("0", "nan", "inf", "-1")]
     expected = {case: reference(path, *case) for case in cases}
@@ -110,13 +116,14 @@ def test_partition_errors_keep_their_messages_and_their_order(tmp_path, capsys, 
         monkeypatch.setattr(sequences, "_INGEST_CHUNK", chunk)
     for case, outcome in expected.items():
         assert partition_cli(capsys, path, *case) == outcome, case
+        assert sorted(os.listdir(tmp_path)) == ["seq.txt", "tmp"] and os.listdir(spills) == [], case
 
 
 @pytest.mark.parametrize("threshold", ["2", "0.5"])
 def test_partition_memory_grows_only_by_the_values(tmp_path, monkeypatch, threshold):
-    # Past the values, partition holds a step of prefix sums, the blocks that closed in it, and one table
-    # of at most PARTITION_CHUNK of them with its text; none of these grows with the input.  Gaps and prefix sums
-    # of every point would add 16 bytes a point, 4.6 MiB more here.
+    # partition holds one read of the file, one step of the values read back from the spill, its prefix sums,
+    # the blocks that closed in it, and one table of at most PARTITION_CHUNK of them with its text; none of
+    # these grows with the input.  The values of every point would add 8 bytes a point, 2.3 MiB more here.
     peaks = {}
     for n in (100_000, 400_000):
         path = tmp_path / f"poisson{n}.txt"
@@ -130,4 +137,4 @@ def test_partition_memory_grows_only_by_the_values(tmp_path, monkeypatch, thresh
             finally:
                 tracemalloc.stop()
         assert code == 0
-    assert peaks[400_000] - peaks[100_000] <= 8 * 300_000 + (1 << 20), peaks
+    assert peaks[400_000] - peaks[100_000] <= 1 << 20, peaks
