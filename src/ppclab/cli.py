@@ -163,7 +163,7 @@ def cmd_analyze(args) -> int:
     intervals = [_parse_interval(text, not args.open, args.closed) for text in args.interval or []]  # default [lo, hi)
     xs = np.fromiter(_grid_points(*grid), float) if grid else np.empty(0)
     # one pass over the file, which holds a chunk of it: every error comes after the last chunk
-    counts, input_hash = _stream(args.input, "raw", lambda chunks: _PairPass(intervals, args.n, xs).run(chunks))
+    counts, input_hash = _stream(args.input, "raw", _PairPass(intervals, args.n, xs).run)
     n = args.n if args.n is not None else counts.points
     if not 1 <= n <= counts.points:
         raise ValueError(f"--n must lie in 1..{counts.points} (the points in the input), got {n}")

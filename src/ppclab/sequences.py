@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import array
 import contextlib
 import functools
 import hashlib
-import io
 import math
 import os
 import tempfile
@@ -393,8 +391,7 @@ def ingest_and_unfold(path, mode: str = "raw") -> RealSequence:
     The file is read once, in ``_INGEST_CHUNK``-byte pieces, and never held
     whole: :func:`_collect` copies the values of each piece into one array,
     so the values and one piece's are held, never a second copy.
-    ``metadata["input_sha256"]`` is the SHA-256 of the bytes of the read the
-    values came from.
+    ``metadata["input_sha256"]`` is the SHA-256 of the bytes read.
     """
     arr, digest = _stream(path, mode, _collect)
     if mode == "zeta_unfold":
@@ -430,32 +427,27 @@ def _collect(chunks) -> np.ndarray:
 
 
 def _stream(path, mode: str, consume):
-    """``(consume(chunks), sha256)``: ``consume`` run on the file's values, chunk by chunk, in one pass.
+    """``(consume(chunks), sha256)``: ``consume`` run once on the file's values, chunk by chunk, in one read.
 
     ``chunks`` yields float64 arrays whose concatenation is the file's values,
     each finite and above the one before.  ``consume`` must exhaust it and
     hold no chunk it needs later.  The chunks come from :func:`_parse_fast`,
-    which reads every valid file but one with a lone ``\\r`` (or a line of
-    more than ``_LINE_MAX`` bytes, if not ASCII).  Where it declines, at
-    whatever chunk, ``consume`` is run again from the start on
-    :func:`_parse_lines`' chunks of a second read, which names the first
-    bad line.  So ``consume`` raises its own errors only after the last
-    chunk, and a bad line anywhere in the file is reported before them; and
-    a ``consume`` with side effects must start them over when it is run
-    again.  The hex SHA-256 is that of the bytes of the read the values
-    came from.
+    which reads every valid file and declines, at whatever chunk, only a bad
+    one.  The decline passes through ``consume``, and the file is then read
+    again by :func:`_parse_lines` only to name its first bad line.  So
+    ``consume`` raises its own errors only after the last chunk, and a bad
+    line anywhere in the file is reported before them.  The hex SHA-256 is
+    that of the bytes read.
     """
     if mode not in INGEST_MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}")
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            reader = _Sha256Reader(fh)
-            result = consume(_parse_fast(reader, mode))
-    except _Decline:  # read again, and hash the bytes the values now come from
-        with open(path, "rb", buffering=0) as fh:
-            reader = _Sha256Reader(fh)
-            result = consume(_parse_lines(io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8"), mode))
-    return result, reader.sha256.hexdigest()
+    with open(path, "rb", buffering=0) as fh:
+        reader = _Sha256Reader(fh)
+        with contextlib.suppress(_Decline):
+            return consume(_parse_fast(reader, mode)), reader.sha256.hexdigest()
+    with open(path, encoding="utf-8") as text:
+        _parse_lines(text, mode)
+    raise RuntimeError(f"the fast reader declined {os.fspath(path)!r}, but the line reader finds no error in it")
 
 
 class _Spill:
@@ -479,8 +471,6 @@ class _Spill:
 
     def _fill(self, chunks) -> tuple[int, float, float]:
         """Write the values of ``chunks`` to the file; their count, and their first and last values."""
-        self.file.seek(0)
-        self.file.truncate()  # run again on the line reader's values, the spill starts over
         count, first, last = 0, 0.0, 0.0
         for values in chunks:
             if not count:
@@ -552,15 +542,12 @@ def _ingest_chunks(spill: _Spill, mode: str, first: float, scale: float | None):
         yield values
 
 
-class _Sha256Reader(io.RawIOBase):
+class _Sha256Reader:
     """Reads the binary file ``file`` and feeds each byte read to ``self.sha256``."""
 
     def __init__(self, file):
         self._file = file
         self.sha256 = hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
 
     def readinto(self, buffer) -> int:
         size = self._file.readinto(buffer)
@@ -569,19 +556,24 @@ class _Sha256Reader(io.RawIOBase):
 
 
 class _Decline(Exception):
-    """:func:`_parse_fast` cannot vouch for the file: it is to be read by :func:`_parse_lines`."""
+    """:func:`_parse_fast` found the file bad: :func:`_parse_lines` is to name its first bad line."""
 
 
 def _parse_fast(file, mode: str):
-    """Yield the values of each ``_INGEST_CHUNK``-byte read of a clean file; raise :class:`_Decline` otherwise.
+    """Yield the values of each ``_INGEST_CHUNK``-byte read of a valid file; raise :class:`_Decline` on a bad one.
 
-    A clean file is UTF-8 with no lone ``\\r``, and its lines are values
-    and lines that :func:`_parse_lines` skips.  ``file`` is a binary file
-    read with ``readinto``, ``_INGEST_CHUNK`` bytes at a time, into one
-    buffer that also holds the line not yet ended.  Its lines are its bytes
-    split on ``\\n``, a final ``\\n`` ending the last line; a ``\\r`` before
-    a ``\\n`` is left out of its line, as the text reader leaves it.  A line
-    of more than ``_LINE_MAX`` bytes declines.
+    ``file`` is a binary file read with ``readinto``, ``_INGEST_CHUNK``
+    bytes at a time, into one buffer that also holds the line not yet
+    ended.  Its lines are those of the text reader's universal newlines:
+    each ``\\r`` whose next byte is not ``\\n`` becomes ``\\n`` before the
+    lines are split on ``\\n`` (a read's last ``\\r`` waits for the next
+    read, or the file's end, to show what follows it), a ``\\r`` before a
+    ``\\n`` is left out of its line, and a final ``\\n`` ends the last line.
+    A line of more than ``_LINE_MAX`` characters declines, as one that is
+    not UTF-8 does.  It is counted in bytes, and only a line of more bytes
+    than that is counted in characters, the bytes that do not continue a
+    UTF-8 character; on that line the buffer grows to hold 4 bytes a
+    character, so a file of shorter lines takes no more.
 
     The lines that end in each ``_KERNEL_BLOCK`` bytes read go to
     :func:`_decimal_values` at once, which decides every line of the form
@@ -592,37 +584,43 @@ def _parse_fast(file, mode: str):
     bytes and, where that fails, by the line loop's own rule on the decoded
     text.  ``float`` reads bytes as ASCII and strips only ASCII blanks: it
     rejects a line that is not ASCII, and gives any other
-    ``float(line.strip())`` or rejects it.  A ``\\r`` (a line end to the
-    text reader) can only sit in the blanks around the number, so every
-    line accepted here has the value :func:`_parse_lines` gives it.
+    ``float(line.strip())`` or rejects it.  So every line accepted here has
+    the value :func:`_parse_lines` gives it, and every line declined here
+    is one it refuses.
 
     Each read's values, less the skipped lines', go into an array sized by
     its newlines, tested for finiteness and strict increase from the last
     value yielded on, and under ``zeta_unfold`` for > 1, before it is
     yielded; a failed test, or a file with no data line, declines.
     """
-    size = _LINE_MAX + 1  # a longest line and its newline
-    buf = np.zeros(_WIDTH + size, np.uint8)  # the kernel reads _WIDTH bytes before a line's end
-    view = memoryview(buf)
+    buf = np.zeros(_WIDTH + _LINE_MAX + 1, np.uint8)  # the kernel reads _WIDTH bytes before a line's end
     windows = np.lib.stride_tricks.sliding_window_view(buf, _WIDTH)  # row e - _WIDTH ends before byte e
     floor = 1.0 if mode == "zeta_unfold" else -math.inf  # every value must lie above it
     last = floor
     held = 0  # bytes of the line not yet ended, at buf[_WIDTH:]
     while True:
         lo = _WIDTH + held
-        got = file.readinto(view[lo : lo + min(_INGEST_CHUNK, size - held)])
+        got = file.readinto(memoryview(buf)[lo : lo + _INGEST_CHUNK])
         if not got:
             if not held:
                 break
             buf[lo] = 10  # end the last line
             got = 1
-        pieces = [buf[a : min(a + _KERNEL_BLOCK, lo + got)] for a in range(lo, lo + got, _KERNEL_BLOCK)]
+        # a "\r" not before a "\n" ends a line, as in the text reader: the held line's last byte may be one
+        # that this read decides, and this read's last byte waits for the next
+        first = lo - bool(held)
+        for a in range(first, lo + got - 1, _KERNEL_BLOCK):
+            piece = buf[a : min(a + _KERNEL_BLOCK, lo + got - 1)]
+            if (piece == 13).any():
+                cr = np.flatnonzero(piece == 13) + a
+                buf[cr[buf[cr + 1] != 10]] = 10
+        pieces = [buf[a : min(a + _KERNEL_BLOCK, lo + got)] for a in range(first, lo + got, _KERNEL_BLOCK)]
         # one value a line, at most; the newlines are counted in a scan of their own, since keeping each
         # block's line ends, or joining or growing the values block by block, raised peak RSS by 0.3-0.8 MB
         out = np.empty(sum(np.count_nonzero(piece == 10) for piece in pieces))
         filled = 0
         start = _WIDTH  # where the next line begins
-        for a, piece in zip(range(lo, lo + got, _KERNEL_BLOCK), pieces):
+        for a, piece in zip(range(first, lo + got, _KERNEL_BLOCK), pieces):
             ends = np.flatnonzero(piece == 10)  # "\n"
             if not ends.size:
                 continue
@@ -635,10 +633,14 @@ def _parse_fast(file, mode: str):
             crlf = buf[ends - 1] == 13  # the text reader ends such a line at its \r
             ends -= crlf
             lens -= crlf
+            if buf.size > _WIDTH + _LINE_MAX + 1:  # grown, so a line of more bytes than _LINE_MAX may end here
+                long = lens > _LINE_MAX
+                if any(_characters(buf[e - n : e]) > _LINE_MAX for e, n in zip(ends[long], lens[long])):
+                    raise _Decline
             values = out[filled : filled + ends.size]
             undecided = np.flatnonzero(~_decimal_values(windows, ends, lens, values))
             if undecided.size:
-                lines = bytes(view[ends[0] - lens[0] : start - 1]).split(b"\n")  # each with its CRLF's \r
+                lines = buf[ends[0] - lens[0] : start - 1].tobytes().split(b"\n")  # each with its CRLF's \r
                 if undecided.size < len(lines):
                     lines = [lines[i] for i in undecided.tolist()]
                 values[undecided] = np.fromiter(map(_line_value, lines), float, undecided.size)
@@ -647,9 +649,14 @@ def _parse_fast(file, mode: str):
                     out[filled : filled + values.size] = values
             filled += values.size
         held = lo + got - start
-        if held > _LINE_MAX:
-            raise _Decline
         buf[_WIDTH : _WIDTH + held] = buf[start : lo + got]
+        if held > _LINE_MAX:  # held on only if its characters, less a last "\r" that ends it, are few enough
+            line = buf[_WIDTH : _WIDTH + held]
+            if held == 4 * _LINE_MAX + 2 or _characters(line) - (line[-1] == 13) > _LINE_MAX:  # or buf is full
+                raise _Decline
+            if buf.size == _WIDTH + _LINE_MAX + 1:  # grow to hold 4 bytes a character, and a "\r\n"
+                buf = np.concatenate((buf, np.zeros(3 * _LINE_MAX + 1, np.uint8)))
+                windows = np.lib.stride_tricks.sliding_window_view(buf, _WIDTH)
         if filled:
             values = out[:filled]
             if not (np.isfinite(values).all() and values[0] > last and (values[1:] > values[:-1]).all()):
@@ -661,21 +668,23 @@ def _parse_fast(file, mode: str):
         raise _Decline
 
 
+def _characters(line: np.ndarray) -> int:
+    """The characters of the UTF-8 bytes ``line``: the bytes that do not continue a character."""
+    return int(np.count_nonzero(line >> 6 != 2))
+
+
 def _line_value(line: bytes) -> float:
     """``float(line)``, or nan where :func:`_parse_lines` skips the line; raise :class:`_Decline` on any other line.
 
     ``line`` keeps its CRLF's ``\\r``, if it has one.  A line ``float``
     rejects is read by the line loop's own rule: decoded as UTF-8, stripped
     with ``str.strip``, skipped if empty or ``#``-led, and otherwise given
-    to ``float``.  A line that does not decode, holds another ``\\r`` (where
-    the text reader would end it), or is still rejected declines, as does a
-    line read as nan: so nan marks skipped lines.
+    to ``float``.  A line that does not decode, or is still rejected,
+    declines, as does a line read as nan: so nan marks skipped lines.
     """
     try:
         value = float(line)
     except ValueError:
-        if b"\r" in line.removesuffix(b"\r"):
-            raise _Decline from None
         try:
             text = line.decode().strip()
             if not text or text.startswith("#"):
@@ -765,21 +774,16 @@ def _decimal_values(windows: np.ndarray, ends: np.ndarray, lens: np.ndarray, out
     return decided
 
 
-def _parse_lines(text, mode: str):
-    """Yield the values of ``text``'s lines, read one at a time; the first bad line raises :class:`SequenceFormatError`.
+def _parse_lines(text, mode: str) -> None:
+    """Raise :class:`SequenceFormatError` naming the first bad line of ``text``, read one line at a time.
 
     Each line is read with ``readline(_LINE_MAX + 1)``, so a longer line is
-    refused without being held whole.  The values of the lines in each
-    ``_INGEST_CHUNK`` characters read go into one float64 buffer, yielded
-    as an array when those characters are read, so no more than that many
-    lines' values are held, as on :func:`_parse_fast`'s path.
+    refused without being held whole.  A file with no bad line returns.
     """
-    values = array.array("d")
     prev = None
-    lineno = read = 0
+    lineno = 0
     while raw := text.readline(_LINE_MAX + 1):
         lineno += 1
-        read += len(raw)
         if len(raw) > _LINE_MAX and not raw.endswith("\n"):
             raise SequenceFormatError(f"longer than the limit of {_LINE_MAX} characters", lineno)
         line = raw.strip()
@@ -792,23 +796,12 @@ def _parse_lines(text, mode: str):
         if not math.isfinite(val):
             raise SequenceFormatError(f"non-finite value {_echo(line)}", lineno)
         if prev is not None and val <= prev:
-            raise SequenceFormatError(
-                f"not strictly increasing: {val!r} after {prev!r}", lineno
-            )
+            raise SequenceFormatError(f"not strictly increasing: {val!r} after {prev!r}", lineno)
         if mode == "zeta_unfold" and val <= 1.0:
-            raise SequenceFormatError(
-                f"zeta_unfold requires values > 1, got {val!r}", lineno
-            )
+            raise SequenceFormatError(f"zeta_unfold requires values > 1, got {val!r}", lineno)
         prev = val
-        values.append(val)
-        if read >= _INGEST_CHUNK:
-            yield np.array(values, dtype=float)
-            del values[:]
-            read = 0
     if prev is None:
         raise SequenceFormatError("file contains no data lines", 1)
-    if values:
-        yield np.array(values, dtype=float)
 
 
 def _echo(line: str) -> str:

@@ -205,11 +205,15 @@ def lines_with_one_of_length(where, length):
         "header": [b"#" + b"c" * (length - 1), b"1", b"2"],
         "middle": [b"1", b"2", long(b"3"), b"4"],
         "last without newline": [b"1", b"2", long(b"3")],
+        "crlf": [b"1", long(b"2") + b"\r", b"3"],
+        "non-ascii header": [("# " + "ζ" * (length - 2)).encode(), b"1", b"2"],  # 2 bytes a character
+        "non-ascii blanks": [b"1", "\u3000".encode() * (length - 1) + b"2", b"3"],  # 3 bytes a character
     }[where]
 
 
 @pytest.mark.parametrize("limit", [64, sequences._LINE_MAX])
-@pytest.mark.parametrize("where", ["first", "header", "middle", "last without newline"])
+@pytest.mark.parametrize("where", ["first", "header", "middle", "last without newline", "crlf",
+                                   "non-ascii header", "non-ascii blanks"])
 def test_a_line_over_the_limit_is_refused_on_both_paths(tmp_path, monkeypatch, limit, where):
     monkeypatch.setattr(sequences, "_LINE_MAX", limit)
     path = tmp_path / "seq.txt"
@@ -217,7 +221,7 @@ def test_a_line_over_the_limit_is_refused_on_both_paths(tmp_path, monkeypatch, l
         lines = lines_with_one_of_length(where, length)
         content = b"\n".join(lines) + (b"" if where.endswith("newline") else b"\n")
         path.write_bytes(content)
-        if length == limit:  # the fast path's buffer holds a longest line
+        if length == limit:  # the fast path holds a longest line, in however many bytes
             assert fast_values(content, "raw").tobytes() == ingest_loop(path).tobytes()
             assert pl.ingest_and_unfold(path).values.tobytes() == ingest_loop(path).tobytes()
             continue
@@ -225,6 +229,32 @@ def test_a_line_over_the_limit_is_refused_on_both_paths(tmp_path, monkeypatch, l
         lineno = next(i for i, line in enumerate(lines, 1) if len(line) > limit)
         with pytest.raises(sequences.SequenceFormatError, match=f"^line {lineno}: longer than the limit of {limit} "):
             pl.ingest_and_unfold(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_a_line_of_more_bytes_than_the_limit_but_not_more_characters_takes_the_fast_path(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(sequences, "_LINE_MAX", 64)
+    if chunk is not None:
+        monkeypatch.setattr(sequences, "_INGEST_CHUNK", chunk)
+    path = tmp_path / "seq.txt"
+    comment = ("# " + "ζ" * 40).encode()  # 82 bytes, 42 characters
+    for lines in ([b"1", comment, b"2"], [comment, b"1", comment, b"2", comment]):
+        content = b"\n".join(lines) + b"\n"
+        path.write_bytes(content)
+        assert fast_values(content, "raw").tobytes() == ingest_loop(path).tobytes()
+    # after such a line, one of 65 characters, of one byte or two, is refused on both paths
+    for line in (b"#" + b"x" * 64, ("#" + "ζ" * 64).encode()):
+        content = b"\n".join([b"1", comment, b"2", line, b"3"]) + b"\n"
+        path.write_bytes(content)
+        assert fast_values(content, "raw") is None
+        with pytest.raises(sequences.SequenceFormatError, match="^line 4: longer than the limit of 64 "):
+            pl.ingest_and_unfold(path)
+    # a line of bytes that only continue UTF-8 characters fills the grown buffer, and is not UTF-8
+    content = b"1\n" + b"\x80" * 300 + b"\n2\n"
+    path.write_bytes(content)
+    assert fast_values(content, "raw") is None
+    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0x80 in position 2"):
+        pl.ingest_and_unfold(path)
 
 
 def test_a_long_line_is_refused_without_being_held(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ppclab as pl
 from ppclab import sequences
+from ppclab.cli import _dumps, _manifest
 from oracles import fast_values, ingest_loop
 from test_audit_stream import audit_cli
 from test_cli import FUZZ_FILES
@@ -66,6 +67,7 @@ CASES = {
     "invalid utf-8": b"1\n\xff\n3\n",
     "invalid utf-8 in a comment": b"1\n# \xff\n3\n",
     "non-ascii comment": "# ζ\n0.5\n2\n".encode(),  # as write_sequence(comment="ζ") writes it
+    "long non-ascii comment": b"1\n# " + "ζ".encode() * 600_000 + b"\n2\n",  # more bytes than _LINE_MAX
     "truncated utf-8 at the end": b"1\n2\n\xc3",
     "byte order mark": "\ufeff1\n2\n".encode(),
     "nul byte": b"1\x00\n2\n",
@@ -97,22 +99,22 @@ def test_float_accept_set_is_kept(tmp_path):
     assert pl.ingest_and_unfold(path).values.tolist() == [1000.0, 2000.5, 3000.0]
 
 
-def test_clean_files_take_the_fast_path_and_others_fall_back():
+def test_valid_files_take_the_fast_path_and_bad_ones_decline():
     assert fast_values(b"1\n2.5\n3e2\n", "raw").tolist() == [1.0, 2.5, 300.0]
-    # blank and comment lines anywhere, "\x1c" among the blanks as str.strip takes it
-    for content in (b"# c\n#\n1\n2\n", b"1\n\n2\n", b"1\n# c\n2\n", b"1\n\x1c\n2\n"):
+    # blank and comment lines anywhere, "\x1c" among the blanks as str.strip takes it, and lone "\r" line ends
+    for content in (b"# c\n#\n1\n2\n", b"1\n\n2\n", b"1\n# c\n2\n", b"1\n\x1c\n2\n", b"# c\r1\r2", b"1\r\r\n2\r"):
         assert fast_values(content, "raw").tolist() == [1.0, 2.0], content
     assert fast_values("١\n".encode(), "raw").tolist() == [1.0]  # non-ASCII digits, as float reads them
-    for content in (b"1\n#a\rb\n2\n", b"# c\r1\n", b"# c\n", b"# c", b"1\n1\n", b"1\nnan\n", b"0.5\n", b""):
+    for content in (b"1\n#a\rb\n2\n", b"# c\n", b"# c", b"1\n1\n", b"1\nnan\n", b"0.5\n", b""):
         mode = "zeta_unfold" if content == b"0.5\n" else "raw"
         assert fast_values(content, mode) is None, content
 
 
-# Valid files the fast path still hands to the line loop: a lone "\r", where only the text reader ends a line.
-STILL_DECLINED = {"lone cr", "cr between", "lone cr in a comment", "fuzz: cr"}
+# Valid files the fast path hands to the line loop: none, so a decline always means an error.
+STILL_DECLINED = set()
 
 
-def test_every_valid_file_but_the_named_rare_forms_takes_the_fast_path(tmp_path):
+def test_every_valid_file_takes_the_fast_path_with_the_line_loops_values(tmp_path):
     files = {**CASES, **{f"fuzz: {name}": content for name, content in FUZZ_FILES.items()}}
     path = tmp_path / "seq.txt"
     declined = set()
@@ -121,12 +123,15 @@ def test_every_valid_file_but_the_named_rare_forms_takes_the_fast_path(tmp_path)
         for mode in sequences.INGEST_MODES:
             try:
                 with np.errstate(over="ignore"):  # the line loop's own unfold of a huge t
-                    ingest_loop(path, mode)
+                    expected = ingest_loop(path, mode)
             except ValueError:
                 assert fast_values(content, mode) is None, (name, mode)
                 continue
-            if fast_values(content, mode) is None:
+            got = fast_values(content, mode)
+            if got is None:
                 declined.add(name)
+            elif mode == "raw":  # the fast path yields the values before the unfold
+                assert got.tobytes() == expected.tobytes(), name
     assert declined == STILL_DECLINED
 
 
@@ -135,7 +140,7 @@ def mixed_files(draw):
     """A file of increasing values among blank, whitespace-only and ``#`` lines, now and then a bad line,
     each line ended by LF or CRLF, and the last one maybe by nothing.  A quarter of the files may also
     hold rarer forms: "\\x1c"-"\\x1f" among the blanks, non-ASCII comments (one not UTF-8, which declines)
-    and lone-CR ends, which decline."""
+    and lone-CR ends."""
     rare = draw(st.integers(0, 3)) == 0
     blank = st.lists(st.sampled_from([b" ", b"\t", b"\x0b", b"\x0c", *[b"\x1c", b"\x1d", b"\x1e", b"\x1f"] * rare]),
                      max_size=3).map(b"".join)
@@ -158,13 +163,21 @@ def mixed_files(draw):
     return b"".join(line + end for line, end in zip(lines, ends))
 
 
-def line_loop_only(file, mode):
-    raise sequences._Decline
-    yield
+def audit_of_the_line_loop(path, epsilon: float, n: int):
+    """(code, stdout, stderr) of ``audit`` by the library's ``audit`` on the gaps of ``ingest_loop``'s values."""
+    try:
+        cfg = pl.AuditConfig(epsilon, n)
+        report = pl.audit(pl.gaps_of(pl.RealSequence(ingest_loop(path))), cfg)
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    doc = report.to_dict()
+    params = {"input": str(path), "epsilon": epsilon, "n": n}
+    doc["manifest"] = _manifest("audit", params, input_hash=hashlib.sha256(path.read_bytes()).hexdigest())
+    return 0, _dumps(doc) + "\n", ""
 
 
 @given(mixed_files(), st.sampled_from([1, 7, 64, None]), st.sampled_from([1, 5, 64, None]))
-@example(b"1\n\n2\n# c\n\r \n3\n", 4, 3)  # a blank, a comment and a declining line straddle reads
+@example(b"1\n\n2\n# c\n\r \n3\n", 4, 3)  # a blank, a comment and a lone CR straddle reads
 @example(b"  # a\r\n\x0b\x0c\r\n1.5\r\n#\r2\n", None, 2)  # an indented comment, and a lone CR in one
 @example(b"1\n#\xff\n2\n", None, None)  # a comment the text reader cannot decode
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -182,18 +195,20 @@ def test_blank_and_comment_lines_anywhere_keep_the_fast_path_or_decline(tmp_path
             seq = pl.ingest_and_unfold(path)
             assert got.tobytes() == seq.values.tobytes() == ingest_loop(path).tobytes()
             assert seq.metadata["input_sha256"] == hashlib.sha256(content).hexdigest()
-        mp.setattr(sequences, "_parse_fast", line_loop_only)  # every file as the line loop reads it
-        assert audit_cli(capsys, path, 1e-9, 2) == outcome
+    assert outcome == audit_of_the_line_loop(path, 1e-9, 2)  # a bad line is named, as the line loop names it
     try:
         ingest_loop(path)
-    except ValueError as exc:  # a bad line is named, whichever path the audit took
-        assert outcome == (2, "", f"error: {exc}\n")
+    except ValueError:
+        assert got is None
+    else:
+        assert got is not None
+
+
+def refuse(text, mode):
+    raise AssertionError("the line loop was reached")
 
 
 def test_a_written_comment_header_keeps_the_fast_path(tmp_path, monkeypatch):
-    def refuse(lines, mode):
-        raise AssertionError("the line loop was reached")
-
     monkeypatch.setattr(sequences, "_parse_lines", refuse)
     seq = pl.RealSequence(pl.generate(pl.GeneratorConfig("poisson", 5000, seed=3)).values + 2.0)  # > 1
     path = tmp_path / "seq.txt"
@@ -223,13 +238,13 @@ def many_lines(count, bad_line=None, bad=b""):
 
 def test_the_hash_covers_every_chunk_of_the_read_the_values_came_from(tmp_path, monkeypatch):
     monkeypatch.setattr(sequences, "_INGEST_CHUNK", 4096)
-    parse_lines, reread = sequences._parse_lines, []
-    monkeypatch.setattr(sequences, "_parse_lines", lambda lines, mode: reread.append(1) or parse_lines(lines, mode))
+    monkeypatch.setattr(sequences, "_parse_lines", refuse)
     path = tmp_path / "seq.txt"
-    for content, fallback in ((many_lines(3000), False), (many_lines(3000, 2000, b"\r "), True)):  # a lone CR
+    for content, n in ((many_lines(3000), 3000), (many_lines(3000, 2000, b"\r "), 2999)):  # a lone CR ends a line
         path.write_bytes(content)
         seq = pl.ingest_and_unfold(path)
-        assert (seq.n, bool(reread)) == (3000 - fallback, fallback)
+        assert seq.values.tobytes() == ingest_loop(path).tobytes()
+        assert seq.n == n
         assert seq.metadata["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -294,3 +309,98 @@ def test_random_bit_doubles_parse_as_float_does(tmp_path, form):
     path.write_text("".join(form(x) + "\n" for x in values.tolist()))
     got = pl.ingest_and_unfold(path).values
     assert got.tobytes() == ingest_loop(path).tobytes() == values.tobytes()  # each form round-trips
+
+
+@st.composite
+def cr_files(draw):
+    """A file of increasing values and comments whose lines end in a lone CR, CRLF, CR CR LF or LF, and the
+    last maybe in nothing; comments may hold a CR, which ends them (``#a\\r#b`` is two comments, ``#a\\rb``
+    a comment and the bad line ``b``), and now and then a value is out of order."""
+    values = np.cumsum(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0**-20, 3.25]), min_size=1, max_size=12)))
+    lines = []
+    for v in values.tolist():
+        lines += draw(st.lists(st.sampled_from([b"#", b"# c", b"#a\r#b", b"#a\rb", b"#\r", b" ", b""]), max_size=2))
+        lines.append(format(v, ".17g").encode() if draw(st.integers(0, 29)) else b"0.25")
+    ends = [draw(st.sampled_from([b"\r", b"\r\n", b"\r\r\n", b"\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+@given(cr_files())
+@example(b"1\r2\r\n3\r\r\n#a\r#b\r4")
+@example(b"1\r#a\rb\r2\r")  # the bad line "b"
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cr_line_ends_take_the_fast_path_at_every_read_size(tmp_path, content):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(content)
+    try:
+        expected = ingest_loop(path).tobytes()
+    except ValueError as exc:
+        expected = type(exc), str(exc), exc.line
+    with open(path, encoding="utf-8") as text:
+        text_lines = sum(1 for _ in text)
+    decimal_values = sequences._decimal_values
+
+    def count(windows, ends, lens, out):
+        lines.append(ends.size)
+        return decimal_values(windows, ends, lens, out)
+
+    for chunk in range(1, 25):
+        for block in (1, 5, sequences._KERNEL_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sequences, "_INGEST_CHUNK", chunk)
+                mp.setattr(sequences, "_KERNEL_BLOCK", block)
+                if isinstance(expected, bytes):
+                    mp.setattr(sequences, "_parse_lines", refuse)
+                    mp.setattr(sequences, "_decimal_values", count)
+                    lines = []
+                    seq = pl.ingest_and_unfold(path)
+                    assert seq.values.tobytes() == expected, (chunk, block)
+                    assert seq.metadata["input_sha256"] == hashlib.sha256(content).hexdigest()
+                    assert sum(lines) == text_lines, (chunk, block)  # the text reader's lines, blank ones too
+                else:
+                    assert outcome(pl.ingest_and_unfold, path) == expected, (chunk, block)
+
+
+def counted(consume):
+    """``consume``, counting its calls in the returned list."""
+    calls = []
+
+    def run(chunks):
+        calls.append(1)
+        return consume(chunks)
+
+    return run, calls
+
+
+def test_consume_runs_once_per_stream(tmp_path, monkeypatch):
+    monkeypatch.setattr(sequences, "_INGEST_CHUNK", 4096)
+    path = tmp_path / "seq.txt"
+    good, last_bad, first_bad = many_lines(3000), many_lines(3000, 3000, b"x"), many_lines(3000, 1, b"x")
+    assert len(last_bad) > 10 * 4096  # its bad line is in the last of many reads
+    for content, error in ((good, None), (last_bad, "^line 3000: could not parse"), (first_bad, "^line 1: ")):
+        path.write_bytes(content)
+        consume, calls = counted(sequences._collect)
+        if error is None:
+            values, digest = sequences._stream(path, "raw", consume)
+            assert (values.size, digest) == (3000, hashlib.sha256(content).hexdigest())
+        else:
+            with pytest.raises(sequences.SequenceFormatError, match=error):
+                sequences._stream(path, "raw", consume)
+        assert calls == [1]
+
+
+def test_a_decline_of_a_valid_file_is_an_internal_error(tmp_path, monkeypatch):
+    def decline(file, mode):
+        raise sequences._Decline
+        yield
+
+    path = tmp_path / "seq.txt"
+    path.write_bytes(many_lines(30))
+    monkeypatch.setattr(sequences, "_parse_fast", decline)
+    consume, calls = counted(sequences._collect)
+    with pytest.raises(RuntimeError, match="the line reader finds no error") as info:
+        sequences._stream(path, "raw", consume)
+    assert not isinstance(info.value, ValueError)
+    assert calls == [1]

@@ -45,11 +45,16 @@ def test_the_public_constructors_copy_their_input():
     assert values.flags.writeable and gaps.flags.writeable  # the caller's arrays stay theirs
 
 
-def test_every_array_the_library_makes_is_read_only(tmp_path):
+def test_every_array_the_library_makes_is_read_only(tmp_path, monkeypatch):
+    def refuse(text, mode):
+        raise AssertionError("the line reader was reached")
+
+    monkeypatch.setattr(sequences, "_parse_lines", refuse)
     made = []
-    for name, text in (("fast.txt", "1.5\n2.5\n4\n"), ("loop.txt", "1.5\n\r \n2.5\n")):  # the line loop reads loop.txt
-        (tmp_path / name).write_text(text)
+    for name, text in (("lf.txt", "1.5\n2.5\n4\n"), ("cr.txt", "1.5\n\r \n2.5\n")):  # a lone CR ends a line
+        (tmp_path / name).write_bytes(text.encode())
         made += [pl.ingest_and_unfold(tmp_path / name, mode) for mode in sequences.INGEST_MODES]
+    assert made[2].values.tolist() == [1.5, 2.5]
     made += [pl.generate(pl.GeneratorConfig(kind, n, seed=2, cap=1.5)) for kind in sequences.GENERATOR_KINDS
              for n in (1, 50)]
     made.append(pl.normalize_mean_gap(made[0]))
