@@ -56,7 +56,6 @@ from dataclasses import asdict
 
 CDF_GRID_MAX_POINTS = 10**6  # --cdf-grid rows; a larger or non-finite grid is rejected, not looped over
 CDF_ROWS = 4096  # --cdf-grid rows written at a time: bounds the text held at once
-PARTITION_CHUNK = 4096  # blocks per partition table: bounds the arrays and the text held at once
 PARTITION_FORMAT = 1024  # blocks per % call: bounds the Python ints and floats, and the text, held at once
 
 
@@ -150,7 +149,7 @@ def cmd_generate(args) -> int:
     }
     text = _dumps(sidecar)  # before any file is written: a non-finite parameter is an input error
     write_sequence(args.output, seq)
-    with open(str(args.output) + ".manifest.json", "w", encoding="utf-8") as fh:
+    with _replacing(str(args.output) + ".manifest.json", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(text)
     return 0
@@ -193,14 +192,13 @@ def cmd_partition(args) -> int:
     violation = False
 
     def write(left, right, end):
-        """Write the blocks that closed in tables of at most ``PARTITION_CHUNK``; the first prefix index still needed."""
+        """Write the blocks that closed in the step from one table; the first prefix index still needed."""
         nonlocal violation
-        p, base = stream.held, stream.base
-        for first in range(0, left.size, PARTITION_CHUNK):
-            a, b = left[first : first + PARTITION_CHUNK], right[first : first + PARTITION_CHUNK]
-            table = _partition_table(p, a - base, b - base, args.threshold)  # every block gap fits a part alone
+        if left.size:
+            p, base = stream.held, stream.base
+            table = _partition_table(p, left - base, right - base, args.threshold)  # every block gap fits a part alone
             table = table._replace(left=table.left + base, right=table.right + base)
-            sys.stdout.writelines(_partition_documents(table, a, b, args.check))
+            sys.stdout.writelines(_partition_documents(table, left, right, args.check))
             violation = violation or not (table.adjacent_ok.all() and table.sandwich_ok.all())
         return stream.n
 
@@ -345,7 +343,7 @@ def cmd_ingest(args) -> int:
         "n_points": spill.count,
         "manifest": _manifest("ingest", params, input_hash=spill.sha256),
     }
-    with open(str(args.output) + ".manifest.json", "w", encoding="utf-8") as fh:
+    with _replacing(str(args.output) + ".manifest.json", "w", encoding="utf-8") as fh:
         fh.write(_dumps(doc) + "\n")
     print(_dumps(doc))
     return 0

@@ -243,7 +243,6 @@ _POSITION_MASK = (1 << 32) - 1
 # Fragments go through the greedy in rounds, a pick in each at once, while this many or more are
 # left; below it the scalar loop is cheaper.  The two cost the same near 70 fragments (see README).
 _FRONTIER_MIN = 64
-_ROUND_BATCH = 4096  # multi-part blocks whose fragments share the rounds; bounds their arrays
 
 
 def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
@@ -279,11 +278,11 @@ def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
     array: O(log L) per pick.
 
     *Order.*  A fragment's pick depends on the fragment alone, so fragments
-    may be split in any order.  Up to ``_ROUND_BATCH`` blocks at a time go
-    through :func:`_greedy_round`, which splits every fragment of the
-    frontier at once; once fewer than ``_FRONTIER_MIN`` fragments are left
-    (one long block is a chain of one fragment per round), a scalar loop
-    splits the rest one at a time, each from an explicit stack.
+    may be split in any order.  :func:`_greedy_round` splits every fragment
+    of the frontier at once; once fewer than ``_FRONTIER_MIN`` are left (one
+    long block is a chain of one fragment per round), a scalar loop splits
+    the rest one at a time from one stack.  The arrays span the blocks
+    given: a prefix stream gives those that close in one of its steps.
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
@@ -322,32 +321,29 @@ def _greedy_picks(prefix: np.ndarray, left, right, budget: float):
 
     starts = np.empty_like(ends)
     picks = 0
-    for batch in range(0, firsts.size, _ROUND_BATCH):
-        a, b = firsts[batch : batch + _ROUND_BATCH], lasts[batch : batch + _ROUND_BATCH]
-        while a.size >= _FRONTIER_MIN:
-            picked, a, b = _greedy_round(table, offsets, ends, a, b)
-            starts[picks : picks + picked.size] = picked
-            picks += picked.size
-        keys, at, reach_at, start_at = memoryview(table), offsets.tolist(), memoryview(ends), memoryview(starts)
-        for fragment in zip(a.tolist(), b.tolist(), a.tolist()):  # the scalar loop takes the rest
-            stack = [fragment]
-            while stack:
-                a, b, lo = stack.pop()  # lo is at or before the fragment's s*
-                s = star = bisect_left(reach_at, b, lo, b)
-                if s > a:
-                    k = (s - a).bit_length() - 1
-                    x, y = keys[at[k] + a], keys[at[k] + s - (1 << k)]
-                    t = -(x if x > y else y) & _POSITION_MASK
-                    e = reach_at[t]
-                    if e - t >= b - s:
-                        s = t
-                        stack.append((e + 1, b, star if star > e else e + 1))
-                    if s > a:
-                        stack.append((a, s - 1, a))
-                start_at[picks] = s
-                picks += 1
-        del keys, reach_at, start_at
-    del table
+    a, b = firsts, lasts
+    while a.size >= _FRONTIER_MIN:
+        picked, a, b = _greedy_round(table, offsets, ends, a, b)
+        starts[picks : picks + picked.size] = picked
+        picks += picked.size
+    keys, at, reach_at, start_at = memoryview(table), offsets.tolist(), memoryview(ends), memoryview(starts)
+    stack = list(zip(a.tolist(), b.tolist(), a.tolist()))  # the scalar loop takes the rest
+    while stack:
+        a, b, lo = stack.pop()  # lo is at or before the fragment's s*
+        s = star = bisect_left(reach_at, b, lo, b)
+        if s > a:
+            k = (s - a).bit_length() - 1
+            x, y = keys[at[k] + a], keys[at[k] + s - (1 << k)]
+            t = -(x if x > y else y) & _POSITION_MASK
+            e = reach_at[t]
+            if e - t >= b - s:
+                s = t
+                stack.append((e + 1, b, star if star > e else e + 1))
+            if s > a:
+                stack.append((a, s - 1, a))
+        start_at[picks] = s
+        picks += 1
+    del keys, reach_at, start_at, table
 
     starts = np.sort(starts[:picks])  # left to right, block after block; parts tile the positions
     return multi, firsts, starts, np.diff(starts, append=ends.size), ends

@@ -445,7 +445,7 @@ def _stream(path, mode: str, consume):
         reader = _Sha256Reader(fh)
         with contextlib.suppress(_Decline):
             return consume(_parse_fast(reader, mode)), reader.sha256.hexdigest()
-    with open(path, encoding="utf-8") as text:
+    with open(path, encoding="utf-8", errors="surrogateescape") as text:
         _parse_lines(text, mode)
     raise RuntimeError(f"the fast reader declined {os.fspath(path)!r}, but the line reader finds no error in it")
 
@@ -778,12 +778,16 @@ def _parse_lines(text, mode: str) -> None:
     """Raise :class:`SequenceFormatError` naming the first bad line of ``text``, read one line at a time.
 
     Each line is read with ``readline(_LINE_MAX + 1)``, so a longer line is
-    refused without being held whole.  A file with no bad line returns.
+    refused without being held whole; ``text`` decodes with
+    ``surrogateescape``, so a byte that is not UTF-8 is refused at its line.
+    A file with no bad line returns.
     """
     prev = None
     lineno = 0
     while raw := text.readline(_LINE_MAX + 1):
         lineno += 1
+        if not raw.isascii() and (bad := [c for c in raw if "\udc80" <= c <= "\udcff"]):  # the escaped bytes
+            raise SequenceFormatError(f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8", lineno)
         if len(raw) > _LINE_MAX and not raw.endswith("\n"):
             raise SequenceFormatError(f"longer than the limit of {_LINE_MAX} characters", lineno)
         line = raw.strip()

@@ -20,8 +20,11 @@ def ingest_loop(path, mode="raw") -> np.ndarray:
     """``ingest_and_unfold``'s values by a text-mode loop: one ``float(line.strip())`` per line."""
     values = []
     prev = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            bad = [c for c in raw if "\udc80" <= c <= "\udcff"]  # bytes that are not UTF-8
+            if bad:
+                raise SequenceFormatError(f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8", lineno)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

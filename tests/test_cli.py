@@ -201,6 +201,23 @@ def test_an_output_through_a_link_or_to_a_pipe_is_written_where_open_would_write
     assert got == [real.read_bytes()]
 
 
+def test_a_second_run_replaces_the_output_and_its_sidecar_but_leaves_hard_links_to_the_first(tmp_path, capsys):
+    out, copy = tmp_path / "g.txt", tmp_path / "copy.txt"
+    generate = ["generate", "--kind", "poisson", "--n", "10", "-o", str(out), "--seed"]
+    ingest = ["ingest", "--input", str(out), "-o", str(copy)]
+    for target, first, second in ((out, [*generate, "1"], [*generate, "2"]), (copy, ingest, [*ingest, "--normalize"])):
+        sidecar = Path(f"{target}.manifest.json")
+        assert run(capsys, *first)[0] == 0
+        before = (target.read_bytes(), sidecar.read_bytes())
+        os.link(target, tmp_path / "first.txt")
+        os.link(sidecar, tmp_path / "first.json")
+        assert run(capsys, *second)[0] == 0
+        assert sidecar.read_bytes() != before[1]  # the second run's manifest
+        assert ((tmp_path / "first.txt").read_bytes(), (tmp_path / "first.json").read_bytes()) == before
+        os.unlink(tmp_path / "first.txt")
+        os.unlink(tmp_path / "first.json")
+
+
 def test_analyze_requires_work(tmp_path, capsys):
     path = write_lattice(tmp_path)
     code, _, err = run(capsys, "analyze", "--input", path)
@@ -214,6 +231,31 @@ def test_malformed_file_gives_exit_2_with_line(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--input", str(path), "--interval", "0,1")
     assert code == 2
     assert "line 2" in err
+
+
+NOT_UTF8 = {  # content -> its first bad line and that line's error
+    b"2\n1\n\xff\n": (2, "not strictly increasing: 1.0 after 2.0"),  # the earlier line's error comes first
+    b"1\n" + b"\x80" * 300 + b"\n2\n": (2, "byte 0x80 is not UTF-8"),
+    b"1\n2\n\xc3": (3, "byte 0xc3 is not UTF-8"),  # a character cut off at the end
+    b"1\n# \xce\n2\n": (2, "byte 0xce is not UTF-8"),  # in a comment
+    # past the text decoder's first 8 KiB chunk, where its own message counted from the chunk's start
+    "".join(f"{i}\n" for i in range(1, 40_001)).encode().replace(b"\n30000\n", b"\n3\xff0000\n"): (
+        30_000, "byte 0xff is not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("content", NOT_UTF8, ids=range(len(NOT_UTF8)))
+def test_a_byte_that_is_not_utf8_is_named_at_its_line_in_line_order(tmp_path, capsys, content):
+    lineno, message = NOT_UTF8[content]
+    path = tmp_path / "seq.txt"
+    path.write_bytes(content)
+    with pytest.raises(pl.SequenceFormatError) as caught:
+        pl.ingest_and_unfold(path)
+    assert (caught.value.line, str(caught.value)) == (lineno, f"line {lineno}: {message}")
+    for argv in (["audit", "--epsilon", "1e-9", "--n", "2"], ["analyze", "--interval", "0,1"], ["partition"],
+                 ["ingest", "-o", str(tmp_path / "out.txt")]):
+        assert run(capsys, *argv, "--input", str(path)) == (2, "", f"error: line {lineno}: {message}\n"), argv
+    assert os.listdir(tmp_path) == ["seq.txt"]
 
 
 def test_missing_file_gives_exit_2(tmp_path, capsys):
@@ -269,9 +311,10 @@ def test_partition_100_random_capped_sequences_check_passes(tmp_path, capsys):
         assert code == 0
 
 
-def test_partition_check_stream_equals_the_object_api_across_chunks(tmp_path, capsys):
-    from ppclab import cli
+def test_partition_check_stream_equals_the_object_api_across_chunks(tmp_path, capsys, monkeypatch):
+    from ppclab import cli, partition
 
+    monkeypatch.setattr(partition, "_STREAM_STEP", 1 << 14)  # three steps of the 44,999 gaps
     seq = pl.generate(pl.GeneratorConfig("poisson", 45_000, seed=11))
     path = tmp_path / "poisson.txt"
     pl.write_sequence(path, seq)
@@ -283,7 +326,7 @@ def test_partition_check_stream_equals_the_object_api_across_chunks(tmp_path, ca
         params = {"input": str(path), "n": n, "threshold": 2.0, "check": True}
         expected = [cli._dumps({"manifest": cli._manifest("partition", params, input_hash=hashlib.sha256(path.read_bytes()).hexdigest())})]
         blocks = pl.maximal_blocks(g, n, 2.0).blocks
-        assert len(blocks) > cli.PARTITION_CHUNK  # at least two tables are written
+        assert blocks[0].right < 1 << 14 < blocks[-1].left  # blocks close in two steps at least
         for block in blocks:
             p = pl.greedy_partition(g, block, 2.0)
             sandwiched = sorted(pl.sandwiched_indices(p))

@@ -253,7 +253,7 @@ def test_a_line_of_more_bytes_than_the_limit_but_not_more_characters_takes_the_f
     content = b"1\n" + b"\x80" * 300 + b"\n2\n"
     path.write_bytes(content)
     assert fast_values(content, "raw") is None
-    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0x80 in position 2"):
+    with pytest.raises(sequences.SequenceFormatError, match="^line 2: byte 0x80 is not UTF-8$"):
         pl.ingest_and_unfold(path)
 
 

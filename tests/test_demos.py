@@ -1,4 +1,4 @@
-"""The demo scripts compile and name only what ppclab exports; none is run."""
+"""The demo scripts compile and name only what ppclab exports, and none is run; the README's Library quickstart runs."""
 
 import ast
 from pathlib import Path
@@ -37,3 +37,12 @@ def test_demo_compiles_and_resolves_its_ppclab_names(path):
     names = list(ppclab_names(ast.parse(source)))
     missing = [(line, name) for line, name in names if not hasattr(ppclab, name)]
     assert names and not missing, f"{path.name}: unknown ppclab names {missing}"
+
+
+def test_the_readme_library_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and lines[2] == "[]" and lines[3] == "True", lines

@@ -219,6 +219,27 @@ def test_a_wide_frontier_picks_what_block_by_block_greedy_and_the_oracle_pick(bl
             GreedyOracle(g, block, 0.5).replay_check(partition)
 
 
+def test_a_frontier_of_thousands_of_blocks_picks_what_block_by_block_greedy_picks():
+    # 8,193 blocks of two or three gaps of 0.3 between gaps of 1, and one of 200: all go through the rounds
+    # in one frontier of 8,194 fragments, and the long block's chain ends in the scalar loop
+    sizes = [2 + (k % 3 == 0) for k in range(8193)] + [200]
+    g = pl.GapSequence([gap for size in sizes for gap in [0.3] * size + [1.0]])
+    bs = pl.maximal_blocks(g, g.length, 0.5)
+    partitions = [pl.greedy_partition(g, block, 0.5) for block in bs.blocks]
+    table = pl.partition_table(g, bs.left, bs.right, 0.5)
+    assert np.count_nonzero(table.counts > 1) == len(sizes)
+    parts = [part for partition in partitions for part in partition.parts]
+    assert table.left.tolist() == [part.left for part in parts]
+    assert table.right.tolist() == [part.right for part in parts]
+    assert table.rank.tolist() == [r for partition in partitions for r in partition.selection_rank]
+    assert table.sums.tolist() == [s for partition in partitions for s in partition.sums]
+    lengths = [part.length for part in parts]
+    assert pl.partition_lengths(g, bs.left, bs.right, 0.5).tolist() == lengths
+    assert _greedy_lengths(g.prefix, bs.left, bs.right, 0.5) == (
+        len(lengths), sum(lengths), sum(L * (L + 1) // 2 for L in lengths)
+    )
+
+
 def test_a_reach_past_its_block_moves_no_pick_of_the_rounds():
     # With a budget above the threshold a start's fits run on across the separators.  Each 0.0
     # between two 0.51 is a one-part block between multi-part ones, which puts an unclipped reach

@@ -3,10 +3,11 @@
 The reference reads the file whole, makes ``gaps_of``, finds the blocks one
 index at a time (``blocks_by_index``), and writes ``partition_table`` of all
 of them with ``_partition_documents``.  The stream must print the same bytes
-however it is cut: the file into small reads, the gaps into steps of 1, 2
-or 3, and the blocks into tables of 1 or 3.  Dyadic gaps put one-gap sums
-and part sums exactly on the thresholds 1/2 and 2, and a first value of
--2^53 makes the prefix sums so large that small gaps sum to 0 or round up.
+however it is cut: the file into small reads, and the gaps into steps of
+1, 2 or 3, the blocks that close in each step making one table.  Dyadic
+gaps put one-gap sums and part sums exactly on the thresholds 1/2 and 2,
+and a first value of -2^53 makes the prefix sums so large that small gaps
+sum to 0 or round up.
 """
 
 import os
@@ -86,13 +87,12 @@ def test_the_streamed_partition_prints_the_whole_array_one(tmp_path, capsys, cas
     pl.write_sequence(path, pl.RealSequence(values))
     expected = reference(path, threshold, n)
     assert expected[0] in (0, 1)
-    for step, tables in ((1, 1), (2, 3), (3, 1), (3, 3)):
+    for step in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             sizes = patch_step(mp, step)
             mp.setattr(sequences, "_INGEST_CHUNK", 64)
-            mp.setattr(cli, "PARTITION_CHUNK", tables)
-            mp.setattr(cli, "PARTITION_FORMAT", 2)  # one % call for a table of 1 block, two for 3
-            assert partition_cli(capsys, path, threshold, n) == expected, (step, tables)
+            mp.setattr(cli, "PARTITION_FORMAT", 1)  # one % call a block: a step of 3 gaps may close two
+            assert partition_cli(capsys, path, threshold, n) == expected, step
         assert max(sizes, default=0) <= step and sum(sizes) == (values.size - 1 if n is None else n)
     assert partition_cli(capsys, path, threshold, n) == expected
 
@@ -122,8 +122,8 @@ def test_partition_errors_keep_their_messages_and_their_order(tmp_path, capsys, 
 @pytest.mark.parametrize("threshold", ["2", "0.5"])
 def test_partition_memory_grows_only_by_the_values(tmp_path, monkeypatch, threshold):
     # partition holds one read of the file, one step of the values read back from the spill, its prefix sums,
-    # the blocks that closed in it, and one table of at most PARTITION_CHUNK of them with its text; none of
-    # these grows with the input.  The values of every point would add 8 bytes a point, 2.3 MiB more here.
+    # and the blocks that closed in it, in one table, with its text; none of these grows with the input.  The
+    # values of every point would add 8 bytes a point, 2.3 MiB more here.
     peaks = {}
     for n in (100_000, 400_000):
         path = tmp_path / f"poisson{n}.txt"
